@@ -409,19 +409,19 @@ def find_center(
     """Pick the center vertex and its bound for the given parameter g.
 
     g = None is the no-interior-node sentinel (depth ≤ 1: the root sees
-    everything).  For g ≥ 3 every interior node must store at least g
+    everything); it is the only choice for n ≤ 2.  For g ≥ 3 every interior node must store at least g
     vertices, else GTooBigError.
     """
     n = aug.G.n
-    if n < 3:
-        raise ValueError("center selection needs n >= 3")
-
     if g is None:
         if tree.interior_nodes():
             raise ValueError("sentinel g only valid for trees without interior nodes")
         return CenterCertificate(
             center=aug.root, bound=1, g=None, case="tree-depth-2", n=n, root=aug.root
         )
+
+    if n < 3:
+        raise ValueError("center selection needs n >= 3")
 
     if g < 1:
         raise ValueError("g must be >= 1")

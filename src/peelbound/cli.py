@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Optional
@@ -33,8 +32,6 @@ EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY = 3
 
-THREADS_ENV = "PEELBOUND_THREADS"
-
 FAMILIES = ("nested", "lowerbound-h", "prism", "random")
 
 # Exact-oracle annotation checks are quadratic-ish; stay at desk scale.
@@ -47,16 +44,6 @@ def _emit(record: dict) -> None:
 
 def _say(msg: str) -> None:
     sys.stderr.write(msg + "\n")
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            _say(f"warning: ignoring non-integer {THREADS_ENV}={raw!r}")
-    return 1
 
 
 def _load_graph(path: str) -> PlaneGraph:
@@ -174,9 +161,8 @@ def cmd_center(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    threads = args.threads if args.threads is not None else _default_threads()
-    report = full_oracle_report(g, fence_budget=args.budget, threads=threads)
-    record = {"command": "oracle", "input": args.graph, "threads": threads}
+    report = full_oracle_report(g, fence_budget=args.budget)
+    record = {"command": "oracle", "input": args.graph}
     record.update(report.to_dict())
     _emit(record)
     fence = "skipped" if report.fence_girth_skipped else report.fence_girth
@@ -375,12 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=5_000_000,
         help="step budget for cycle enumeration",
-    )
-    p_oracle.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help=f"worker threads for per-face peel counts (default ${THREADS_ENV} or 1)",
     )
     p_oracle.set_defaults(func=cmd_oracle)
 

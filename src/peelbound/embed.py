@@ -18,8 +18,8 @@ implied.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -73,12 +73,10 @@ class PlaneGraph:
         "connected",
         "triangulated",
         "meta",
-        "_csr_cache",
     )
 
     def __init__(self) -> None:  # populated by _finish_graph
         self.meta: dict = {}
-        self._csr_cache = None
 
     # -- dart helpers ------------------------------------------------------
 
@@ -181,30 +179,6 @@ class PlaneGraph:
 
     def first_face_of_vertex(self, v: int) -> int:
         return self.faces_of_vertex(v)[0]
-
-    # -- adjacency ----------------------------------------------------------
-
-    def adjacency_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, neighbors) with neighbors grouped by origin, edge order.
-
-        Parallel edges and loops are kept as-is (a loop contributes its own
-        vertex twice), which is what BFS wants.
-        """
-        if self._csr_cache is None:
-            m2 = 2 * self.m
-            orig = np.empty(m2, dtype=np.int64)
-            eu = np.frombuffer(self.eu, dtype=np.int32).astype(np.int64)
-            ev = np.frombuffer(self.ev, dtype=np.int32).astype(np.int64)
-            orig[0::2] = eu
-            orig[1::2] = ev
-            heads = np.empty(m2, dtype=np.int64)
-            heads[0::2] = ev
-            heads[1::2] = eu
-            order = np.argsort(orig, kind="stable")
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(orig, minlength=self.n), out=indptr[1:])
-            self._csr_cache = (indptr, heads[order])
-        return self._csr_cache
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -332,38 +306,44 @@ def _trace_walks(rot_next: array, m2: int) -> tuple[array, array, array]:
     return indptr, flat, walk_of
 
 
+def _dart_ends(eu: array, ev: array) -> tuple[np.ndarray, np.ndarray]:
+    """(origin, head) of every dart as int64; dart 2e runs eu[e] -> ev[e]."""
+    u = np.frombuffer(eu, dtype=np.int32)
+    v = np.frombuffer(ev, dtype=np.int32)
+    origin = np.empty(2 * len(u), dtype=np.int64)
+    head = np.empty_like(origin)
+    origin[0::2] = head[1::2] = u
+    origin[1::2] = head[0::2] = v
+    return origin, head
+
+
+def _csr(
+    keys: np.ndarray, values: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group values by key in [0, size): row k is grouped[indptr[k]:indptr[k+1]].
+
+    Order within a row is unspecified; every reader dedupes or sorts.
+    """
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=size), out=indptr[1:])
+    return indptr, values[np.argsort(keys)]
+
+
 def _components(n: int, eu: array, ev: array) -> tuple[array, int]:
     """Connected-component labels via numpy frontier BFS (edges undirected)."""
-    comp = array("i", bytes(4 * n)) if n else array("i")
-    for i in range(n):
-        comp[i] = -1
-    if n == 0:
-        return comp, 0
+    comp = array("i", [-1]) * n
     comp_np = np.frombuffer(comp, dtype=np.int32)
-    m = len(eu)
-    if m:
-        eu_np = np.frombuffer(eu, dtype=np.int32).astype(np.int64)
-        ev_np = np.frombuffer(ev, dtype=np.int32).astype(np.int64)
-        orig = np.concatenate([eu_np, ev_np])
-        dest = np.concatenate([ev_np, eu_np])
-        order = np.argsort(orig, kind="stable")
-        dest = dest[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(orig, minlength=n), out=indptr[1:])
+    indptr, dest = _csr(*_dart_ends(eu, ev), n)
     label = 0
     for seed in range(n):
         if comp_np[seed] >= 0:
             continue
         comp_np[seed] = label
-        if m:
-            frontier = np.array([seed], dtype=np.int64)
-            while frontier.size:
-                nbrs = _csr_gather(indptr, dest, frontier)
-                nbrs = nbrs[comp_np[nbrs] < 0]
-                if nbrs.size == 0:
-                    break
-                frontier = np.unique(nbrs)
-                comp_np[frontier] = label
+        frontier = np.array([seed], dtype=np.int64)
+        while frontier.size:
+            nbrs = _csr_gather(indptr, dest, frontier)
+            frontier = np.unique(nbrs[comp_np[nbrs] < 0])
+            comp_np[frontier] = label
         label += 1
     return comp, label
 
@@ -394,7 +374,6 @@ def _finish_graph(
     g.rot_next = b.rot_next
     g.rot_first = b.rot_first
     g.meta = dict(meta) if meta else {}
-    g._csr_cache = None
 
     m2 = 2 * g.m
     indptr, flat, walk_of = _trace_walks(b.rot_next, m2)
@@ -607,50 +586,6 @@ class RadialDistance:
         return (self.vertex_dist + 1) // 2
 
 
-def _radial_arrays(g: PlaneGraph):
-    """CSR views used by the alternating BFS (built per call; cheap)."""
-    m2 = 2 * g.m
-    if m2:
-        dart_orig = np.empty(m2, dtype=np.int64)
-        eu = np.frombuffer(g.eu, dtype=np.int32).astype(np.int64)
-        ev = np.frombuffer(g.ev, dtype=np.int32).astype(np.int64)
-        dart_orig[0::2] = eu
-        dart_orig[1::2] = ev
-        # vertex -> darts
-        v_order = np.argsort(dart_orig, kind="stable")
-        v_indptr = np.zeros(g.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dart_orig, minlength=g.n), out=v_indptr[1:])
-        # dart -> face
-        walk_of = np.frombuffer(g.walk_of_dart, dtype=np.int32).astype(np.int64)
-        face_of_walk = np.frombuffer(g.face_of_walk, dtype=np.int32).astype(np.int64)
-        dart_face = face_of_walk[walk_of]
-        # face -> darts (walk_flat is grouped by walk; faces group walks)
-        flat = np.frombuffer(g.walk_flat, dtype=np.int32).astype(np.int64)
-        f_order_parts: list[np.ndarray] = []
-        f_counts = np.zeros(g.face_count, dtype=np.int64)
-        indptr = g.walk_indptr
-        for f, group in enumerate(g.face_walks):
-            cnt = 0
-            for w in group:
-                if w < g.dart_walk_count:
-                    f_order_parts.append(flat[indptr[w] : indptr[w + 1]])
-                    cnt += indptr[w + 1] - indptr[w]
-            f_counts[f] = cnt
-        f_flat = (
-            np.concatenate(f_order_parts) if f_order_parts else np.empty(0, np.int64)
-        )
-        f_indptr = np.zeros(g.face_count + 1, dtype=np.int64)
-        np.cumsum(f_counts, out=f_indptr[1:])
-    else:
-        dart_orig = np.empty(0, dtype=np.int64)
-        v_order = np.empty(0, dtype=np.int64)
-        v_indptr = np.zeros(g.n + 1, dtype=np.int64)
-        dart_face = np.empty(0, dtype=np.int64)
-        f_flat = np.empty(0, dtype=np.int64)
-        f_indptr = np.zeros(g.face_count + 1, dtype=np.int64)
-    return dart_orig, v_order, v_indptr, dart_face, f_flat, f_indptr
-
-
 def radial_bfs(
     g: PlaneGraph,
     source_vertex: Optional[int] = None,
@@ -658,72 +593,52 @@ def radial_bfs(
 ) -> RadialDistance:
     """BFS over the vertex/face incidence structure from one source.
 
-    Works for disconnected graphs too (the incidence graph of a spherical
-    embedding is always connected); raises if some vertex or face is left
-    unreached, which indicates a corrupt face grouping.
+    Every dart links its origin to its face, and every isolated vertex links
+    to its host face.  Works for disconnected graphs too (the incidence graph
+    of a spherical embedding is always connected); raises if some vertex or
+    face is left unreached, which indicates a corrupt face grouping.
     """
     if (source_vertex is None) == (source_face is None):
         raise ValueError("exactly one of source_vertex / source_face required")
 
-    dart_orig, v_order, v_indptr, dart_face, f_flat, f_indptr = _radial_arrays(g)
     vdist = np.full(g.n, -1, dtype=np.int64)
     fdist = np.full(g.face_count, -1, dtype=np.int64)
-
-    # lone vertices attach to their host face (tiny counts, plain dicts)
-    lone_by_face: dict[int, list[int]] = {}
-    for v, f in g.face_of_lone_vertex.items():
-        lone_by_face.setdefault(f, []).append(v)
-
     if source_vertex is not None:
         if not (0 <= source_vertex < g.n):
             raise ValueError("source vertex out of range")
-        vdist[source_vertex] = 0
-        vfront = np.array([source_vertex], dtype=np.int64)
-        ffront = np.empty(0, dtype=np.int64)
         kind, src = "vertex", source_vertex
+        vdist[src] = 0
     else:
         if not (0 <= source_face < g.face_count):
             raise ValueError("source face out of range")
-        fdist[source_face] = 0
-        ffront = np.array([source_face], dtype=np.int64)
-        vfront = np.empty(0, dtype=np.int64)
         kind, src = "face", source_face
+        fdist[src] = 0
 
+    face_of_walk = np.frombuffer(g.face_of_walk, dtype=np.int32)
+    walk_of_dart = np.frombuffer(g.walk_of_dart, dtype=np.int32)
+    verts = np.concatenate(
+        [_dart_ends(g.eu, g.ev)[0], np.frombuffer(g.lone_walk_vertex, dtype=np.int32)]
+    )
+    faces = np.concatenate(
+        [face_of_walk[walk_of_dart], face_of_walk[g.dart_walk_count :]]
+    ).astype(np.int64)
+    to_faces = (*_csr(verts, faces, g.n), fdist)
+    to_verts = (*_csr(faces, verts, g.face_count), vdist)
+    step, next_step = (to_faces, to_verts) if kind == "vertex" else (to_verts, to_faces)
+
+    front = np.array([src], dtype=np.int64)
     dist = 0
-    while vfront.size or ffront.size:
+    while front.size:
         dist += 1
-        if vfront.size:
-            # vertices -> their incident faces
-            darts = _csr_gather(v_indptr, v_order, vfront)
-            cand = dart_face[darts] if darts.size else darts
-            lone_faces = [
-                g.face_of_lone_vertex[v]
-                for v in vfront.tolist()
-                if v in g.face_of_lone_vertex
-            ]
-            if lone_faces:
-                cand = np.concatenate([cand, np.array(lone_faces, dtype=np.int64)])
-            cand = cand[fdist[cand] < 0] if cand.size else cand
-            ffront = np.unique(cand) if cand.size else cand
-            fdist[ffront] = dist
-            vfront = np.empty(0, dtype=np.int64)
-        else:
-            # faces -> their incident vertices
-            darts = _csr_gather(f_indptr, f_flat, ffront)
-            cand = dart_orig[darts] if darts.size else darts
-            lone_vs: list[int] = []
-            for f in ffront.tolist():
-                lone_vs.extend(lone_by_face.get(f, ()))
-            if lone_vs:
-                cand = np.concatenate([cand, np.array(lone_vs, dtype=np.int64)])
-            cand = cand[vdist[cand] < 0] if cand.size else cand
-            vfront = np.unique(cand) if cand.size else cand
-            vdist[vfront] = dist
-            ffront = np.empty(0, dtype=np.int64)
+        indptr, nbrs, nbr_dist = step
+        cand = _csr_gather(indptr, nbrs, front)
+        front = np.unique(cand[nbr_dist[cand] < 0])
+        nbr_dist[front] = dist
+        step, next_step = next_step, step
 
-    if g.n and (vdist < 0).any():
+    if (vdist < 0).any():
         raise GraphFormatError("radial BFS did not reach every vertex")
-    if g.face_count and (fdist < 0).any():
+    if (fdist < 0).any():
         raise GraphFormatError("radial BFS did not reach every face")
     return RadialDistance(kind, src, vdist, fdist)
 

@@ -57,14 +57,21 @@ def from_document(doc: dict) -> PlaneGraph:
     for key in ("n", "edges", "rotation"):
         if key not in doc:
             raise GraphFormatError(f"missing required key {key!r}")
-    return build_plane_graph(
-        int(doc["n"]),
-        doc["edges"],
-        doc["rotation"],
-        faces=doc.get("faces"),
-        flags=doc.get("flags"),
-        meta=doc.get("meta"),
-    )
+    try:
+        return build_plane_graph(
+            int(doc["n"]),
+            doc["edges"],
+            doc["rotation"],
+            faces=doc.get("faces"),
+            flags=doc.get("flags"),
+            meta=doc.get("meta"),
+        )
+    except GraphFormatError:
+        raise
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        # a value of the wrong JSON type (null count, scalar row, list flags,
+        # Infinity as an integer) fails inside the builder; report it as such
+        raise GraphFormatError(f"malformed document: {exc}") from exc
 
 
 def dumps_plane_graph(g: PlaneGraph) -> str:

@@ -17,7 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .embed import PlaneGraph, connect_components, radial_bfs, triangulate_preserving_embedding
+from . import peels
+from .embed import PlaneGraph, connect_components, triangulate_preserving_embedding
 
 __all__ = [
     "OracleBudgetError",
@@ -253,8 +254,7 @@ def fse_outerplanarity_bruteforce(
     def count_face(f: int) -> int:
         c = peel_count_by_deletion(g, f)
         if cross_check:
-            rd = radial_bfs(g, source_face=f)
-            via_radial = int(max((rd.vertex_dist + 1) // 2)) if g.n else 0
+            via_radial = peels.peel_count_for_outerface(g, f)
             assert via_radial == c, (
                 f"peel-count routes disagree on face {f}: deletion={c} radial={via_radial}"
             )
@@ -448,8 +448,6 @@ def verify_certificate(cert, target) -> VerifyReport:
     the center is rechecked in the augmented graph; the peel count of the
     chosen outerface is rechecked in the original graph.
     """
-    from . import peels  # local import: the pipeline depends on embed, not on us
-
     report = VerifyReport(ok=True)
     s = _cert_get(cert, "center")
     if s is None:
@@ -494,8 +492,7 @@ def verify_certificate(cert, target) -> VerifyReport:
         if not (0 <= int(outerface) < original.face_count):
             report.add("outerface-range", False, f"face {outerface} out of range")
         else:
-            rd = radial_bfs(original, source_face=int(outerface))
-            count = int(max((rd.vertex_dist + 1) // 2)) if original.n else 0
+            count = peels.peel_count_for_outerface(original, int(outerface))
             report.add(
                 "peel-count",
                 count <= int(peel_bound),
@@ -547,14 +544,13 @@ def full_oracle_report(
     fence_max_len: Optional[int] = None,
     fence_force: bool = False,
     fence_budget: int = 5_000_000,
-    threads: int = 1,
 ) -> OracleReport:
     runtimes: dict[str, float] = {}
     connected_copy = not g.connected
     gc_ = g if g.connected else connect_components(g)
 
     t0 = time.perf_counter()
-    fse = fse_outerplanarity_bruteforce(gc_, threads=threads)
+    fse = fse_outerplanarity_bruteforce(gc_)
     runtimes["fse"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

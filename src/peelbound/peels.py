@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .embed import PlaneGraph, _Builder, _finish_graph, radial_bfs
+from .embed import PlaneGraph, _Builder, _dart_ends, _finish_graph, radial_bfs
 
 __all__ = [
     "Augmentation",
@@ -136,7 +136,7 @@ def peel_count_for_outerface(g: PlaneGraph, face: int) -> int:
     if not g.connected:
         raise ValueError("peel counting requires a connected graph")
     rd = radial_bfs(g, source_face=face)
-    return int(max((rd.vertex_dist + 1) // 2)) if g.n else 0
+    return int(rd.vertex_peels().max()) if g.n else 0
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +211,9 @@ def augment(ctx: PeelContext) -> Augmentation:
     h = _finish_graph(b, meta=g.meta)
     assert h.connected, "augmentation must stay connected"
 
-    m2 = 2 * h.m
+    orig, head = _dart_ends(h.eu, h.ev)
+    m2 = len(orig)
     lay_np = ctx.layer
-    orig = np.empty(m2, dtype=np.int64)
-    head = np.empty(m2, dtype=np.int64)
-    eu_np = np.frombuffer(h.eu, dtype=np.int32).astype(np.int64)
-    ev_np = np.frombuffer(h.ev, dtype=np.int32).astype(np.int64)
-    orig[0::2] = eu_np
-    orig[1::2] = ev_np
-    head[0::2] = ev_np
-    head[1::2] = eu_np
     descend = lay_np[orig] == lay_np[head] + 1
     out_dart = np.full(g.n, m2, dtype=np.int64)
     cand = np.nonzero(descend)[0]
@@ -326,17 +319,9 @@ def build_tree_of_peels(aug: Augmentation) -> TreeOfPeels:
         return ev[d >> 1] if d & 1 else eu[d >> 1]
 
     lay_np = aug.layer
-    m2_ar = np.arange(m2, dtype=np.int64)
-    orig_np = np.empty(m2, dtype=np.int64)
-    head_np = np.empty(m2, dtype=np.int64)
-    eu_np = np.frombuffer(h.eu, dtype=np.int32).astype(np.int64)
-    ev_np = np.frombuffer(h.ev, dtype=np.int32).astype(np.int64)
-    orig_np[0::2] = eu_np
-    orig_np[1::2] = ev_np
-    head_np[0::2] = ev_np
-    head_np[1::2] = eu_np
+    orig_np, head_np = _dart_ends(h.eu, h.ev)
     desc_mask = lay_np[orig_np] == lay_np[head_np] + 1
-    desc_darts = m2_ar[desc_mask]
+    desc_darts = np.nonzero(desc_mask)[0]
     # process by origin layer, then dart id (stable sort keeps id order)
     by_layer = desc_darts[np.argsort(lay_np[orig_np[desc_darts]], kind="stable")]
 

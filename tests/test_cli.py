@@ -166,6 +166,28 @@ def test_center_rejects_garbage_stdin(capsys, monkeypatch):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"n": None},
+        {"edges": 5},
+        {"rotation": [3]},
+        {"faces": [[None]]},
+        {"flags": [1]},
+    ],
+    ids=["null-n", "scalar-edges", "scalar-rotation-row", "null-walk", "list-flags"],
+)
+def test_center_rejects_mistyped_documents(capsys, tmp_path, patch):
+    doc = {"format": "plane-graph/1", "n": 1, "edges": [], "rotation": [[]]}
+    doc.update(patch)
+    graph = tmp_path / "bad.json"
+    graph.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "center", str(graph))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -180,32 +202,6 @@ def test_oracle_record(capsys, tmp_path):
     assert record["fence_girth"] == 3
     assert record["radius"] <= record["diameter"]
     assert "fse=3" in err
-
-
-def test_oracle_threads_deterministic(capsys, tmp_path):
-    path = write_graph(capsys, tmp_path, "lowerbound-h", "--g", "4", "--k", "3")
-    code1, out1, _ = run(capsys, "oracle", path, "--threads", "1")
-    code2, out2, _ = run(capsys, "oracle", path, "--threads", "4")
-    assert code1 == code2 == 0
-    (a,), (b,) = stdout_records(out1), stdout_records(out2)
-    a.pop("runtimes"), b.pop("runtimes")
-    assert a.pop("threads") == 1 and b.pop("threads") == 4
-    assert a == b
-
-
-def test_oracle_threads_env_var(capsys, tmp_path, monkeypatch):
-    path = write_graph(capsys, tmp_path, "nested", "--g", "3", "--k", "1")
-    monkeypatch.setenv("PEELBOUND_THREADS", "3")
-    code, out, _ = run(capsys, "oracle", path)
-    assert code == 0
-    (record,) = stdout_records(out)
-    assert record["threads"] == 3
-    monkeypatch.setenv("PEELBOUND_THREADS", "zebra")
-    code, out, err = run(capsys, "oracle", path)
-    assert code == 0
-    (record,) = stdout_records(out)
-    assert record["threads"] == 1
-    assert "ignoring" in err
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +249,27 @@ def test_verify_forged_certificate_exits_three(capsys, tmp_path):
     (record,) = stdout_records(out)
     assert record["ok"] is False
     assert "FAILED" in err
+
+
+@pytest.mark.parametrize(
+    "edges, rotation",
+    [([], [[]]), ([[0, 1]], [[0], [0]]), ([[0, 0], [0, 1]], [[0, 0, 1], [1]])],
+    ids=["K1", "K2", "loop-plus-edge"],
+)
+def test_tiny_graphs_certify_and_verify(capsys, tmp_path, edges, rotation):
+    graph = tmp_path / "tiny.json"
+    doc = {"format": "plane-graph/1", "n": len(rotation), "edges": edges, "rotation": rotation}
+    graph.write_text(json.dumps(doc))
+    cert = str(tmp_path / "cert.json")
+    code, out, _ = run(capsys, "center", str(graph), "--out", cert)
+    assert code == 0
+    (record,) = stdout_records(out)
+    assert record["certificate"]["case"] == "tree-depth-2"
+    assert record["peel_bound"] == 2
+    code, out, _ = run(capsys, "verify", str(graph), cert)
+    assert code == 0
+    (record,) = stdout_records(out)
+    assert record["ok"] is True
 
 
 def test_verify_unreadable_certificate(capsys, tmp_path):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from peelbound.embed import (
     GraphFormatError,
+    _csr,
+    _dart_ends,
     build_plane_graph,
     connect_components,
     insert_edge_in_face,
@@ -14,6 +16,7 @@ from peelbound.embed import (
     triangulate_preserving_embedding,
 )
 from peelbound.gen import gen_nested_cycles, gen_random_triangulation
+from peelbound.oracle import peel_numbers_by_deletion
 
 K3_EDGES = [(0, 1), (1, 2), (2, 0)]
 K3_ROTATION = [[0, 2], [1, 0], [2, 1]]
@@ -172,10 +175,16 @@ def test_radial_bfs_argument_check():
 
 
 def test_radial_bfs_crosses_components():
-    g = gen_nested_cycles(3, 2)
-    rd = radial_bfs(g, source_vertex=0)
-    assert rd.vertex_dist.min() >= 0
-    assert rd.face_dist.min() >= 0
+    # loops (girth 1), digons (girth 2) and lone vertices across components
+    faces = 0
+    for girth in (1, 2, 3, 4):
+        for k in (1, 2, 3, 4):
+            g = gen_nested_cycles(girth, k)
+            for f in range(g.face_count):
+                rd = radial_bfs(g, source_face=f)
+                assert rd.vertex_peels().tolist() == peel_numbers_by_deletion(g, f)
+            faces += g.face_count
+    assert faces == 56
 
 
 def test_insert_edge_splits_face():
@@ -245,7 +254,7 @@ def test_triangulation_euler(n, seed):
 @given(st.integers(min_value=4, max_value=60), st.integers(min_value=0, max_value=10**6))
 def test_adjacency_csr_matches_rotations(n, seed):
     g = gen_random_triangulation(n, seed)
-    indptr, heads = g.adjacency_csr()
+    indptr, heads = _csr(*_dart_ends(g.eu, g.ev), g.n)
     for v in range(n):
         nbrs = sorted(g.head(d) for d in g.rotation_darts(v))
         assert sorted(heads[indptr[v]:indptr[v + 1]].tolist()) == nbrs

@@ -100,6 +100,14 @@ def test_file_and_stream_io(tmp_path):
         '{"format": "plane-graph/2", "n": 1, "edges": [], "rotation": [[]]}',
         '{"format": "plane-graph/1", "n": 1, "edges": []}',  # missing rotation
         '{"format": "plane-graph/1", "n": 2, "edges": [[0, 1]], "rotation": [[0], []]}',
+        # values of the wrong JSON type
+        '{"format": "plane-graph/1", "n": null, "edges": [], "rotation": []}',
+        '{"format": "plane-graph/1", "n": 1, "edges": 5, "rotation": [[]]}',
+        '{"format": "plane-graph/1", "n": 1, "edges": [], "rotation": [3]}',
+        '{"format": "plane-graph/1", "n": 1, "edges": [], "rotation": [[]], "faces": [[null]]}',
+        '{"format": "plane-graph/1", "n": 1, "edges": [], "rotation": [[]], "flags": [1]}',
+        '{"format": "plane-graph/1", "n": Infinity, "edges": [], "rotation": []}',
+        '{"format": "plane-graph/1", "n": 1, "edges": [], "rotation": [["x"]]}',
     ],
 )
 def test_malformed_documents_rejected(text):
