@@ -648,11 +648,6 @@ def radial_bfs(
 # ---------------------------------------------------------------------------
 
 
-def _corner_of_occurrence(g: PlaneGraph, walk_darts: list[int], pos: int) -> tuple[int, int]:
-    """(prev_dart, at_dart) naming the corner before walk position pos."""
-    return walk_darts[pos - 1], walk_darts[pos]
-
-
 def _find_occurrence(g: PlaneGraph, f: int, v: int) -> Optional[tuple[list[int], int]]:
     """First boundary occurrence of v on face f: (walk darts, position)."""
     for w in g.face_walks[f]:
@@ -788,41 +783,89 @@ def connect_components(g: PlaneGraph) -> PlaneGraph:
 
     Every face's boundary walks get chained to the face's first walk (one new
     edge per extra walk, anchored at each walk's first vertex), which adds no
-    cycles and therefore leaves every fence of the original graph intact.
+    cycles and therefore leaves every fence of the original graph intact.  A
+    walk whose component is already joined gets no edge.
+
+    Corner rule: the edge leaves the base vertex at its first occurrence on
+    its current walk, traced from that walk's smallest dart, and enters the
+    other walk at the corner before its first dart.  A lone base vertex takes
+    the edge (other, base); two lone vertices get (base, other).  Faces that
+    received an edge move after the untouched ones, in their original order.
+    All edges are spliced into one builder, so the cost is linear when faces
+    hold O(1) walks (each edge retraces the base vertex's growing walk).
     """
     if g.connected:
         return g
-    out = g
-    # Each pass re-traces; the face-sharing structure of a spherical embedding
-    # is connected, so one sweep over the original faces suffices, but faces
-    # are re-resolved by a representative dart after each insertion.
-    anchors: list[tuple[int, int]] = []  # (representative vertex, other vertex)
-    for f in range(g.face_count):
-        walks = g.face_walks[f]
+    b = _Builder.from_graph(g)
+    rn, eu, ev = b.rot_next, b.eu, b.ev
+    flat, indptr, nd = g.walk_flat, g.walk_indptr, g.dart_walk_count
+    parent = list(range(g.component_count))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def first_corner(d0: int, v: int) -> tuple[int, int]:
+        walk = [d0]
+        d = rn[d0 ^ 1]
+        while d != d0:
+            walk.append(d)
+            d = rn[d ^ 1]
+        s = walk.index(min(walk))
+        walk = walk[s:] + walk[:s]
+        i = next(
+            i for i, d in enumerate(walk) if (ev[d >> 1] if d & 1 else eu[d >> 1]) == v
+        )
+        return walk[i - 1], walk[i]
+
+    joins = 0
+    touched: list[int] = []
+    for f, walks in enumerate(g.face_walks):
         if len(walks) <= 1:
             continue
-        base_vertex = g.walk_vertices(walks[0])[0]
+        base = g.walk_vertices(walks[0])[0]
+        rep = flat[indptr[walks[0]]] if walks[0] < nd else -1  # dart on base's walk
+        joins_before = joins
         for w in walks[1:]:
-            anchors.append((base_vertex, g.walk_vertices(w)[0]))
-    for base, other in anchors:
-        if out.component_of[base] == out.component_of[other]:
-            continue
-        shared = _shared_face(out, base, other)
-        out = insert_edge_in_face(out, base, other, shared)
-    if not out.connected:
+            other = g.walk_vertices(w)[0]
+            cb, co = find(g.component_of[base]), find(g.component_of[other])
+            if cb == co:
+                continue
+            parent[co] = cb
+            if w < nd:
+                prev_o, at_o = flat[indptr[w + 1] - 1], flat[indptr[w]]
+                if rep < 0:
+                    rep = 2 * b.add_edge_at_corner_to_isolated(prev_o, at_o, base)
+                else:
+                    b.add_chord(*first_corner(rep, base), prev_o, at_o)
+            elif rep < 0:
+                rep = 2 * b.add_isolated_pair(base, other)
+            else:
+                b.add_edge_at_corner_to_isolated(*first_corner(rep, base), other)
+            joins += 1
+        if joins > joins_before:
+            touched.append(f)
+    if joins != g.component_count - 1:
         raise GraphFormatError("face structure did not span all components")
-    meta = dict(out.meta)
-    out.meta = meta
-    return out
 
+    new_indptr, _, walk_of = _trace_walks(rn, 2 * len(eu))
+    lone_id = {
+        v: len(new_indptr) - 1 + i
+        for i, v in enumerate(v for v in range(b.n) if b.rot_first[v] < 0)
+    }
 
-def _shared_face(g: PlaneGraph, u: int, v: int) -> int:
-    fu = g.faces_of_vertex(u)
-    fv = set(g.faces_of_vertex(v))
-    for f in fu:
-        if f in fv:
-            return f
-    raise GraphFormatError(f"vertices {u} and {v} share no face")
+    def new_walk(w: int) -> int:
+        if w < nd:
+            return walk_of[flat[indptr[w]]]
+        v = g.lone_walk_vertex[w - nd]
+        return lone_id[v] if b.rot_first[v] < 0 else walk_of[b.rot_first[v]]
+
+    moved = set(touched)
+    order = [f for f in range(g.face_count) if f not in moved] + touched
+    grouping = [sorted({new_walk(w) for w in g.face_walks[f]}) for f in order]
+    return _finish_graph(b, face_grouping=grouping, meta=g.meta)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import random
 
-from peelbound.embed import PlaneGraph, build_plane_graph, connect_components
+from peelbound.embed import (
+    GraphFormatError,
+    PlaneGraph,
+    build_plane_graph,
+    connect_components,
+    insert_edge_in_face,
+)
 from peelbound.gen import gen_random_triangulation
 
 
@@ -34,6 +40,120 @@ def ring_chain(sizes: list[int], connected: bool = True) -> PlaneGraph:
     faces.append([2 * (k - 1), 2 * k + 1])
     g = build_plane_graph(n, edges, rotation, faces=faces)
     return connect_components(g) if connected else g
+
+
+def connect_by_insertion(g: PlaneGraph) -> PlaneGraph:
+    """Reference for ``connect_components``: one public insertion per edge.
+
+    Chains every face's extra walks to its first walk, anchored at each
+    walk's first vertex, skipping walks whose component is already joined;
+    each edge goes into the first face of the base vertex (rotation order)
+    that also holds the other vertex.  Costs O(m) per edge.
+    """
+    if g.connected:
+        return g
+    anchors: list[tuple[int, int]] = []
+    for walks in g.face_walks:
+        base = g.walk_vertices(walks[0])[0]
+        anchors.extend((base, g.walk_vertices(w)[0]) for w in walks[1:])
+    out = g
+    for base, other in anchors:
+        if out.component_of[base] != out.component_of[other]:
+            out = insert_edge_in_face(out, base, other, _shared_face(out, base, other))
+    if not out.connected:
+        raise GraphFormatError("face structure did not span all components")
+    return out
+
+
+def _shared_face(g: PlaneGraph, u: int, v: int) -> int:
+    fv = set(g.faces_of_vertex(v))
+    for f in g.faces_of_vertex(u):
+        if f in fv:
+            return f
+    raise GraphFormatError(f"vertices {u} and {v} share no face")
+
+
+def random_nesting(seed: int, items: int) -> PlaneGraph:
+    """Seeded disconnected plane graph of nested cycles and lone vertices.
+
+    Starts from one lone vertex on the sphere; each item is a lone vertex or
+    a cycle of length 1-5 (loop, digon, ...) dropped into a random face,
+    where one of its two walks (picked at random) stays and the other bounds
+    a new face.  Vertex ids, edge ids and orientations, the face order and
+    the walk order inside each face are shuffled, so faces with three or
+    more walks and faces whose first walk is a lone vertex both occur.
+    """
+    rng = random.Random(seed)
+    faces: list[list[tuple]] = [[("lone", 0)]]
+    cycles: list[list[int]] = []  # vertices of each cycle, in ring order
+    n = 1
+    for _ in range(items):
+        f = rng.randrange(len(faces))
+        if rng.random() < 0.3:
+            faces[f].append(("lone", n))
+            n += 1
+            continue
+        side = rng.randrange(2)
+        faces[f].append(("cycle", len(cycles), side))
+        faces.append([("cycle", len(cycles), 1 - side)])
+        length = rng.randint(1, 5)
+        cycles.append(list(range(n, n + length)))
+        n += length
+    perm = list(range(n))
+    rng.shuffle(perm)
+    cycles = [[perm[v] for v in ring] for ring in cycles]
+
+    ring_edges = [(ring[j - 1], ring[j]) for ring in cycles for j in range(len(ring))]
+    new_id = list(range(len(ring_edges)))
+    rng.shuffle(new_id)
+    flip = [rng.random() < 0.5 for _ in ring_edges]
+    edges: list[tuple[int, int]] = [(0, 0)] * len(ring_edges)
+    for i, (a, c) in enumerate(ring_edges):
+        edges[new_id[i]] = (c, a) if flip[i] else (a, c)
+
+    rotation: list[list[int]] = [[] for _ in range(n)]
+    forward_dart: list[int] = []  # per cycle: a dart of its side-0 walk
+    start = 0
+    for ring in cycles:
+        # ring edge start + j runs ring[j - 1] -> ring[j]
+        for j, v in enumerate(ring):
+            rotation[v] = [new_id[start + j], new_id[start + (j + 1) % len(ring)]]
+        forward_dart.append(2 * new_id[start] + flip[start])
+        start += len(ring)
+
+    # Walk ids follow the library's contract: dart walks by smallest dart,
+    # then lone vertices ascending.
+    rot_next = [0] * (2 * len(edges))
+    for v in range(n):
+        darts = []
+        for e in rotation[v]:
+            d = 2 * e if edges[e][0] == v and 2 * e not in darts else 2 * e + 1
+            darts.append(d)
+        for a, c in zip(darts, darts[1:] + darts[:1]):
+            rot_next[a] = c
+    walk_of = [-1] * len(rot_next)
+    walks = 0
+    for d0 in range(len(rot_next)):
+        if walk_of[d0] >= 0:
+            continue
+        d = d0
+        while walk_of[d] < 0:
+            walk_of[d] = walks
+            d = rot_next[d ^ 1]
+        walks += 1
+    lone = sorted(v for v in range(n) if not rotation[v])
+    lone_walk = {v: walks + i for i, v in enumerate(lone)}
+
+    def walk_id(token: tuple) -> int:
+        if token[0] == "lone":
+            return lone_walk[perm[token[1]]]
+        return walk_of[forward_dart[token[1]] ^ token[2]]
+
+    grouping = [[walk_id(t) for t in face] for face in faces]
+    for face in grouping:
+        rng.shuffle(face)
+    rng.shuffle(grouping)
+    return build_plane_graph(n, edges, rotation, faces=grouping)
 
 
 def relabel(g: PlaneGraph, perm: list[int]) -> PlaneGraph:

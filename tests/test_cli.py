@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import peelbound
 from peelbound.cli import main
 from peelbound.graphio import loads_plane_graph
 
@@ -186,6 +191,50 @@ def test_center_rejects_mistyped_documents(capsys, tmp_path, patch):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error:")
+
+
+# Two disjoint triangles with both walks of the first one grouped into one
+# face: the Euler count holds, but no face joins the two components.
+SAME_COMPONENT_FACE = {
+    "format": "plane-graph/1",
+    "n": 6,
+    "edges": [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]],
+    "rotation": [[2, 0], [0, 1], [1, 2], [5, 3], [3, 4], [4, 5]],
+    "faces": [[0, 1], [2], [3]],
+}
+
+
+@pytest.mark.parametrize("command", ["center", "verify", "oracle"])
+def test_unjoinable_grouping_exits_one(capsys, tmp_path, command):
+    graph = tmp_path / "bad.json"
+    graph.write_text(json.dumps(SAME_COMPONENT_FACE))
+    argv = [command, str(graph)]
+    if command == "verify":
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"s": 0, "bound": 1}))
+        argv.append(str(cert))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_unjoinable_grouping_exits_one_under_optimize(tmp_path):
+    graph = tmp_path / "bad.json"
+    graph.write_text(json.dumps(SAME_COMPONENT_FACE))
+    src = str(Path(peelbound.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "peelbound.cli", "center", str(graph)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

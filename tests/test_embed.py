@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import connect_by_insertion, random_nesting, ring_chain
+from peelbound import embed
+from peelbound.center import certify
 from peelbound.embed import (
     GraphFormatError,
     _csr,
@@ -17,6 +20,7 @@ from peelbound.embed import (
 )
 from peelbound.gen import gen_nested_cycles, gen_random_triangulation
 from peelbound.oracle import peel_numbers_by_deletion
+from peelbound.peels import choose_root
 
 K3_EDGES = [(0, 1), (1, 2), (2, 0)]
 K3_ROTATION = [[0, 2], [1, 0], [2, 1]]
@@ -221,6 +225,83 @@ def test_connect_components_nested():
 def test_connect_components_noop_when_connected():
     g = octahedron()
     assert connect_components(g) is g
+
+
+def _connection_fingerprint(c):
+    return (
+        list(c.eu), list(c.ev), list(c.rot_next), list(c.rot_first),
+        list(c.face_walks), list(c.walk_flat), certify(c).to_dict(),
+    )
+
+
+def test_connect_components_matches_insertion_chain():
+    corpus = [gen_nested_cycles(g, k) for g in range(1, 7) for k in range(1, 10)]
+    corpus += [
+        ring_chain(sizes, connected=False)
+        for sizes in ([3], [3, 4], [5, 3, 7], [1, 2, 3], [6, 1, 6])
+    ]
+    corpus += [random_nesting(seed, seed % 16) for seed in range(150)]
+    many_walks = lone_first = 0
+    for g in corpus:
+        for walks in g.face_walks:
+            many_walks += len(walks) >= 3
+            lone_first += len(walks) >= 2 and walks[0] >= g.dart_walk_count
+        one_pass = connect_components(g)
+        assert one_pass.connected
+        assert _connection_fingerprint(one_pass) == _connection_fingerprint(
+            connect_by_insertion(g)
+        )
+    assert many_walks >= 100 and lone_first >= 50
+
+
+def test_connect_components_single_pass(monkeypatch):
+    g = gen_nested_cycles(4, 60)
+    calls = {"finish": 0, "trace": 0}
+    finish, trace = embed._finish_graph, embed._trace_walks
+
+    def counted_finish(*args, **kwargs):
+        calls["finish"] += 1
+        return finish(*args, **kwargs)
+
+    def counted_trace(*args, **kwargs):
+        calls["trace"] += 1
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(embed, "_finish_graph", counted_finish)
+    monkeypatch.setattr(embed, "_trace_walks", counted_trace)
+    c = connect_components(g)
+    assert c.connected and c.m == g.m + 61
+    assert calls["finish"] == 1
+    assert calls["trace"] <= 2
+
+
+def test_connect_components_rejects_same_component_grouping():
+    # both walks of the first triangle in one face: Euler holds, geometry not
+    g = build_plane_graph(
+        6,
+        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
+        [[2, 0], [0, 1], [1, 2], [5, 3], [3, 4], [4, 5]],
+        faces=[[0, 1], [2], [3]],
+    )
+    with pytest.raises(GraphFormatError):
+        connect_components(g)
+
+
+@pytest.mark.parametrize("girth", [3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_connected_nesting_agrees_with_networkx(girth, k):
+    nx = pytest.importorskip("networkx")
+    g = connect_components(gen_nested_cycles(girth, k))
+    emb = nx.PlanarEmbedding()
+    emb.add_nodes_from(range(g.n))
+    for v in range(g.n):
+        ref = None  # each half-edge goes clockwise after the previous one
+        for d in g.rotation_darts(v):
+            emb.add_half_edge(v, g.head(d), ccw=ref)
+            ref = g.head(d)
+    emb.check_structure()
+    cut = nx.articulation_points(nx.Graph(emb.to_undirected()))
+    assert choose_root(g) == min(set(range(g.n)) - set(cut))
 
 
 def test_triangulate_preserving_embedding():
