@@ -11,6 +11,7 @@ from .center import (
 )
 from .embed import (
     GraphFormatError,
+    InvariantError,
     PlaneGraph,
     RadialDistance,
     build_plane_graph,

@@ -25,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "GraphFormatError",
+    "InvariantError",
     "PlaneGraph",
     "RadialDistance",
     "build_plane_graph",
@@ -38,6 +39,10 @@ __all__ = [
 
 class GraphFormatError(ValueError):
     """Raised when an input document fails structural validation."""
+
+
+class InvariantError(AssertionError):
+    """Raised when a proof invariant fails; unlike ``assert``, survives ``-O``."""
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +339,7 @@ def _components(n: int, eu: array, ev: array) -> tuple[array, int]:
     comp = array("i", [-1]) * n
     comp_np = np.frombuffer(comp, dtype=np.int32)
     indptr, dest = _csr(*_dart_ends(eu, ev), n)
+    slot = np.empty(n, dtype=np.int64)
     label = 0
     for seed in range(n):
         if comp_np[seed] >= 0:
@@ -342,10 +348,21 @@ def _components(n: int, eu: array, ev: array) -> tuple[array, int]:
         frontier = np.array([seed], dtype=np.int64)
         while frontier.size:
             nbrs = _csr_gather(indptr, dest, frontier)
-            frontier = np.unique(nbrs[comp_np[nbrs] < 0])
+            frontier = _distinct(nbrs[comp_np[nbrs] < 0], slot)
             comp_np[frontier] = label
         label += 1
     return comp, label
+
+
+def _distinct(ids: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """ids with repeats dropped, without sorting; slot is a work array indexed by id.
+
+    Every occurrence writes its position into its id's slot; whichever write
+    lands, exactly one occurrence per id reads its own position back.
+    """
+    pos = np.arange(ids.size)
+    slot[ids] = pos
+    return ids[slot[ids] == pos]
 
 
 def _csr_gather(indptr: np.ndarray, flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -625,6 +642,7 @@ def radial_bfs(
     to_faces = (*_csr(verts, faces, g.n), fdist)
     to_verts = (*_csr(faces, verts, g.face_count), vdist)
     step, next_step = (to_faces, to_verts) if kind == "vertex" else (to_verts, to_faces)
+    slot = np.empty(max(g.n, g.face_count), dtype=np.int64)
 
     front = np.array([src], dtype=np.int64)
     dist = 0
@@ -632,7 +650,7 @@ def radial_bfs(
         dist += 1
         indptr, nbrs, nbr_dist = step
         cand = _csr_gather(indptr, nbrs, front)
-        front = np.unique(cand[nbr_dist[cand] < 0])
+        front = _distinct(cand[nbr_dist[cand] < 0], slot)
         nbr_dist[front] = dist
         step, next_step = next_step, step
 

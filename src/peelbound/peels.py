@@ -4,12 +4,16 @@ Given a connected plane graph and a root vertex, vertices split into layers:
 layer 0 is the root, layer i+1 is whatever sits on the merged outer region
 once layers 0..i are deleted.  Layers come out of a single BFS over the
 vertex/face incidence structure.  The augmentation adds, inside every face,
-edges from each boundary occurrence of a non-minimum-layer vertex to one
-minimum-layer vertex of that face, after which every non-root vertex has an
-edge pointing one layer down.  The tree of peels has one node per connected
-component of "layers >= i", storing the component's outer boundary; it is
-built by walking component boundaries along faces, consuming each
-layer-crossing dart exactly once.
+edges from boundary occurrences of non-minimum-layer vertices to one
+minimum-layer vertex of that face (the hub), after which every non-root
+vertex has an edge pointing one layer down.  The two occurrences next to the
+hub on the walk get no edge: layers on a face differ by at most 1, so their
+walk edge to the hub already descends, and a chord there would only double
+it.  A triangulation gets no edge at all; otherwise all chords are spliced
+in one numpy pass.  The tree of peels has one node per connected component of
+"layers >= i", storing the component's outer boundary; it is built by
+walking component boundaries along faces, consuming each layer-crossing dart
+exactly once.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .embed import PlaneGraph, _Builder, _dart_ends, _finish_graph, radial_bfs
+from .embed import InvariantError, PlaneGraph, _Builder, _dart_ends, _finish_graph, radial_bfs
 
 __all__ = [
     "Augmentation",
@@ -148,7 +152,8 @@ def peel_count_for_outerface(g: PlaneGraph, face: int) -> int:
 class Augmentation:
     """Original graph plus down-edges so every non-root vertex descends.
 
-    Edges with id >= ``original_edge_count`` were added by the augmentation.
+    Edges with id >= ``original_edge_count`` were added by the augmentation;
+    when it adds none, ``H`` is ``G``.
     ``out_dart[v]`` is the smallest dart at v whose head lies one layer down
     (-1 for the root); following out_darts walks layer by layer to the root.
     """
@@ -167,49 +172,25 @@ class Augmentation:
 def augment(ctx: PeelContext) -> Augmentation:
     """Add in-face edges to a minimum-layer vertex of every face.
 
-    Inside face F with boundary walk d_0..d_{t-1}, pick the first walk vertex
-    w whose layer is minimal on F; every other boundary occurrence at a
-    strictly larger layer contributes one new edge to w, spliced into its own
-    corner and stacked at w's corner.  Duplicates with existing edges are
-    allowed (they cost at most deg(F) per face and change no distances).
+    Inside face F with boundary walk d_0..d_{t-1}, the hub w is the first walk
+    vertex whose layer is minimal on F.  Counting walk positions k from the
+    hub, every occurrence at k = 2 .. t-2 whose layer exceeds the minimum gets
+    one new edge to w, spliced into its own corner and stacked at w's corner
+    (the last added edge sits first after the walk dart entering w).  The
+    corners at k = 1 and t-1 already share a walk edge with w, and layers on
+    one face differ by at most 1, so those vertices descend through that walk
+    edge, whose id is smaller than any added one (``out_dart`` is as if the
+    chord were there); a chord at k = 1 or t-1 would only double it.  When
+    nothing is added (every triangulation), ``H`` is ``G`` itself.
     """
     g = ctx.G
-    layer = ctx.layer.tolist()
-    b = _Builder.from_graph(g)
-    rn = b.rot_next
-    eu, ev = b.eu, b.ev
-
-    walk_flat = g.walk_flat
-    walk_indptr = g.walk_indptr
-    for f in range(g.dart_walk_count):
-        darts = walk_flat[walk_indptr[f] : walk_indptr[f + 1]].tolist()
-        t = len(darts)
-        verts = [ev[d >> 1] if d & 1 else eu[d >> 1] for d in darts]
-        lays = [layer[v] for v in verts]
-        lmin = min(lays)
-        j = lays.index(lmin)
-        w = verts[j]
-        anchor = darts[j - 1] ^ 1
-        # Insert in cyclic walk order starting after the hub occurrence: each
-        # chord cuts the face in two, and only the side holding the hub corner
-        # keeps the occurrences that are still to come.
-        for k in range(1, t):
-            p = j + k
-            if p >= t:
-                p -= t
-            if lays[p] == lmin:
-                continue
-            e = b._new_edge(verts[p], w)
-            nd = 2 * e
-            ndt = nd + 1
-            prev_slot = darts[p - 1] ^ 1
-            rn[prev_slot] = nd
-            rn[nd] = darts[p]
-            rn[ndt] = rn[anchor]
-            rn[anchor] = ndt
-
-    h = _finish_graph(b, meta=g.meta)
-    assert h.connected, "augmentation must stay connected"
+    b = _splice_hub_chords(g, ctx.layer)
+    if b is None:
+        h = g
+    else:
+        h = _finish_graph(b, meta=g.meta)
+        if not h.connected:
+            raise InvariantError("augmentation must stay connected")
 
     orig, head = _dart_ends(h.eu, h.ev)
     m2 = len(orig)
@@ -220,9 +201,10 @@ def augment(ctx: PeelContext) -> Augmentation:
     np.minimum.at(out_dart, orig[cand], cand)
     missing = np.nonzero(out_dart == m2)[0]
     out_dart[out_dart == m2] = -1
-    assert list(missing) == [ctx.root], (
-        f"vertices without a descending edge after augmentation: {missing[:10]}"
-    )
+    if missing.tolist() != [ctx.root]:
+        raise InvariantError(
+            f"vertices without a descending edge after augmentation: {missing[:10]}"
+        )
 
     return Augmentation(
         G=g,
@@ -232,6 +214,62 @@ def augment(ctx: PeelContext) -> Augmentation:
         original_edge_count=g.m,
         out_dart=out_dart,
     )
+
+
+def _splice_hub_chords(g: PlaneGraph, layer: np.ndarray) -> Optional[_Builder]:
+    """Builder holding g plus the hub chords of :func:`augment`, or None if none.
+
+    Walks are read hub first, so chords come out ordered by (walk, k) and get
+    consecutive edge ids.  Every chord corner owns a distinct ``rot_next``
+    slot.  At a hub corner the chords' twins chain in reverse id order: each
+    chord cuts the face in two, and only the side holding the hub corner
+    keeps the occurrences still to come.
+    """
+    flat = np.frombuffer(g.walk_flat, dtype=np.int32)
+    if not flat.size:  # an edgeless graph has no walks to reduce over
+        return None
+    indptr = np.frombuffer(g.walk_indptr, dtype=np.int32)
+    starts, size = indptr[:-1], np.diff(indptr)
+    eu = np.frombuffer(g.eu, dtype=np.int32)
+    ev = np.frombuffer(g.ev, dtype=np.int32)
+    vert = np.where(flat & 1, ev[flat >> 1], eu[flat >> 1])
+    lay = layer.astype(np.int32)[vert]
+
+    walk = np.repeat(np.arange(len(starts), dtype=np.int32), size)
+    lmin = np.minimum.reduceat(lay, starts)
+    pos = np.arange(flat.size, dtype=np.int32) - starts[walk]
+    hub = np.minimum.reduceat(np.where(lay == lmin[walk], pos, size[walk]), starts)
+    # entry k of a walk in hub-first order is walk position (hub + k) mod t
+    src = starts[walk] + (hub[walk] + pos) % size[walk]
+    keep = (pos >= 2) & (pos <= size[walk] - 2) & (lay[src] != lmin[walk])
+    sel = np.flatnonzero(keep).astype(np.int32)
+    if not sel.size:
+        return None
+
+    rot = flat[src]  # walk darts, hub first
+    cw = walk[sel]
+    chord_u = vert[src[sel]]
+    chord_w = vert[starts + hub][cw]
+    hub_dart = rot[starts]
+    anchor = rot[starts + size - 1] ^ 1  # slot just before the hub corner
+    del vert, lay, walk, pos, src, keep
+
+    m = g.m
+    e = np.arange(m, m + sel.size, dtype=np.int32)
+    rn = np.empty(2 * (m + sel.size), dtype=np.int32)
+    rn[: 2 * m] = np.frombuffer(g.rot_next, dtype=np.int32)
+    rn[rot[sel - 1] ^ 1] = 2 * e
+    rn[2 * e] = rot[sel]
+    first = np.r_[True, cw[1:] != cw[:-1]]
+    last = np.r_[first[1:], True]
+    rn[2 * e + 1] = np.where(first, hub_dart[cw], 2 * e - 1)
+    rn[anchor[cw[last]]] = 2 * e[last] + 1
+
+    b = _Builder.from_graph(g)
+    b.eu.frombytes(chord_u.tobytes())
+    b.ev.frombytes(chord_w.tobytes())
+    b.rot_next = array("i", rn.tobytes())
+    return b
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,14 @@ import random
 from peelbound.embed import (
     GraphFormatError,
     PlaneGraph,
+    _Builder,
+    _finish_graph,
     build_plane_graph,
     connect_components,
     insert_edge_in_face,
 )
 from peelbound.gen import gen_random_triangulation
+from peelbound.peels import PeelContext
 
 
 def ring_chain(sizes: list[int], connected: bool = True) -> PlaneGraph:
@@ -71,6 +74,47 @@ def _shared_face(g: PlaneGraph, u: int, v: int) -> int:
         if f in fv:
             return f
     raise GraphFormatError(f"vertices {u} and {v} share no face")
+
+
+def augment_by_face_loop(
+    ctx: PeelContext, skip_walk_neighbours: bool = True
+) -> tuple[PlaneGraph, list[int]]:
+    """Reference for ``peels.augment``: one Python splice per chord.
+
+    Returns H and the out-darts.  Walks are visited in id order; inside each
+    one every occurrence above the minimum layer, from hub position k = 1
+    (or 2 with ``skip_walk_neighbours``) up to t - 1 (or t - 2), gets an edge
+    to the hub.  Without the skip, the chords at k = 1 and t - 1 parallel
+    the walk edges next to the hub.
+    """
+    g = ctx.G
+    layer = ctx.layer.tolist()
+    b = _Builder.from_graph(g)
+    rn = b.rot_next
+    lo = 2 if skip_walk_neighbours else 1
+    for w in range(g.dart_walk_count):
+        darts = g.walk(w)
+        t = len(darts)
+        verts = [g.origin(d) for d in darts]
+        lays = [layer[v] for v in verts]
+        j = lays.index(min(lays))
+        anchor = darts[j - 1] ^ 1
+        for k in range(lo, t + 1 - lo):
+            p = (j + k) % t
+            if lays[p] == lays[j]:
+                continue
+            e = b._new_edge(verts[p], verts[j])
+            rn[darts[p - 1] ^ 1] = 2 * e
+            rn[2 * e] = darts[p]
+            rn[2 * e + 1] = rn[anchor]
+            rn[anchor] = 2 * e + 1
+    h = _finish_graph(b, meta=g.meta)
+    out_dart = [-1] * g.n
+    for d in range(2 * h.m):
+        v = h.origin(d)
+        if out_dart[v] < 0 and layer[h.head(d)] == layer[v] - 1:
+            out_dart[v] = d
+    return h, out_dart
 
 
 def random_nesting(seed: int, items: int) -> PlaneGraph:

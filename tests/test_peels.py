@@ -7,14 +7,21 @@ construction on the augmented graph doubles as the check that augmentation
 does not change the tree.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import relabel, ring_chain, thin_random_triangulation
+import peelbound
+from helpers import augment_by_face_loop, relabel, ring_chain, thin_random_triangulation
+from peelbound import embed, peels
 from peelbound.embed import connect_components, radial_bfs
-from peelbound.gen import gen_nested_cycles, gen_random_triangulation
+from peelbound.gen import gen_lowerbound_H, gen_nested_cycles, gen_random_triangulation
 from peelbound.oracle import (
     bfs_distances,
     layer_numbers_by_deletion,
@@ -206,6 +213,110 @@ def test_augmented_distances_never_grow():
     dist_g = bfs_distances(g, aug.root)
     dist_h = bfs_distances(aug.H, aug.root)
     assert all(dh <= dg for dh, dg in zip(dist_h, dist_g))
+
+
+def assert_matches_face_loop(g, root=None):
+    """Bit-identical to the per-chord reference; only parallel chords dropped."""
+    ctx = compute_layers(g, choose_root(g) if root is None else root)
+    aug = augment(ctx)
+    h, out_dart = augment_by_face_loop(ctx)
+    for name in ("eu", "ev", "rot_next", "rot_first", "walk_flat", "walk_indptr"):
+        assert list(getattr(aug.H, name)) == list(getattr(h, name)), name
+    assert aug.out_dart.tolist() == out_dart
+
+    def adjacent(x):
+        return {frozenset((x.eu[e], x.ev[e])) for e in range(x.m)}
+
+    h_all, _ = augment_by_face_loop(ctx, skip_walk_neighbours=False)
+    assert adjacent(aug.H) == adjacent(h_all)
+    assert adjacent(g) <= adjacent(aug.H)
+
+
+@PROPERTY_SETTINGS
+@given(plane_graphs())
+def test_augment_matches_face_loop(g):
+    assert_matches_face_loop(g)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_lowerbound_H(3, 9),
+        lambda: gen_lowerbound_H(4, 51),
+        lambda: gen_lowerbound_H(5, 9),
+        lambda: gen_lowerbound_H(9, 5),
+        lambda: connect_components(gen_nested_cycles(4, 11)),
+        lambda: connect_components(gen_nested_cycles(6, 9)),
+        lambda: ring_chain([3, 5, 2, 7]),
+        lambda: ring_chain([1, 2, 1]),
+    ],
+)
+def test_augment_matches_face_loop_on_rings(make):
+    g = make()
+    assert_matches_face_loop(g)
+    assert_matches_face_loop(g, root=g.n - 1)
+
+
+def count_finishing(monkeypatch):
+    calls = {"finish": 0, "trace": 0}
+    finish, trace = peels._finish_graph, embed._trace_walks
+
+    def counted_finish(*args, **kwargs):
+        calls["finish"] += 1
+        return finish(*args, **kwargs)
+
+    def counted_trace(*args, **kwargs):
+        calls["trace"] += 1
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(peels, "_finish_graph", counted_finish)
+    monkeypatch.setattr(embed, "_trace_walks", counted_trace)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_augment_reuses_triangulation(monkeypatch, seed):
+    g = gen_random_triangulation(2000, seed)
+    ctx = compute_layers(g, choose_root(g))
+    calls = count_finishing(monkeypatch)
+    aug = augment(ctx)
+    assert aug.H is aug.G
+    assert calls == {"finish": 0, "trace": 0}
+
+
+def test_augment_finishes_once_with_chords(monkeypatch):
+    g = gen_lowerbound_H(4, 51)
+    ctx = compute_layers(g, choose_root(g))
+    calls = count_finishing(monkeypatch)
+    aug = augment(ctx)
+    assert aug.H.m > g.m
+    assert calls["finish"] == 1
+
+
+def test_descending_check_survives_optimize():
+    script = (
+        "import numpy as np\n"
+        "from peelbound.embed import InvariantError, build_plane_graph\n"
+        "from peelbound.peels import PeelContext, augment\n"
+        "g = build_plane_graph(3, [(0, 1), (1, 2), (2, 0)], [[2, 0], [0, 1], [1, 2]])\n"
+        "ctx = PeelContext(G=g, root=0, layer=np.array([0, 2, 2]))\n"
+        "try:\n"
+        "    augment(ctx)\n"
+        "except InvariantError as exc:\n"
+        "    print(__debug__, type(exc).__name__, exc)\n"
+    )
+    src = str(Path(peelbound.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("False InvariantError vertices without a descending edge")
 
 
 # ---------------------------------------------------------------------------
