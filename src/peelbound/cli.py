@@ -51,7 +51,7 @@ def _load_graph(path: str) -> PlaneGraph:
         if path == "-":
             return load_plane_graph(sys.stdin)
         return load_plane_graph(path)
-    except (OSError, json.JSONDecodeError, GraphFormatError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # GraphFormatError is a ValueError
         _say(f"error: cannot read graph from {path}: {exc}")
         raise SystemExit(EXIT_INPUT)
 

@@ -91,9 +91,6 @@ class PlaneGraph:
     def head(self, d: int) -> int:
         return self.eu[d >> 1] if d & 1 else self.ev[d >> 1]
 
-    def dart_count(self) -> int:
-        return 2 * self.m
-
     def rotation_darts(self, v: int) -> list[int]:
         """Darts with origin v, in slot order (possibly empty)."""
         first = self.rot_first[v]
@@ -114,9 +111,6 @@ class PlaneGraph:
 
     def edge_endpoints(self, e: int) -> tuple[int, int]:
         return (self.eu[e], self.ev[e])
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(self.eu[e], self.ev[e]) for e in range(self.m)]
 
     # -- walks and faces ---------------------------------------------------
 
@@ -450,19 +444,10 @@ def _finish_graph(
         )
 
     # Simplicity: no loops, no parallel edges.
-    simple = True
-    pairs: set[tuple[int, int]] = set()
-    for e in range(g.m):
-        u, v = b.eu[e], b.ev[e]
-        if u == v:
-            simple = False
-            break
-        key = (u, v) if u < v else (v, u)
-        if key in pairs:
-            simple = False
-            break
-        pairs.add(key)
-    g.simple = simple
+    origin, head = _dart_ends(b.eu, b.ev)
+    u, v = origin[0::2], head[0::2]  # dart 2e runs eu[e] -> ev[e]
+    pair = np.sort(np.minimum(u, v) * g.n + np.maximum(u, v))
+    g.simple = bool(not (u == v).any() and (pair[1:] != pair[:-1]).all())
     g.triangulated = bool(
         g.m > 0
         and all(
@@ -594,10 +579,6 @@ class RadialDistance:
     vertex_dist: np.ndarray
     face_dist: np.ndarray
 
-    def vertex_layers(self) -> np.ndarray:
-        assert self.source_kind == "vertex"
-        return self.vertex_dist // 2
-
     def vertex_peels(self) -> np.ndarray:
         assert self.source_kind == "face"
         return (self.vertex_dist + 1) // 2
@@ -682,9 +663,8 @@ def insert_edge_in_face(g: PlaneGraph, u: int, v: int, face: int) -> PlaneGraph:
     Both endpoints must lie on the face (boundary walks or isolated vertices
     grouped into it).  Inserting within one walk splits the face in two;
     inserting across two walks of the same face merges them into one walk.
-    When a split face carried additional walks or isolated vertices, they all
-    stay with the side whose walk starts at the new u->v dart (the choice is
-    free geometrically, so a fixed rule keeps the result deterministic).
+    The face grouping follows the rule of :func:`_finish_splice` (the choice
+    is free geometrically, so a fixed rule keeps the result deterministic).
     """
     if not (0 <= face < g.face_count):
         raise ValueError("face id out of range")
@@ -696,7 +676,7 @@ def insert_edge_in_face(g: PlaneGraph, u: int, v: int, face: int) -> PlaneGraph:
     if u_iso and v_iso:
         if u == v:
             raise ValueError("cannot add a loop at an isolated vertex")
-        b.add_isolated_pair(u, v)
+        e = b.add_isolated_pair(u, v)
     elif v_iso or u_iso:
         if v_iso:
             a, iso = u, v
@@ -706,7 +686,7 @@ def insert_edge_in_face(g: PlaneGraph, u: int, v: int, face: int) -> PlaneGraph:
         if occ is None:
             raise ValueError(f"vertex {a} is not on face {face}")
         darts, i = occ
-        b.add_edge_at_corner_to_isolated(darts[i - 1], darts[i], iso)
+        e = b.add_edge_at_corner_to_isolated(darts[i - 1], darts[i], iso)
     else:
         occ_u = _find_occurrence(g, face, u)
         occ_v = _find_occurrence(g, face, v)
@@ -716,79 +696,46 @@ def insert_edge_in_face(g: PlaneGraph, u: int, v: int, face: int) -> PlaneGraph:
         darts_v, j = occ_v
         if darts_u == darts_v and i == j:
             raise ValueError("cannot add a loop at a single corner")
-        b.add_chord(darts_u[i - 1], darts_u[i], darts_v[j - 1], darts_v[j])
+        e = b.add_chord(darts_u[i - 1], darts_u[i], darts_v[j - 1], darts_v[j])
 
-    grouping = _regroup_after_insert(g, b, face)
-    return _finish_graph(b, face_grouping=grouping, meta=g.meta)
+    return _finish_splice(g, b, {face: [e]})
 
 
-def _regroup_after_insert(
-    g: PlaneGraph, b: _Builder, touched_face: int
-) -> Optional[list[list[int]]]:
-    """Carry the face grouping of g over to the mutated builder.
+def _finish_splice(
+    g: PlaneGraph, b: _Builder, touched: dict[int, list[int]]
+) -> PlaneGraph:
+    """Finish builder b (g plus new edges), carrying g's face grouping over.
 
-    Untouched faces keep their walk sets (walk ids are re-derived from any
-    member dart).  The touched face is re-assembled from whatever the two new
-    darts now lie on; if it split, the extra walks and isolated vertices stay
-    with the side of the u->v dart.
+    ``touched`` maps each face that got edges to their ids; those faces follow
+    the untouched ones, in the given order.  An old walk maps to the new walk
+    of its first dart, a lone vertex to its own walk while still lone, else to
+    the walk of ``rot_first[v]``.  An edge e whose darts end on different walks
+    split its face (at most one per face): the walk of 2e+1 becomes a face of
+    its own right after, and the rest stays with the walk of 2e.
     """
-    m2_new = 2 * len(b.eu)
-    indptr, flat, walk_of = _trace_walks(b.rot_next, m2_new)
-    n_dart_walks = len(indptr) - 1
+    indptr, _, walk_of = _trace_walks(b.rot_next, 2 * len(b.eu))
+    flat, old_indptr, nd = g.walk_flat, g.walk_indptr, g.dart_walk_count
     lone = [v for v in range(b.n) if b.rot_first[v] < 0]
-    lone_walk_id = {v: n_dart_walks + i for i, v in enumerate(lone)}
-    n_walks = n_dart_walks + len(lone)
+    lone_id = {v: len(indptr) - 1 + i for i, v in enumerate(lone)}
 
-    new_c = m2_new - 2  # dart u -> v of the inserted edge
-    new_c2 = m2_new - 1
+    def new_walk(w: int) -> int:
+        if w < nd:
+            return walk_of[flat[old_indptr[w]]]
+        v = g.lone_walk_vertex[w - nd]
+        return lone_id[v] if b.rot_first[v] < 0 else walk_of[b.rot_first[v]]
 
-    grouping: list[list[int]] = []
-    for f in range(g.face_count):
-        if f == touched_face:
-            continue
-        walks: list[int] = []
-        for w in g.face_walks[f]:
-            darts = g.walk(w)
-            if darts:
-                walks.append(int(walk_of[darts[0]]))
-            else:
-                (vtx,) = g.walk_vertices(w)
-                walks.append(lone_walk_id[vtx])
-        grouping.append(sorted(set(walks)))
-
-    side_a = int(walk_of[new_c])
-    side_b = int(walk_of[new_c2])
-    if side_a == side_b:
-        # walks merged (or spur to isolated vertex): one face
-        group = {side_a}
-        for w in g.face_walks[touched_face]:
-            darts = g.walk(w)
-            if darts:
-                group.add(int(walk_of[darts[0]]))
-            else:
-                (vtx,) = g.walk_vertices(w)
-                if b.rot_first[vtx] < 0:
-                    group.add(lone_walk_id[vtx])
-        grouping.append(sorted(group))
-    else:
-        # face split in two; extra walks ride along with side_a
-        group_a = {side_a}
-        group_b = {side_b}
-        for w in g.face_walks[touched_face]:
-            darts = g.walk(w)
-            if darts:
-                nw = int(walk_of[darts[0]])
-                if nw not in group_b:
-                    group_a.add(nw)
-            else:
-                (vtx,) = g.walk_vertices(w)
-                group_a.add(lone_walk_id[vtx])
-        grouping.append(sorted(group_a))
-        grouping.append(sorted(group_b))
-
-    covered = {w for gr in grouping for w in gr}
-    assert covered == set(range(n_walks)), "face regrouping lost a walk"
-    return grouping
+    grouping = [
+        sorted({new_walk(w) for w in walks})
+        for f, walks in enumerate(g.face_walks)
+        if f not in touched
+    ]
+    for f, edges in touched.items():
+        group = {new_walk(w) for w in g.face_walks[f]}
+        group.update(walk_of[2 * e] for e in edges)  # already in, unless e split
+        cut = [walk_of[2 * e + 1] for e in edges if walk_of[2 * e] != walk_of[2 * e + 1]]
+        grouping.append(sorted(group.difference(cut)))
+        grouping.extend([w] for w in cut)
+    return _finish_graph(b, face_grouping=grouping, meta=g.meta)
 
 
 # ---------------------------------------------------------------------------
@@ -838,14 +785,13 @@ def connect_components(g: PlaneGraph) -> PlaneGraph:
         )
         return walk[i - 1], walk[i]
 
-    joins = 0
-    touched: list[int] = []
+    touched: dict[int, list[int]] = {}
     for f, walks in enumerate(g.face_walks):
         if len(walks) <= 1:
             continue
         base = g.walk_vertices(walks[0])[0]
         rep = flat[indptr[walks[0]]] if walks[0] < nd else -1  # dart on base's walk
-        joins_before = joins
+        first = len(eu)
         for w in walks[1:]:
             other = g.walk_vertices(w)[0]
             cb, co = find(g.component_of[base]), find(g.component_of[other])
@@ -862,28 +808,11 @@ def connect_components(g: PlaneGraph) -> PlaneGraph:
                 rep = 2 * b.add_isolated_pair(base, other)
             else:
                 b.add_edge_at_corner_to_isolated(*first_corner(rep, base), other)
-            joins += 1
-        if joins > joins_before:
-            touched.append(f)
-    if joins != g.component_count - 1:
+        if len(eu) > first:
+            touched[f] = list(range(first, len(eu)))
+    if len(eu) - g.m != g.component_count - 1:
         raise GraphFormatError("face structure did not span all components")
-
-    new_indptr, _, walk_of = _trace_walks(rn, 2 * len(eu))
-    lone_id = {
-        v: len(new_indptr) - 1 + i
-        for i, v in enumerate(v for v in range(b.n) if b.rot_first[v] < 0)
-    }
-
-    def new_walk(w: int) -> int:
-        if w < nd:
-            return walk_of[flat[indptr[w]]]
-        v = g.lone_walk_vertex[w - nd]
-        return lone_id[v] if b.rot_first[v] < 0 else walk_of[b.rot_first[v]]
-
-    moved = set(touched)
-    order = [f for f in range(g.face_count) if f not in moved] + touched
-    grouping = [sorted({new_walk(w) for w in g.face_walks[f]}) for f in order]
-    return _finish_graph(b, face_grouping=grouping, meta=g.meta)
+    return _finish_splice(g, b, touched)
 
 
 # ---------------------------------------------------------------------------

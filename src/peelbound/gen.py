@@ -8,8 +8,9 @@ Four constructions:
   how far peel counts can exceed the girth-based upper bound.
 * ``gen_lowerbound_H`` -- connected, simple relatives of the nested-cycle
   family with girth and fence-girth exactly g.
-* ``gen_prism_grid`` -- two mirrored triangular grids glued along the rim;
-  small diameter, large peel depth from every outerface.
+* ``gen_prism_grid`` -- two mirrored triangular grids glued along the rim,
+  the band between them closed in one linear pass; small diameter, large
+  peel depth from every outerface.
 * ``gen_random_triangulation`` -- seeded incremental triangulation used as
   a stress corpus.
 """
@@ -24,9 +25,9 @@ from .embed import (
     PlaneGraph,
     _Builder,
     _finish_graph,
+    _finish_splice,
     build_plane_graph,
     connect_components,
-    insert_edge_in_face,
     triangulate_preserving_embedding,
 )
 
@@ -237,23 +238,22 @@ def gen_prism_grid(k: int) -> PlaneGraph:
     Vertices of each copy are the lattice points (x, y, z) with
     x + y + z = 3k and all coordinates nonnegative; every rim point (one
     coordinate zero) is joined to its mirror twin.  The gluing leaves a band
-    of quadrangular faces which is then closed with deterministic diagonals.
+    of quadrangular faces, closed in one pass: each quad's diagonal from its
+    walk's first vertex to its third goes into one builder, finished once, so
+    generation is linear in n.
     Coordinates and copy flags are kept in ``meta`` for assertions;
     n = (3k+1)(3k+2).
     """
     if k < 1:
         raise ValueError("grid parameter must be at least 1")
-    g = _prism_band(k)
-    while True:
-        quad = None
-        for f, group in enumerate(g.face_walks):
-            if len(group) == 1 and len(g.walk(group[0])) == 4:
-                quad = f
-                break
-        if quad is None:
-            break
-        darts = g.walk(g.face_walks[quad][0])
-        g = insert_edge_in_face(g, g.origin(darts[0]), g.origin(darts[2]), quad)
+    band = _prism_band(k)
+    b = _Builder.from_graph(band)
+    touched: dict[int, list[int]] = {}
+    for f, (w,) in enumerate(band.face_walks):
+        d = band.walk(w)
+        if len(d) == 4:  # diagonal from the walk's first vertex to its third
+            touched[f] = [b.add_chord(d[3], d[0], d[1], d[2])]
+    g = _finish_splice(band, b, touched)
     assert g.triangulated and g.simple
     return g
 

@@ -46,16 +46,6 @@ class OracleBudgetError(RuntimeError):
     """An exhaustive search exceeded its step budget or size guard."""
 
 
-def _as_graph(target) -> PlaneGraph:
-    """Accept a PlaneGraph or anything carrying one in an ``H`` attribute."""
-    if isinstance(target, PlaneGraph):
-        return target
-    h = getattr(target, "H", None)
-    if isinstance(h, PlaneGraph):
-        return h
-    raise TypeError(f"expected PlaneGraph or augmentation, got {type(target)!r}")
-
-
 # ---------------------------------------------------------------------------
 # Plain BFS distances (pure python on adjacency lists, kept independent of
 # the numpy machinery in embed on purpose)
@@ -72,9 +62,8 @@ def _adjacency(g: PlaneGraph) -> list[list[int]]:
     return adj
 
 
-def bfs_distances(g_or_aug, source: int, adj: Optional[list[list[int]]] = None) -> list[int]:
+def bfs_distances(g: PlaneGraph, source: int, adj: Optional[list[list[int]]] = None) -> list[int]:
     """Hop distances from source; -1 where unreachable."""
-    g = _as_graph(g_or_aug)
     if adj is None:
         adj = _adjacency(g)
     dist = [-1] * g.n
@@ -90,16 +79,14 @@ def bfs_distances(g_or_aug, source: int, adj: Optional[list[list[int]]] = None) 
     return dist
 
 
-def eccentricity(g_or_aug, v: int) -> int:
-    g = _as_graph(g_or_aug)
+def eccentricity(g: PlaneGraph, v: int) -> int:
     dist = bfs_distances(g, v)
     if min(dist) < 0:
         raise ValueError("eccentricity undefined: graph is disconnected")
     return max(dist)
 
 
-def all_eccentricities(g_or_aug) -> list[int]:
-    g = _as_graph(g_or_aug)
+def all_eccentricities(g: PlaneGraph) -> list[int]:
     adj = _adjacency(g)
     out = []
     for v in range(g.n):
@@ -110,15 +97,15 @@ def all_eccentricities(g_or_aug) -> list[int]:
     return out
 
 
-def radius_exact(g_or_aug) -> tuple[int, int]:
+def radius_exact(g: PlaneGraph) -> tuple[int, int]:
     """(center vertex, radius); smallest vertex id wins ties."""
-    eccs = all_eccentricities(g_or_aug)
+    eccs = all_eccentricities(g)
     rad = min(eccs)
     return eccs.index(rad), rad
 
 
-def diameter_exact(g_or_aug) -> int:
-    return max(all_eccentricities(g_or_aug))
+def diameter_exact(g: PlaneGraph) -> int:
+    return max(all_eccentricities(g))
 
 
 # ---------------------------------------------------------------------------
@@ -234,22 +221,19 @@ class FseBruteResult:
         return iter((self.value, self.face))
 
 
-def fse_outerplanarity_bruteforce(
-    g: PlaneGraph, cross_check: Optional[bool] = None, threads: int = 1
-) -> FseBruteResult:
+def fse_outerplanarity_bruteforce(g: PlaneGraph, threads: int = 1) -> FseBruteResult:
     """Minimum peel count over all outerfaces, by literal deletion.
 
     Disconnected graphs are connected first (inside their shared faces),
-    which never increases the count of any face.  With ``cross_check`` on
-    (default for n <= 200), every per-face count is recomputed through the
-    vertex/face incidence BFS and the two routes must agree.  ``threads``
-    fans the per-face counts over a pool; results are collected in face
-    order, so the answer does not depend on the thread count.
+    which never increases the count of any face.  For n <= 200 every
+    per-face count is recomputed through the vertex/face incidence BFS and
+    the two routes must agree.  ``threads`` fans the per-face counts over a
+    pool; results are collected in face order, so the answer does not
+    depend on the thread count.
     """
     if not g.connected:
         g = connect_components(g)
-    if cross_check is None:
-        cross_check = g.n <= 200
+    cross_check = g.n <= 200
 
     def count_face(f: int) -> int:
         c = peel_count_by_deletion(g, f)
@@ -346,13 +330,12 @@ def fence_girth_bruteforce(
     g: PlaneGraph,
     max_len: Optional[int] = None,
     budget: int = 5_000_000,
-    force: bool = False,
 ) -> Union[int, float]:
     """Shortest length of a separating cycle, or math.inf if none exists.
 
-    Exponential in the worst case; guarded to n <= 60 unless forced.
+    Exponential in the worst case; guarded to n <= 60.
     """
-    if g.n > 60 and not force:
+    if g.n > 60:
         raise ValueError(f"fence-girth brute force guarded to n <= 60 (n={g.n})")
     if max_len is None:
         max_len = g.n  # a simple cycle repeats no vertex
@@ -439,14 +422,14 @@ def _cert_get(cert, key: str):
     return getattr(cert, key, None)
 
 
-def verify_certificate(cert, target) -> VerifyReport:
+def verify_certificate(cert, target: PlaneGraph) -> VerifyReport:
     """Recheck a center certificate by brute force.
 
-    ``target`` is either the augmentation the certificate was issued for, or
-    the original plane graph (in which case the decomposition pipeline is
-    re-run deterministically to rebuild the augmentation).  Eccentricity of
-    the center is rechecked in the augmented graph; the peel count of the
-    chosen outerface is rechecked in the original graph.
+    ``target`` is the plane graph the certificate was issued for; the
+    decomposition pipeline is re-run deterministically to rebuild the
+    augmentation.  Eccentricity of the center is rechecked in the augmented
+    graph; the peel count of the chosen outerface is rechecked in the
+    original graph (connected first if it is not).
     """
     report = VerifyReport(ok=True)
     s = _cert_get(cert, "center")
@@ -458,16 +441,12 @@ def verify_certificate(cert, target) -> VerifyReport:
         report.add("fields", False, "certificate lacks center/bound")
         return report
 
-    if isinstance(target, PlaneGraph):
-        original = target
-        if not target.connected:
-            original = connect_components(target)
-        root = peels.choose_root(original)
-        ctx = peels.compute_layers(original, root)
-        aug = peels.augment(ctx)
-    else:
-        aug = target
-        original = aug.G
+    original = target
+    if not target.connected:
+        original = connect_components(target)
+    root = peels.choose_root(original)
+    ctx = peels.compute_layers(original, root)
+    aug = peels.augment(ctx)
 
     n = _cert_get(cert, "n")
     if n is not None and n != original.n:
@@ -539,12 +518,7 @@ class OracleReport:
         }
 
 
-def full_oracle_report(
-    g: PlaneGraph,
-    fence_max_len: Optional[int] = None,
-    fence_force: bool = False,
-    fence_budget: int = 5_000_000,
-) -> OracleReport:
+def full_oracle_report(g: PlaneGraph, fence_budget: int = 5_000_000) -> OracleReport:
     runtimes: dict[str, float] = {}
     connected_copy = not g.connected
     gc_ = g if g.connected else connect_components(g)
@@ -561,12 +535,10 @@ def full_oracle_report(
 
     fence: Optional[Union[int, float]] = None
     skipped = True
-    if gc_.n <= 60 or fence_force:
+    if gc_.n <= 60:
         t0 = time.perf_counter()
         try:
-            fence = fence_girth_bruteforce(
-                gc_, max_len=fence_max_len, budget=fence_budget, force=fence_force
-            )
+            fence = fence_girth_bruteforce(gc_, budget=fence_budget)
             skipped = False
         except OracleBudgetError:
             fence = None

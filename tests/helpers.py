@@ -13,8 +13,18 @@ from peelbound.embed import (
     connect_components,
     insert_edge_in_face,
 )
-from peelbound.gen import gen_random_triangulation
+from peelbound.gen import _prism_band, gen_random_triangulation
 from peelbound.peels import PeelContext
+
+
+def graph_fingerprint(g: PlaneGraph) -> list:
+    """Every stored array, the face grouping, meta and the three flags."""
+    return [
+        list(g.eu), list(g.ev), list(g.rot_next), list(g.rot_first),
+        [list(grp) for grp in g.face_walks], list(g.walk_flat),
+        list(g.walk_indptr), list(g.lone_walk_vertex), g.meta,
+        g.simple, g.connected, g.triangulated,
+    ]
 
 
 def ring_chain(sizes: list[int], connected: bool = True) -> PlaneGraph:
@@ -66,6 +76,24 @@ def connect_by_insertion(g: PlaneGraph) -> PlaneGraph:
     if not out.connected:
         raise GraphFormatError("face structure did not span all components")
     return out
+
+
+def prism_by_insertion(k: int) -> PlaneGraph:
+    """Reference for ``gen_prism_grid``: one public insertion per quad.
+
+    Repeatedly finds the first quadrangular face and draws the diagonal from
+    its walk's first vertex to its third.  Each insertion copies the graph
+    and retraces every walk, so this costs O(n) per quad.
+    """
+    g = _prism_band(k)
+    while True:
+        quad = next(
+            (f for f, (w,) in enumerate(g.face_walks) if len(g.walk(w)) == 4), None
+        )
+        if quad is None:
+            return g
+        darts = g.walk(g.face_walks[quad][0])
+        g = insert_edge_in_face(g, g.origin(darts[0]), g.origin(darts[2]), quad)
 
 
 def _shared_face(g: PlaneGraph, u: int, v: int) -> int:

@@ -1,10 +1,13 @@
 """Builder validation, face tracing, radial BFS, and embedding surgery."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connect_by_insertion, random_nesting, ring_chain
+from helpers import connect_by_insertion, graph_fingerprint, random_nesting, ring_chain
 from peelbound import embed
 from peelbound.center import certify
 from peelbound.embed import (
@@ -18,7 +21,7 @@ from peelbound.embed import (
     trace_faces,
     triangulate_preserving_embedding,
 )
-from peelbound.gen import gen_nested_cycles, gen_random_triangulation
+from peelbound.gen import _prism_band, gen_nested_cycles, gen_random_triangulation
 from peelbound.oracle import peel_numbers_by_deletion
 from peelbound.peels import choose_root
 
@@ -210,6 +213,106 @@ def test_insert_edge_rejects_outsiders():
     assert 5 not in g.face_vertices(f)
     with pytest.raises((ValueError, GraphFormatError)):
         insert_edge_in_face(g, 0, 5, f)
+
+
+SQUARE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]
+SQUARE_ROTATION = [[0, 3], [1, 0], [2, 1], [3, 2]]
+
+
+def _insert_cases():
+    square = build_plane_graph(4, SQUARE_EDGES, SQUARE_ROTATION)
+    # lone vertex 4 inside the face of walk 0
+    square_lone = build_plane_graph(
+        5, SQUARE_EDGES, SQUARE_ROTATION + [[]], faces=[[0, 2], [1]]
+    )
+    # lone vertices 3 and 4 share the face of walk 1
+    tri_lone = build_plane_graph(
+        5, K3_EDGES, K3_ROTATION + [[], []], faces=[[0], [1, 2, 3]]
+    )
+    nested_1, nested_2 = gen_nested_cycles(3, 1), gen_nested_cycles(3, 2)
+    return {
+        "split": [
+            (square, 0, 2, 0, [(1,), (2,), (0,)]),
+            (square, 1, 3, 1, [(0,), (2,), (1,)]),
+        ],
+        # the lone vertex stays with the side of the u->v dart, whichever
+        # side the split walk's first dart ends on
+        "split-keeps-lone": [
+            (square_lone, 0, 2, 0, [(1,), (2, 3), (0,)]),
+            (square_lone, 2, 0, 0, [(1,), (0, 3), (2,)]),
+            (square_lone, 1, 3, 0, [(1,), (0, 3), (2,)]),
+            (square_lone, 3, 1, 0, [(1,), (2, 3), (0,)]),
+        ],
+        "merge": [
+            (nested_2, 1, 4, 1, [(1, 3), (2, 4), (0,)]),
+            (nested_2, 5, 2, 1, [(1, 3), (2, 4), (0,)]),
+        ],
+        "spur": [
+            (nested_1, 1, 0, 0, [(0, 2), (1,)]),
+            (nested_1, 0, 2, 0, [(0, 2), (1,)]),
+        ],
+        "lone-lone": [
+            (tri_lone, 3, 4, 1, [(0,), (1, 2)]),
+            (tri_lone, 4, 3, 1, [(0,), (1, 2)]),
+        ],
+    }
+
+
+@pytest.mark.parametrize("case", ["split", "split-keeps-lone", "merge", "spur", "lone-lone"])
+def test_insert_edge_face_grouping(case):
+    # expected groupings pinned from the per-insertion regrouping this
+    # module used before the shared splice helper
+    for g, u, v, f, expected in _insert_cases()[case]:
+        out = insert_edge_in_face(g, u, v, f)
+        assert out.m == g.m + 1 and sorted(out.edge_endpoints(g.m)) == sorted((u, v))
+        assert list(out.face_walks) == expected, (case, u, v, f)
+
+
+def _insert_corpus():
+    graphs = [gen_nested_cycles(g, k) for g in range(1, 4) for k in range(1, 4)]
+    graphs += [random_nesting(seed, seed % 8) for seed in range(40)]
+    graphs += [gen_random_triangulation(12, seed) for seed in range(5)]
+    graphs.append(_prism_band(1))
+    for g in graphs:
+        for f in range(g.face_count):
+            verts = g.face_vertices(f)
+            for u in verts:
+                for v in verts:
+                    yield g, u, v, f
+
+
+def insert_corpus_digest():
+    """sha256 over insert_edge_in_face on every (face, u, v) of a fixed corpus.
+
+    Corpus: nested cycles g 1-3 x k 1-3, ``random_nesting(seed, seed % 8)``
+    for seeds 0-39, ``gen_random_triangulation(12, seed)`` for seeds 0-4 and
+    ``_prism_band(1)``; for every face f and every ordered pair (u, v) of
+    its vertices (``face_vertices`` order, u == v included).  Each call adds
+    ``json.dumps([u, v, f, result], sort_keys=True)`` to the hash, where
+    result is ``graph_fingerprint`` of the new graph, or the exception's
+    type name and message when the call raises ValueError.  Returns the hex
+    digest, the call count and the error count.
+    """
+    h = hashlib.sha256()
+    calls = errors = 0
+    for g, u, v, f in _insert_corpus():
+        try:
+            result = graph_fingerprint(insert_edge_in_face(g, u, v, f))
+        except ValueError as exc:
+            result = [type(exc).__name__, str(exc)]
+            errors += 1
+        h.update(json.dumps([u, v, f, result], sort_keys=True).encode())
+        calls += 1
+    return h.hexdigest(), calls, errors
+
+
+# frozen from the per-insertion regrouping (see insert_corpus_digest)
+INSERT_DIGEST = "3c0405020f8c8cbacf60697302939be2ec283bbad1e733844e6a1bf32594b062"
+INSERT_CALLS, INSERT_ERRORS = 5654, 1110
+
+
+def test_insert_edge_corpus_digest():
+    assert insert_corpus_digest() == (INSERT_DIGEST, INSERT_CALLS, INSERT_ERRORS)
 
 
 def test_connect_components_nested():

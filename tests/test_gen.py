@@ -2,7 +2,8 @@
 
 import pytest
 
-from helpers import is_bipartite
+from helpers import graph_fingerprint, is_bipartite, prism_by_insertion
+from peelbound import embed
 from peelbound.embed import connect_components
 from peelbound.gen import (
     _prism_band,
@@ -142,6 +143,27 @@ def test_prism_grid_metric_claims(k):
     assert diameter_exact(g) <= 3 * k + 1
     _, rad = radius_exact(g)
     assert rad >= 2 * k
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_prism_grid_matches_insertion_chain(k):
+    assert graph_fingerprint(gen_prism_grid(k)) == graph_fingerprint(
+        prism_by_insertion(k)
+    )
+
+
+def test_prism_grid_finishes_twice(monkeypatch):
+    # once for the band, once for all 36 diagonals (37 with one per quad)
+    calls = []
+    finish = embed._finish_graph
+
+    def counted_finish(*args, **kwargs):
+        calls.append(1)
+        return finish(*args, **kwargs)
+
+    monkeypatch.setattr(embed, "_finish_graph", counted_finish)
+    g = gen_prism_grid(4)
+    assert g.triangulated and len(calls) == 2
 
 
 def test_prism_grid_domain():
