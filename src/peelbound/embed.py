@@ -18,8 +18,11 @@ implied.
 from __future__ import annotations
 
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import chain, count, islice
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -282,9 +285,7 @@ class _Builder:
 
 def _trace_walks(rot_next: array, m2: int) -> tuple[array, array, array]:
     """Orbit decomposition of face_next; returns (indptr, flat, walk_of_dart)."""
-    walk_of = array("i", bytes(4 * m2)) if m2 else array("i")
-    for i in range(m2):
-        walk_of[i] = -1
+    walk_of = array("i", [-1]) * m2
     flat = array("i")
     indptr = array("i", [0])
     rn = rot_next
@@ -375,8 +376,13 @@ def _finish_graph(
     b: _Builder,
     face_grouping: Optional[Sequence[Sequence[int]]] = None,
     meta: Optional[dict] = None,
+    walks: Optional[tuple[array, array, array]] = None,
 ) -> PlaneGraph:
-    """Trace walks, resolve faces, validate Euler count, freeze the graph."""
+    """Trace walks, resolve faces, validate Euler count, freeze the graph.
+
+    ``walks`` is b's trace as :func:`_trace_walks` returns it, when the
+    caller already has one.
+    """
     g = PlaneGraph()
     g.n = b.n
     g.m = len(b.eu)
@@ -386,13 +392,12 @@ def _finish_graph(
     g.rot_first = b.rot_first
     g.meta = dict(meta) if meta else {}
 
-    m2 = 2 * g.m
-    indptr, flat, walk_of = _trace_walks(b.rot_next, m2)
+    indptr, flat, walk_of = walks or _trace_walks(b.rot_next, 2 * g.m)
     g.walk_indptr = indptr
     g.walk_flat = flat
     g.walk_of_dart = walk_of
-    g.lone_walk_vertex = array(
-        "i", [v for v in range(g.n) if b.rot_first[v] < 0]
+    g.lone_walk_vertex = _int_array(
+        np.flatnonzero(np.frombuffer(b.rot_first, dtype=np.int32) < 0)
     )
 
     comp, ncomp = _components(g.n, b.eu, b.ev)
@@ -408,7 +413,8 @@ def _finish_graph(
             raise GraphFormatError(
                 "disconnected graph requires an explicit face grouping"
             )
-        face_walks = [(w,) for w in range(n_walks)]
+        face_walks = list(zip(range(n_walks)))  # [(0,), (1,), ...]
+        face_of_walk = np.arange(n_walks, dtype=np.int32)
     else:
         seen = array("i", [0] * n_walks)
         face_walks = []
@@ -425,16 +431,15 @@ def _finish_graph(
             face_walks.append(group)
         if any(s == 0 for s in seen):
             raise GraphFormatError("face grouping does not cover all walks")
+        # the groups partition the walks, so this writes every entry once
+        listed = np.fromiter(chain.from_iterable(face_walks), np.int64, n_walks)
+        sizes = np.fromiter(map(len, face_walks), np.int64, len(face_walks))
+        face_of_walk = np.empty(n_walks, dtype=np.int32)
+        face_of_walk[listed] = np.repeat(np.arange(len(face_walks), dtype=np.int32), sizes)
 
     g.face_walks = face_walks
-    face_of_walk = array("i", bytes(4 * n_walks)) if n_walks else array("i")
-    for f, group in enumerate(face_walks):
-        for w in group:
-            face_of_walk[w] = f
-    g.face_of_walk = face_of_walk
-    g.face_of_lone_vertex = {
-        v: face_of_walk[n_dart_walks + i] for i, v in enumerate(g.lone_walk_vertex)
-    }
+    g.face_of_walk = _int_array(face_of_walk)
+    g.face_of_lone_vertex = dict(zip(g.lone_walk_vertex, g.face_of_walk[n_dart_walks:]))
 
     # Sphere check: n - m + f = 1 + c covers every component at once.
     if g.n > 0 and g.n - g.m + len(face_walks) != 1 + ncomp:
@@ -448,14 +453,12 @@ def _finish_graph(
     u, v = origin[0::2], head[0::2]  # dart 2e runs eu[e] -> ev[e]
     pair = np.sort(np.minimum(u, v) * g.n + np.maximum(u, v))
     g.simple = bool(not (u == v).any() and (pair[1:] != pair[:-1]).all())
+    # One face per walk (groups partition the walks), every walk a triangle.
     g.triangulated = bool(
         g.m > 0
-        and all(
-            len(group) == 1
-            and indptr[group[0] + 1] - indptr[group[0]] == 3
-            for group in face_walks
-        )
         and not g.lone_walk_vertex
+        and len(face_walks) == n_walks
+        and (np.diff(np.frombuffer(indptr, dtype=np.int32)) == 3).all()
     )
     return g
 
@@ -476,64 +479,28 @@ def build_plane_graph(
     """Validate and freeze a plane graph given edge-index rotations.
 
     ``rotation[v]`` lists incident edge ids in slot order; a loop's id appears
-    twice.  ``faces`` groups walk ids (in trace discovery order) into faces and
-    is required exactly when the graph is disconnected.  ``flags`` entries
+    twice, its first slot taking dart 2e and its second 2e + 1.  ``faces``
+    groups walk ids (in trace discovery order) into faces and is required
+    exactly when the graph is disconnected.  ``flags`` entries
     (simple/connected/triangulated), if given, are checked against reality.
+
+    Checks run in numpy over the flattened rows, but report what a scan in
+    document order meets first: the first bad edge, else the first bad
+    rotation slot (vertex by vertex, slot by slot), else the first edge
+    missing a slot.  A value that ``int()`` refuses raises ``int()``'s own
+    error at its position; an integer beyond int32 is out of range.
     """
     if n < 0:
         raise GraphFormatError("negative vertex count")
     if len(rotation) != n:
         raise GraphFormatError(f"rotation has {len(rotation)} rows, expected {n}")
 
+    ends = _edge_ends(n, edges)
+    rot_next, rot_first = _rotation_arrays(ends, rotation)
     b = _Builder(n)
-    for e, pair in enumerate(edges):
-        if len(pair) != 2:
-            raise GraphFormatError(f"edge {e} is not a pair")
-        u, v = int(pair[0]), int(pair[1])
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edge {e} endpoint out of range")
-        b._new_edge(u, v)
-
-    m = len(b.eu)
-    slot_used = array("i", [0] * m)  # occurrences consumed per edge
-    for v in range(n):
-        darts: list[int] = []
-        for e in rotation[v]:
-            e = int(e)
-            if not (0 <= e < m):
-                raise GraphFormatError(f"rotation of {v} references edge {e}")
-            u0, v0 = b.eu[e], b.ev[e]
-            if u0 == v0:
-                if v != u0:
-                    raise GraphFormatError(f"loop {e} listed at wrong vertex {v}")
-                if slot_used[e] == 0:
-                    darts.append(2 * e)
-                elif slot_used[e] == 1:
-                    darts.append(2 * e + 1)
-                else:
-                    raise GraphFormatError(f"loop {e} appears more than twice")
-                slot_used[e] += 1
-            else:
-                if v == u0:
-                    d = 2 * e
-                elif v == v0:
-                    d = 2 * e + 1
-                else:
-                    raise GraphFormatError(f"edge {e} listed at non-endpoint {v}")
-                if slot_used[e] & (1 << (d & 1)):
-                    raise GraphFormatError(
-                        f"edge {e} appears twice in rotation of {v}"
-                    )
-                slot_used[e] |= 1 << (d & 1)
-                darts.append(d)
-        b.set_rotation(v, darts)
-
-    for e in range(m):
-        u0, v0 = b.eu[e], b.ev[e]
-        ok = slot_used[e] == 2 if u0 == v0 else slot_used[e] == 3
-        if not ok:
-            raise GraphFormatError(f"edge {e} missing from some rotation")
-
+    b.eu, b.ev = _int_array(ends[:, 0]), _int_array(ends[:, 1])
+    b.rot_next, b.rot_first = _int_array(rot_next), _int_array(rot_first)
+    del ends, rot_next, rot_first
     g = _finish_graph(b, face_grouping=faces, meta=meta)
 
     if flags:
@@ -548,6 +515,147 @@ def build_plane_graph(
                     f"flag {key}={val} contradicts computed {computed[key]}"
                 )
     return g
+
+
+def _int_array(x: np.ndarray) -> array:
+    return array("i", x.astype(np.int32, copy=False).tobytes())
+
+
+def _leading(func: Callable, items: Callable[[], Iterable], total: int) -> np.ndarray:
+    """int32 values of func over the first ``total`` of ``items()``.
+
+    Stops short before the first item that func refuses (TypeError,
+    ValueError, OverflowError) or whose value int32 cannot hold; the caller
+    re-evaluates that item to report it.  Only that failure path walks the
+    items again: once with a counter (zip draws the next index before the
+    next item, so the counter ends one past the refused item), and once to
+    convert the items before it.
+    """
+    try:
+        return np.fromiter(map(func, items()), np.int32, total)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    taken = count()
+    with suppress(TypeError, ValueError, OverflowError):
+        np.fromiter(map(func, map(itemgetter(1), zip(taken, items()))), np.int32, total)
+    good = next(taken) - 1
+    return np.fromiter(map(func, islice(items(), good)), np.int32, good)
+
+
+def _edge_ends(n: int, edges: Sequence[Sequence[int]]) -> np.ndarray:
+    """(m, 2) int32 endpoints; raises the error of the first bad edge."""
+    lens = _leading(len, lambda: edges, len(edges))
+    short = np.flatnonzero(lens != 2)
+    pairs = int(short[0]) if short.size else len(lens)
+    flat = _leading(int, lambda: chain.from_iterable(islice(edges, pairs)), 2 * pairs)
+    whole = len(flat) // 2
+    ends = flat[: 2 * whole].reshape(whole, 2)
+    bad = np.flatnonzero(((ends < 0) | (ends >= n)).any(axis=1))
+    if bad.size:
+        raise GraphFormatError(f"edge {bad[0]} endpoint out of range")
+    if whole < pairs:
+        [int(x) for x in edges[whole]]  # raises int()'s error, if that refused
+        raise GraphFormatError(f"edge {whole} endpoint out of range")
+    if pairs < len(lens):
+        raise GraphFormatError(f"edge {pairs} is not a pair")
+    if len(lens) < len(edges):
+        len(edges[len(lens)])  # raises len()'s TypeError
+    return ends
+
+
+def _rotation_arrays(
+    ends: np.ndarray, rotation: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rot_next, rot_first) as int32; raises the error of the first bad slot.
+
+    Slot checks, in the order one slot meets them: edge id in range, a loop
+    at its own vertex and at most twice, any other edge at one of its
+    endpoints and at most once per endpoint.  Each check is a mask over all
+    slots, and the earliest flagged slot is the one reported: every slot
+    before it passes every check, so the occurrence counts it sees are the
+    ones a slot-by-slot scan would have.
+    """
+    n, m = len(rotation), len(ends)
+    if not m:  # every slot is out of range; one dummy edge keeps lookups valid
+        ends = np.full((1, 2), -1, dtype=np.int32)
+    lens = _leading(len, lambda: rotation, n)
+    rows = len(lens)
+    total = int(lens.sum())
+    slots = _leading(int, lambda: chain.from_iterable(islice(rotation, rows)), total)
+    k = len(slots)
+    vert_all = np.repeat(np.arange(rows, dtype=np.int32), lens)
+    vert = vert_all[:k]
+
+    out = (slots < 0) | (slots >= m)
+    e = np.where(out, 0, slots)
+    u0, v0 = ends[e, 0], ends[e, 1]
+    at_u = vert == u0
+    loop = (u0 == v0) & ~out
+    wrong_loop = loop & ~at_u
+    stray = ~out & ~loop & ~at_u & (vert != v0)
+    dart = 2 * e + ~at_u  # 2e at eu[e], 2e + 1 at ev[e]
+    # Arrays die as soon as they are read: without these dels a 2^18-vertex
+    # load peaked 22 MiB higher.
+    del u0, v0, at_u
+
+    thrice = np.zeros(k, dtype=bool)
+    loops = np.flatnonzero(loop & ~wrong_loop)
+    if loops.size:
+        seen = _earlier_repeats(e[loops])
+        dart[loops] += seen > 0
+        thrice[loops[seen > 1]] = True
+    twice = np.zeros(k, dtype=bool)
+    plain = np.flatnonzero(~(out | loop | stray))
+    if np.bincount(dart[plain], minlength=2 * m).max(initial=0) > 1:
+        twice[plain[_earlier_repeats(dart[plain]) > 0]] = True
+    del loop, loops, plain
+
+    checks = (
+        (out, "rotation of {v} references edge {e}"),
+        (wrong_loop, "loop {e} listed at wrong vertex {v}"),
+        (thrice, "loop {e} appears more than twice"),
+        (stray, "edge {e} listed at non-endpoint {v}"),
+        (twice, "edge {e} appears twice in rotation of {v}"),
+    )
+    hits = [(int(i[0]), msg) for mask, msg in checks if (i := np.flatnonzero(mask)).size]
+    if hits:
+        s, msg = min(hits)
+        raise GraphFormatError(msg.format(e=int(slots[s]), v=int(vert[s])))
+    if k < total:
+        e_bad = int(next(islice(chain.from_iterable(rotation), k, None)))
+        raise GraphFormatError(f"rotation of {vert_all[k]} references edge {e_bad}")
+    if rows < n:
+        len(rotation[rows])  # raises len()'s TypeError
+    del out, e, wrong_loop, thrice, stray, twice, slots, vert, vert_all
+
+    used = np.bincount(dart, minlength=2 * m)
+    missing = np.flatnonzero((used[0::2] == 0) | (used[1::2] == 0))
+    if missing.size:
+        raise GraphFormatError(f"edge {missing[0]} missing from some rotation")
+    del used, missing
+
+    # Slot s hands over to s + 1, and a row's last slot back to its first.
+    stop = np.cumsum(lens, dtype=np.int32)
+    start = stop - lens
+    full = lens > 0
+    after = np.arange(1, total + 1, dtype=np.int32)
+    after[stop[full] - 1] = start[full]
+    rot_next = np.empty(2 * m, dtype=np.int32)
+    rot_next[dart] = dart[after]
+    rot_first = np.full(n, -1, dtype=np.int32)
+    rot_first[full] = dart[start[full]]
+    return rot_next, rot_first
+
+
+def _earlier_repeats(keys: np.ndarray) -> np.ndarray:
+    """For each entry, how many earlier entries hold the same key."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    runs = np.diff(np.r_[first, len(keys)])
+    out = np.empty(len(keys), dtype=np.int64)
+    out[order] = np.arange(len(keys)) - np.repeat(first, runs)
+    return out
 
 
 def trace_faces(g: PlaneGraph) -> list[list[int]]:
@@ -713,9 +821,10 @@ def _finish_splice(
     split its face (at most one per face): the walk of 2e+1 becomes a face of
     its own right after, and the rest stays with the walk of 2e.
     """
-    indptr, _, walk_of = _trace_walks(b.rot_next, 2 * len(b.eu))
+    walks = _trace_walks(b.rot_next, 2 * len(b.eu))
+    indptr, _, walk_of = walks
     flat, old_indptr, nd = g.walk_flat, g.walk_indptr, g.dart_walk_count
-    lone = [v for v in range(b.n) if b.rot_first[v] < 0]
+    lone = np.flatnonzero(np.frombuffer(b.rot_first, dtype=np.int32) < 0).tolist()
     lone_id = {v: len(indptr) - 1 + i for i, v in enumerate(lone)}
 
     def new_walk(w: int) -> int:
@@ -735,7 +844,7 @@ def _finish_splice(
         cut = [walk_of[2 * e + 1] for e in edges if walk_of[2 * e] != walk_of[2 * e + 1]]
         grouping.append(sorted(group.difference(cut)))
         grouping.extend([w] for w in cut)
-    return _finish_graph(b, face_grouping=grouping, meta=g.meta)
+    return _finish_graph(b, face_grouping=grouping, meta=g.meta, walks=walks)
 
 
 # ---------------------------------------------------------------------------

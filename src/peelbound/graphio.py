@@ -57,6 +57,11 @@ def from_document(doc: dict) -> PlaneGraph:
     for key in ("n", "edges", "rotation"):
         if key not in doc:
             raise GraphFormatError(f"missing required key {key!r}")
+    for key in ("edges", "rotation", "faces"):
+        # the builder iterates rows, and would read an object's keys as ids
+        rows = doc.get(key)
+        if isinstance(rows, dict) or (isinstance(rows, list) and dict in map(type, rows)):
+            raise GraphFormatError(f"malformed document: JSON object in {key!r}")
     try:
         return build_plane_graph(
             int(doc["n"]),

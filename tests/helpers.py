@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from array import array
 
 from peelbound.embed import (
     GraphFormatError,
@@ -25,6 +26,118 @@ def graph_fingerprint(g: PlaneGraph) -> list:
         list(g.walk_indptr), list(g.lone_walk_vertex), g.meta,
         g.simple, g.connected, g.triangulated,
     ]
+
+
+def build_plane_graph_by_slots(n, edges, rotation, faces=None, flags=None, meta=None):
+    """Reference for ``build_plane_graph``: one Python step per edge and slot.
+
+    Raises at the first bad edge, else at the first bad rotation slot, else at
+    the first edge missing a slot; face and flag checks are the library's.
+    """
+    if n < 0:
+        raise GraphFormatError("negative vertex count")
+    if len(rotation) != n:
+        raise GraphFormatError(f"rotation has {len(rotation)} rows, expected {n}")
+
+    b = _Builder(n)
+    for e, pair in enumerate(edges):
+        if len(pair) != 2:
+            raise GraphFormatError(f"edge {e} is not a pair")
+        u, v = int(pair[0]), int(pair[1])
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"edge {e} endpoint out of range")
+        b._new_edge(u, v)
+
+    m = len(b.eu)
+    slot_used = array("i", [0] * m)  # occurrences consumed per edge
+    for v in range(n):
+        darts: list[int] = []
+        for e in rotation[v]:
+            e = int(e)
+            if not (0 <= e < m):
+                raise GraphFormatError(f"rotation of {v} references edge {e}")
+            u0, v0 = b.eu[e], b.ev[e]
+            if u0 == v0:
+                if v != u0:
+                    raise GraphFormatError(f"loop {e} listed at wrong vertex {v}")
+                if slot_used[e] == 0:
+                    darts.append(2 * e)
+                elif slot_used[e] == 1:
+                    darts.append(2 * e + 1)
+                else:
+                    raise GraphFormatError(f"loop {e} appears more than twice")
+                slot_used[e] += 1
+            else:
+                if v == u0:
+                    d = 2 * e
+                elif v == v0:
+                    d = 2 * e + 1
+                else:
+                    raise GraphFormatError(f"edge {e} listed at non-endpoint {v}")
+                if slot_used[e] & (1 << (d & 1)):
+                    raise GraphFormatError(f"edge {e} appears twice in rotation of {v}")
+                slot_used[e] |= 1 << (d & 1)
+                darts.append(d)
+        b.set_rotation(v, darts)
+
+    for e in range(m):
+        u0, v0 = b.eu[e], b.ev[e]
+        ok = slot_used[e] == 2 if u0 == v0 else slot_used[e] == 3
+        if not ok:
+            raise GraphFormatError(f"edge {e} missing from some rotation")
+
+    g = _finish_graph(b, face_grouping=faces, meta=meta)
+    computed = {"simple": g.simple, "connected": g.connected, "triangulated": g.triangulated}
+    for key, val in (flags or {}).items():
+        if key in computed and bool(val) != computed[key]:
+            raise GraphFormatError(f"flag {key}={val} contradicts computed {computed[key]}")
+    return g
+
+
+def articulation_flags(g: PlaneGraph) -> bytearray:
+    """Reference cutvertex flags: iterative lowpoint DFS (multigraph-safe)."""
+    n = g.n
+    disc = array("i", [-1] * n)
+    low = array("i", [0] * n)
+    flags = bytearray(n)
+    darts_at = [g.rotation_darts(v) for v in range(g.n)]
+    timer = 0
+    for start in range(n):
+        if disc[start] >= 0:
+            continue
+        root_children = 0
+        # stack entries: (vertex, incoming edge id, next dart index)
+        stack = [(start, -1, 0)]
+        disc[start] = low[start] = timer
+        timer += 1
+        while stack:
+            v, in_edge, idx = stack[-1]
+            if idx < len(darts_at[v]):
+                stack[-1] = (v, in_edge, idx + 1)
+                d = darts_at[v][idx]
+                e = d >> 1
+                w = g.head(d)
+                if w == v or e == in_edge:
+                    continue  # loop, or the tree edge we came in on
+                if disc[w] < 0:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    if v == start:
+                        root_children += 1
+                    stack.append((w, e, 0))
+                elif disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if p != start and low[v] >= disc[p]:
+                        flags[p] = 1
+        if root_children >= 2:
+            flags[start] = 1
+    return flags
 
 
 def ring_chain(sizes: list[int], connected: bool = True) -> PlaneGraph:

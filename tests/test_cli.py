@@ -219,22 +219,38 @@ def test_unjoinable_grouping_exits_one(capsys, tmp_path, command):
     assert err.count("\n") == 1 and err.startswith("error:")
 
 
-def test_unjoinable_grouping_exits_one_under_optimize(tmp_path):
-    graph = tmp_path / "bad.json"
-    graph.write_text(json.dumps(SAME_COMPONENT_FACE))
+def center_under_optimize(graph: Path) -> subprocess.CompletedProcess:
     src = str(Path(peelbound.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-O", "-m", "peelbound.cli", "center", str(graph)],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def test_unjoinable_grouping_exits_one_under_optimize(tmp_path):
+    graph = tmp_path / "bad.json"
+    graph.write_text(json.dumps(SAME_COMPONENT_FACE))
+    proc = center_under_optimize(graph)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:")
+
+
+def test_malformed_rotation_exits_one_under_optimize(tmp_path):
+    graph = tmp_path / "bad.json"
+    graph.write_text(
+        '{"format": "plane-graph/1", "n": 2, "edges": [[0, 1]], "rotation": [[0, 0], [0]]}'
+    )
+    proc = center_under_optimize(graph)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith("edge 0 appears twice in rotation of 0\n")
 
 
 # ---------------------------------------------------------------------------

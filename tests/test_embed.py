@@ -375,7 +375,7 @@ def test_connect_components_single_pass(monkeypatch):
     c = connect_components(g)
     assert c.connected and c.m == g.m + 61
     assert calls["finish"] == 1
-    assert calls["trace"] <= 2
+    assert calls["trace"] == 1
 
 
 def test_connect_components_rejects_same_component_grouping():

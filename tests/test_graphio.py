@@ -108,6 +108,11 @@ def test_file_and_stream_io(tmp_path):
         '{"format": "plane-graph/1", "n": 1, "edges": [], "rotation": [[]], "flags": [1]}',
         '{"format": "plane-graph/1", "n": Infinity, "edges": [], "rotation": []}',
         '{"format": "plane-graph/1", "n": 1, "edges": [], "rotation": [["x"]]}',
+        # objects where lists belong, even with keys that read as ids
+        '{"format": "plane-graph/1", "n": 2, "edges": [{"0": 5, "1": 7}], "rotation": [[0], [0]]}',
+        '{"format": "plane-graph/1", "n": 2, "edges": [[0, 1]], "rotation": [{"0": 1}, [0]]}',
+        '{"format": "plane-graph/1", "n": 2, "edges": [[0, 1]], "rotation": {"0": [0], "1": [0]}}',
+        '{"format": "plane-graph/1", "n": 1, "edges": [], "rotation": [[]], "faces": [{"0": 1}]}',
     ],
 )
 def test_malformed_documents_rejected(text):

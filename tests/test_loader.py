@@ -1,0 +1,191 @@
+"""The numpy graph loader against the slot-by-slot reference builder.
+
+``build_plane_graph`` validates flattened arrays in numpy; the reference in
+``helpers`` walks every edge and slot in Python.  On damaged documents both
+must fail the same way (same exception class, same text for every
+structural message), and on intact ones they must build the same graph.
+"""
+
+import copy
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import build_plane_graph_by_slots, graph_fingerprint, random_nesting
+from peelbound.embed import GraphFormatError, build_plane_graph, connect_components
+from peelbound.gen import gen_random_triangulation
+from peelbound.graphio import from_document, loads_plane_graph, to_document
+
+K3_EDGES = [(0, 1), (1, 2), (2, 0)]
+K3_ROTATION = [[0, 2], [1, 0], [2, 1]]
+
+# Loops, digons, lone vertices and multi-walk faces come from the nestings.
+BASE_DOCUMENTS = [to_document(random_nesting(seed, 1 + seed % 12)) for seed in range(24)]
+BASE_DOCUMENTS += [
+    to_document(gen_random_triangulation(12, 1)),
+    to_document(build_plane_graph(1, [(0, 0)], [[0, 0]])),
+    to_document(build_plane_graph(2, [(0, 1), (0, 0)], [[1, 0, 1], [0]])),
+]
+
+# Wrong JSON types, and ids out of range for every width: int32, int64, beyond.
+BAD_VALUES = [
+    None, True, False, 1.5, 2.0, float("nan"), float("inf"), "x", "1", [], [0],
+    -1, 2**31, 2**63, -(2**63) - 1, 10**30,
+]
+SMALL_IDS = [0, 1, 2, 3, 5]
+
+
+def _rows(doc, key):
+    return [i for i, row in enumerate(doc[key]) if isinstance(row, list) and row]
+
+
+@st.composite
+def damaged_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(BASE_DOCUMENTS)))
+    edges, rotation = doc["edges"], doc["rotation"]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from([
+            "edge row", "edge value", "ragged", "rotation row", "rotation value",
+            "repeat slot", "drop slot", "move slot", "stray loop", "faces", "flags", "n",
+        ]))
+        value = draw(st.sampled_from(BAD_VALUES + SMALL_IDS))
+        rows = _rows(doc, "rotation")
+        if kind == "edge row" and edges:
+            edges[draw(st.integers(0, len(edges) - 1))] = value
+        elif kind == "edge value" and _rows(doc, "edges"):
+            row = edges[draw(st.sampled_from(_rows(doc, "edges")))]
+            row[draw(st.integers(0, len(row) - 1))] = value
+        elif kind == "ragged" and _rows(doc, "edges"):
+            row = edges[draw(st.sampled_from(_rows(doc, "edges")))]
+            row.append(0) if draw(st.booleans()) else row.pop()
+        elif kind == "rotation row" and rotation:
+            rotation[draw(st.integers(0, len(rotation) - 1))] = value
+        elif kind == "rotation value" and rows:
+            row = rotation[draw(st.sampled_from(rows))]
+            row[draw(st.integers(0, len(row) - 1))] = value
+        elif kind == "repeat slot" and rows:
+            row = rotation[draw(st.sampled_from(rows))]
+            row.insert(draw(st.integers(0, len(row))), draw(st.sampled_from(row)))
+        elif kind == "drop slot" and rows:
+            row = rotation[draw(st.sampled_from(rows))]
+            row.pop(draw(st.integers(0, len(row) - 1)))
+        elif kind == "move slot" and rows:
+            row = rotation[draw(st.sampled_from(rows))]
+            slot = row.pop(draw(st.integers(0, len(row) - 1)))
+            target = rotation[draw(st.integers(0, len(rotation) - 1))]
+            if isinstance(target, list):
+                target.append(slot)
+        elif kind == "stray loop" and rotation:
+            # a new loop, listed 1-3 times at its own or another vertex
+            edges.append([draw(st.integers(0, len(rotation) - 1))] * 2)
+            target = rotation[draw(st.integers(0, len(rotation) - 1))]
+            if isinstance(target, list):
+                target.extend([len(edges) - 1] * draw(st.integers(1, 3)))
+        elif kind == "faces":
+            faces = doc.setdefault("faces", [[w] for w in range(3)])
+            f = draw(st.integers(0, len(faces)))
+            if f == len(faces):
+                faces.append([])
+            elif isinstance(faces[f], list) and faces[f] and draw(st.booleans()):
+                faces[f].pop()
+            elif isinstance(faces[f], list):
+                faces[f].append(value)
+        elif kind == "flags":
+            key = draw(st.sampled_from(["simple", "connected", "triangulated"]))
+            doc["flags"] = {key: draw(st.booleans())}
+        elif kind == "n":
+            doc["n"] += draw(st.sampled_from([-1, 1]))
+    return doc
+
+
+def outcome(builder, doc):
+    """("ok", fingerprint), ("GraphFormatError", text) or (exception class,)."""
+    try:
+        g = builder(
+            doc["n"], doc["edges"], doc["rotation"],
+            faces=doc.get("faces"), flags=doc.get("flags"), meta=doc.get("meta"),
+        )
+    except GraphFormatError as exc:
+        return ("GraphFormatError", str(exc))
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        return (type(exc).__name__,)
+    return ("ok", graph_fingerprint(g))
+
+
+@settings(max_examples=400, deadline=None)
+@given(damaged_documents())
+def test_builder_matches_slot_reference(doc):
+    assert outcome(build_plane_graph, doc) == outcome(build_plane_graph_by_slots, doc)
+    # and through the document reader: a graph or GraphFormatError, nothing else
+    try:
+        from_document(doc)
+    except GraphFormatError:
+        pass
+
+
+@pytest.mark.parametrize("doc", BASE_DOCUMENTS)
+def test_intact_documents_build_the_same_graph(doc):
+    got = outcome(build_plane_graph, doc)
+    assert got[0] == "ok"
+    assert got == outcome(build_plane_graph_by_slots, doc)
+
+
+@pytest.mark.parametrize(
+    "n,edges,rotation,flags,message",
+    [
+        (-1, [], [], None, "negative vertex count"),
+        (3, K3_EDGES, [[0, 2], [1, 0]], None, "rotation has 2 rows, expected 3"),
+        (3, [(0, 1), (1, 2, 0), (2, 0)], K3_ROTATION, None, "edge 1 is not a pair"),
+        (3, [(0, 1), (1, 2), (2, 3)], K3_ROTATION, None, "edge 2 endpoint out of range"),
+        (3, K3_EDGES, [[0, 7], [1, 0], [2, 1]], None, "rotation of 0 references edge 7"),
+        (2, [(0, 1), (1, 1)], [[0, 1], [0, 1]], None, "loop 1 listed at wrong vertex 0"),
+        (2, [(0, 1), (0, 0)], [[0, 1, 1, 1], [0]], None, "loop 1 appears more than twice"),
+        (3, [(0, 1)], [[0], [0], [0]], None, "edge 0 listed at non-endpoint 2"),
+        (2, [(0, 1)], [[0], [0, 0]], None, "edge 0 appears twice in rotation of 1"),
+        (3, K3_EDGES, [[0, 2], [1, 0], [1]], None, "edge 2 missing from some rotation"),
+        (3, K3_EDGES, K3_ROTATION, {"simple": False},
+         "flag simple=False contradicts computed True"),
+    ],
+)
+def test_builder_messages(n, edges, rotation, flags, message):
+    with pytest.raises(GraphFormatError) as exc:
+        build_plane_graph(n, edges, rotation, flags=flags)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("big", [2**31, 2**63, 10**30, -(2**63) - 1])
+def test_ids_beyond_int32_are_out_of_range(big):
+    with pytest.raises(GraphFormatError, match="edge 0 endpoint out of range"):
+        build_plane_graph(2, [(0, big)], [[0], [0]])
+    with pytest.raises(GraphFormatError, match=f"rotation of 1 references edge {big}"):
+        build_plane_graph(2, [(0, 1)], [[0], [big]])
+
+
+def test_first_bad_slot_is_reported():
+    # edge 0 is listed twice at vertex 0 (slot 1) before vertex 1 names an unknown edge
+    with pytest.raises(GraphFormatError, match="edge 0 appears twice in rotation of 0"):
+        build_plane_graph(2, [(0, 1)], [[0, 0], [9]])
+    # a value int() refuses, after a bad slot, does not mask it
+    with pytest.raises(GraphFormatError, match="rotation of 0 references edge 9"):
+        build_plane_graph(2, [(0, 1)], [[9, "x"], [0]])
+    with pytest.raises(ValueError):
+        build_plane_graph(2, [(0, 1)], [["x", 9], [0]])
+
+
+def test_malformed_text_names_the_value():
+    doc = to_document(build_plane_graph(3, K3_EDGES, K3_ROTATION))
+    doc["rotation"][1][0] = None
+    with pytest.raises(GraphFormatError, match="^malformed document: "):
+        loads_plane_graph(json.dumps(doc))
+
+
+def test_lone_walk_grouped_alone_before_a_merged_face():
+    # Euler holds, geometry does not: the triangle's two walks share a face
+    # and the lone vertex sits alone.  Reading `triangulated` used to index
+    # past the dart walks here (IndexError); now connecting rejects it.
+    g = build_plane_graph(4, K3_EDGES, K3_ROTATION + [[]], faces=[[2], [0, 1]])
+    assert not g.triangulated and not g.connected
+    with pytest.raises(GraphFormatError, match="did not span all components"):
+        connect_components(g)

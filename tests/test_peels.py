@@ -17,10 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import random
+
 import peelbound
-from helpers import augment_by_face_loop, relabel, ring_chain, thin_random_triangulation
+from helpers import (
+    articulation_flags,
+    augment_by_face_loop,
+    random_nesting,
+    relabel,
+    ring_chain,
+    thin_random_triangulation,
+)
 from peelbound import embed, peels
-from peelbound.embed import connect_components, radial_bfs
+from peelbound.embed import build_plane_graph, connect_components, radial_bfs
 from peelbound.gen import gen_lowerbound_H, gen_nested_cycles, gen_random_triangulation
 from peelbound.oracle import (
     bfs_distances,
@@ -108,6 +117,74 @@ def test_choose_root_is_lowest_noncut(g):
                     seen.add(y)
                     stack.append(y)
         assert seen != set(rest), f"vertex {v} < root {root} is not a cutvertex"
+
+
+def star(k):
+    """k leaves around vertex 0."""
+    return build_plane_graph(
+        k + 1, [(0, i) for i in range(1, k + 1)], [list(range(k))] + [[i] for i in range(k)]
+    )
+
+
+def block_chain(k):
+    """k triangles glued in a path; the k - 1 glue vertices are 0 .. k-2.
+
+    Triangle i has edges 3i (a_i, b_i), 3i + 1 (b_i, t_i), 3i + 2 (t_i, a_i),
+    with b_i = a_{i+1} = glue vertex i; a_0 is k - 1, b_{k-1} is k and the
+    apex t_i is k + 1 + i.
+    """
+    a = [k - 1] + list(range(k - 1))
+    b = list(range(k - 1)) + [k]
+    t = [k + 1 + i for i in range(k)]
+    edges = []
+    for i in range(k):
+        edges += [(a[i], b[i]), (b[i], t[i]), (t[i], a[i])]
+    rotation = [[] for _ in range(2 * k + 1)]
+    for i in range(k):
+        rotation[b[i]] += [3 * i, 3 * i + 1]
+        rotation[a[i]] += [3 * i, 3 * i + 2]
+        rotation[t[i]] = [3 * i + 1, 3 * i + 2]
+    return build_plane_graph(2 * k + 1, edges, rotation)
+
+
+# A loop at 0 with the edge to 1 on one side and the edge to 2 on the other:
+# 0 separates 1 from 2, but its two non-loop darts lie on different walks.
+LOOP_ENCLOSURE = ([(0, 0), (0, 1), (0, 2)], [[0, 1, 0, 2], [1], [2]])
+
+
+def lowest_noncut(g):
+    flags = articulation_flags(g)
+    return next(v for v in range(g.n) if not flags[v])
+
+
+def test_choose_root_matches_lowpoint_reference():
+    corpus = [connect_components(random_nesting(seed, 1 + seed % 16)) for seed in range(120)]
+    corpus += [ring_chain(sizes) for sizes in ([3], [1, 2, 3], [3, 4, 5], [6, 1, 6], [2] * 7)]
+    for seed in range(40):
+        thin = thin_random_triangulation(20 + 3 * seed, seed, frac=0.5)
+        perm = list(range(thin.n))
+        random.Random(seed).shuffle(perm)
+        corpus += [thin, relabel(thin, perm)]
+    corpus += [star(1), star(2), star(7), block_chain(2), block_chain(6)]
+    corpus.append(build_plane_graph(3, *LOOP_ENCLOSURE))
+    roots = [choose_root(g) for g in corpus]
+    assert roots == [lowest_noncut(g) for g in corpus]
+    # low cutvertices occur: the rule had to look past vertex 0, and far
+    assert sum(r > 0 for r in roots) >= 40 and max(roots) >= 5
+    assert sum(g.m > 0 and not g.simple for g in corpus) >= 50
+
+
+def test_choose_root_sees_through_loops():
+    g = build_plane_graph(3, *LOOP_ENCLOSURE)
+    darts = [d for d in g.rotation_darts(0) if g.head(d) != 0]
+    assert len({g.walk_of_dart[d] for d in darts}) == len(darts)  # no face repeats 0
+    assert articulation_flags(g)[0]
+    assert choose_root(g) == 1
+
+
+def test_choose_root_skips_low_cutvertices():
+    assert choose_root(star(5)) == 1
+    assert choose_root(block_chain(6)) == 5
 
 
 # ---------------------------------------------------------------------------
