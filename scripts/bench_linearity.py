@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Per-stage timing of the decomposition pipeline on doubling sizes.
 
-Generates random triangulations (generation excluded from the timing),
-then times layers -> augmentation -> tree -> center separately, reporting
+Generates random triangulations and serializes them (both excluded from the
+timing), then times load (parsing the canonical JSON text back) -> root
+choice -> layers -> augmentation -> tree -> center separately, reporting
 microseconds per vertex and the ratio to the previous size.  A flat ratio
-column is the empirical linearity check.
+column is the empirical linearity check.  The inputs are connected, so the
+CLI's connect stage never runs here.
 
     python3 scripts/bench_linearity.py --min-exp 13 --max-exp 18
 """
@@ -14,13 +16,20 @@ import time
 
 from peelbound.center import compute_gstar, find_center
 from peelbound.gen import gen_random_triangulation
+from peelbound.graphio import dumps_plane_graph, loads_plane_graph
 from peelbound.peels import augment, build_tree_of_peels, choose_root, compute_layers
 
 
 def run_size(n: int, seed: int) -> dict:
-    graph = gen_random_triangulation(n, seed)
-    root = choose_root(graph)
+    text = dumps_plane_graph(gen_random_triangulation(n, seed))
     stages = {}
+    t0 = time.perf_counter()
+    graph = loads_plane_graph(text)
+    stages["load"] = time.perf_counter() - t0
+    del text
+    t0 = time.perf_counter()
+    root = choose_root(graph)
+    stages["root"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     ctx = compute_layers(graph, root)
     stages["layers"] = time.perf_counter() - t0
@@ -44,10 +53,8 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args(argv)
 
-    print(
-        f"{'n':>9}{'layers':>9}{'augment':>9}{'tree':>9}{'center':>9}"
-        f"{'total':>9}{'us/v':>8}{'ratio':>7}"
-    )
+    names = ("load", "root", "layers", "augment", "tree", "center")
+    print(f"{'n':>9}" + "".join(f"{k:>9}" for k in names) + f"{'total':>9}{'us/v':>8}{'ratio':>7}")
     prev = None
     for e in range(args.min_exp, args.max_exp + 1):
         n = 2**e
@@ -55,11 +62,8 @@ def main(argv=None):
         per_vertex = row["total"] / n
         ratio = "" if prev is None else f"{per_vertex / prev:7.2f}"
         prev = per_vertex
-        s = row["stages"]
-        print(
-            f"{n:>9}{s['layers']:>9.3f}{s['augment']:>9.3f}{s['tree']:>9.3f}"
-            f"{s['center']:>9.3f}{row['total']:>9.3f}{per_vertex * 1e6:>8.2f}{ratio:>7}"
-        )
+        stages = "".join(f"{row['stages'][k]:>9.3f}" for k in names)
+        print(f"{n:>9}{stages}{row['total']:>9.3f}{per_vertex * 1e6:>8.2f}{ratio:>7}")
     return 0
 
 

@@ -329,24 +329,40 @@ def _csr(
     return indptr, values[np.argsort(keys)]
 
 
+def _label_components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Smallest vertex id in each vertex's component; edge i joins u[i] and v[i].
+
+    Min-label hooking plus pointer jumping (Shiloach & Vishkin, "An O(log n)
+    parallel connectivity algorithm", J. Algorithms 3(1), 1982): every label
+    hooks onto the smallest label across its edges, then every vertex jumps
+    to its label's label until nothing changes, and the two repeat until no
+    edge joins two labels.  A hook always points below itself and only
+    within a component, so the labels form a forest whose roots end up as
+    the smallest ids.  Edges inside one label drop out once they are.
+    """
+    lab = np.arange(n, dtype=np.int32)
+    while True:
+        lu, lv = lab[u], lab[v]
+        cross = lu != lv
+        if not cross.any():
+            return lab
+        u, v, lu, lv = u[cross], v[cross], lu[cross], lv[cross]
+        np.minimum.at(lab, np.maximum(lu, lv), np.minimum(lu, lv))
+        while not np.array_equal(up := lab[lab], lab):
+            lab = up
+
+
 def _components(n: int, eu: array, ev: array) -> tuple[array, int]:
-    """Connected-component labels via numpy frontier BFS (edges undirected)."""
-    comp = array("i", [-1]) * n
-    comp_np = np.frombuffer(comp, dtype=np.int32)
-    indptr, dest = _csr(*_dart_ends(eu, ev), n)
-    slot = np.empty(n, dtype=np.int64)
-    label = 0
-    for seed in range(n):
-        if comp_np[seed] >= 0:
-            continue
-        comp_np[seed] = label
-        frontier = np.array([seed], dtype=np.int64)
-        while frontier.size:
-            nbrs = _csr_gather(indptr, dest, frontier)
-            frontier = _distinct(nbrs[comp_np[nbrs] < 0], slot)
-            comp_np[frontier] = label
-        label += 1
-    return comp, label
+    """Connected-component labels (edges undirected) and their count.
+
+    Components are numbered in the order of their smallest vertex.
+    """
+    lab = _label_components(
+        n, np.frombuffer(eu, dtype=np.int32), np.frombuffer(ev, dtype=np.int32)
+    )
+    least = lab == np.arange(n, dtype=np.int32)
+    rank = np.cumsum(least, dtype=np.int32) - 1
+    return _int_array(rank[lab]), int(np.count_nonzero(least))
 
 
 def _distinct(ids: np.ndarray, slot: np.ndarray) -> np.ndarray:
@@ -492,6 +508,8 @@ def build_plane_graph(
     """
     if n < 0:
         raise GraphFormatError("negative vertex count")
+    if n == 0:
+        raise GraphFormatError("graph has no vertices")
     if len(rotation) != n:
         raise GraphFormatError(f"rotation has {len(rotation)} rows, expected {n}")
 

@@ -11,9 +11,10 @@ hub on the walk get no edge: layers on a face differ by at most 1, so their
 walk edge to the hub already descends, and a chord there would only double
 it.  A triangulation gets no edge at all; otherwise all chords are spliced
 in one numpy pass.  The tree of peels has one node per connected component of
-"layers >= i", storing the component's outer boundary; it is built by
-walking component boundaries along faces, consuming each layer-crossing dart
-exactly once.
+"layers >= i", storing the component's layer-i vertices (its outer
+boundary); those are the components of the same-layer edges, labelled by
+min-label hooking and pointer jumping, and each node hangs below the node
+its first descending dart points into.
 """
 
 from __future__ import annotations
@@ -24,7 +25,16 @@ from typing import Optional
 
 import numpy as np
 
-from .embed import InvariantError, PlaneGraph, _Builder, _dart_ends, _finish_graph, radial_bfs
+from .embed import (
+    InvariantError,
+    PlaneGraph,
+    _Builder,
+    _dart_ends,
+    _finish_graph,
+    _int_array,
+    _label_components,
+    radial_bfs,
+)
 
 __all__ = [
     "Augmentation",
@@ -258,8 +268,10 @@ def _splice_hub_chords(g: PlaneGraph, layer: np.ndarray) -> Optional[_Builder]:
 class TreeOfPeels:
     """Components of "layers >= i", each storing its outer-boundary vertices.
 
-    Node 0 is the root (stores only the graph root); node ids increase with
-    depth and, within a depth, with the dart id that discovered them.
+    Node 0 is the root (stores only the graph root).  The other node ids
+    increase with depth and, within a depth, with the node's smallest
+    descending dart id.  A node's stored list starts with that dart's origin,
+    followed by the node's other vertices in ascending order.
     """
 
     parent: list[int]
@@ -316,85 +328,81 @@ class TreeOfPeels:
 
 
 def build_tree_of_peels(aug: Augmentation) -> TreeOfPeels:
-    """Trace component boundaries to build the tree (linear in graph size).
+    """One node per component of H's same-layer edges (linear numpy passes).
 
-    For each not-yet-consumed dart that descends from layer i+1 to layer i,
-    walk the face of the depth-(i+1) component that looks down on the lower
-    layers: advance by rotating past (and consuming) descending darts,
-    otherwise stepping along the boundary.  Visited origins form the node's
-    stored set; its parent is the node storing the lower endpoint.
+    The layer-i vertices of a component of "layers >= i" lie on its one outer
+    boundary walk, and every edge of that walk joins two layer-i vertices, so
+    the stored sets are the components of the same-layer edges.  Those are
+    G's own edges: every chord of the augmentation climbs exactly one layer.
+
+    Node 0 holds the root.  Every other node is numbered by its first
+    descending dart d0 in (origin layer, dart id) order; its depth is the
+    layer of origin(d0), its parent the node of head(d0), and its stored
+    list is origin(d0) followed by the node's other vertices in ascending
+    order.  Raises :class:`InvariantError` (also under ``-O``) when a vertex
+    gets no node, node 0 holds more than the root, a parent does not sit one
+    depth up, or a descending dart ends outside its node's parent.
     """
     h = aug.H
-    layer = aug.layer.tolist()
-    rn = h.rot_next
-    eu, ev = h.eu, h.ev
-    m2 = 2 * h.m
+    n = h.n
+    lay = aug.layer.astype(np.int32)
+    eu = np.frombuffer(h.eu, dtype=np.int32)
+    ev = np.frombuffer(h.ev, dtype=np.int32)
+    lu, lv = lay[eu], lay[ev]
+    same = lu == lv
+    lab = _label_components(n, eu[same], ev[same])
+    desc = np.empty((h.m, 2), dtype=bool)  # dart 2e runs eu -> ev, 2e + 1 back
+    desc[:, 0] = lu == lv + 1
+    desc[:, 1] = lv == lu + 1
+    dart = np.flatnonzero(desc).astype(np.int32)
+    del lu, lv, same, desc
+    back = (dart & 1).astype(bool)
+    tail = np.where(back, ev[dart >> 1], eu[dart >> 1])
+    tip = np.where(back, eu[dart >> 1], ev[dart >> 1])
+    del dart, back
 
-    def origin(d: int) -> int:
-        return ev[d >> 1] if d & 1 else eu[d >> 1]
+    # A label's darts all leave one layer, so its first in (origin layer,
+    # dart id) order is its smallest; ``dart`` ascends, so positions do too.
+    k = len(tail)
+    first = np.full(n, k, dtype=np.int32)
+    np.minimum.at(first, lab[tail], np.arange(k, dtype=np.int32))
+    labels = np.flatnonzero(first < k)
+    labels = labels[np.lexsort((first[labels], lay[labels]))]
+    node_of_label = np.full(n, -1, dtype=np.int32)
+    node_of_label[lab[aug.root]] = 0
+    node_of_label[labels] = np.arange(1, len(labels) + 1, dtype=np.int32)
+    node_of = node_of_label[lab]
+    if (node_of < 0).any():
+        raise InvariantError(
+            f"vertices in no node of the tree of peels: {np.flatnonzero(node_of < 0)[:10]}"
+        )
+    if np.count_nonzero(node_of == 0) != 1:
+        raise InvariantError("node 0 of the tree of peels must hold only the root")
 
-    lay_np = aug.layer
-    orig_np, head_np = _dart_ends(h.eu, h.ev)
-    desc_mask = lay_np[orig_np] == lay_np[head_np] + 1
-    desc_darts = np.nonzero(desc_mask)[0]
-    # process by origin layer, then dart id (stable sort keeps id order)
-    by_layer = desc_darts[np.argsort(lay_np[orig_np[desc_darts]], kind="stable")]
+    d0 = first[labels]
+    lead = np.r_[aug.root, tail[d0]]
+    parent = np.r_[-1, node_of[tip[d0]]]
+    depth = np.r_[0, lay[lead[1:]]]
+    if (depth[parent[1:]] != depth[1:] - 1).any():
+        raise InvariantError("a tree node's parent does not sit one depth up")
+    if (parent[node_of[tail]] != node_of[tip]).any():
+        raise InvariantError("a descending dart ends outside its node's parent")
 
-    consumed = bytearray(m2)
-    node_of = array("i", [-1] * h.n)
-    node_of[aug.root] = 0
-    parent: list[int] = [-1]
-    depth: list[int] = [0]
-    stored: list[list[int]] = [[aug.root]]
+    # stable sort by node: origin(d0) of each node first, then the rest ascending
+    rest = np.ones(n, dtype=bool)
+    rest[lead] = False
+    seq = np.r_[lead, np.flatnonzero(rest)]
+    flat = seq[np.argsort(node_of[seq], kind="stable")].tolist()
+    bounds = np.r_[0, np.cumsum(np.bincount(node_of, minlength=len(lead)))].tolist()
+    stored = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    is_desc = desc_mask.tolist()
-
-    for d0 in by_layer.tolist():
-        if consumed[d0]:
-            continue
-        y = origin(d0)
-        z = origin(d0 ^ 1)
-        pz = node_of[z]
-        assert pz >= 0, "parent node must exist before its children"
-        nid = len(parent)
-        parent.append(pz)
-        depth.append(layer[y])
-        verts: list[int] = []
-
-        consumed[d0] = 1
-        cur = rn[d0]
-        while cur != d0 and is_desc[cur]:
-            consumed[cur] = 1
-            cur = rn[cur]
-        if cur == d0:
-            # every dart at y descends: isolated boundary vertex
-            assert node_of[y] == -1
-            node_of[y] = nid
-            stored.append([y])
-            continue
-
-        q0 = cur
-        q = q0
-        lay_here = layer[y]
-        while True:
-            v = origin(q)
-            if node_of[v] != nid:
-                assert node_of[v] == -1, "walk crossed into another component"
-                assert layer[v] == lay_here, "boundary walk left its layer"
-                node_of[v] = nid
-                verts.append(v)
-            nxt = rn[q ^ 1]
-            while is_desc[nxt]:
-                consumed[nxt] = 1
-                nxt = rn[nxt]
-            q = nxt
-            if q == q0:
-                break
-        stored.append(verts)
-
-    tree = TreeOfPeels(parent=parent, depth=depth, stored=stored, node_of=node_of)
+    tree = TreeOfPeels(
+        parent=parent.tolist(),
+        depth=depth.tolist(),
+        stored=stored,
+        node_of=_int_array(node_of),
+    )
     _finish_tree(tree)
-    assert sum(tree.weight) == h.n, "stored sets must partition the vertices"
     return tree
 
 

@@ -5,17 +5,23 @@ from __future__ import annotations
 import random
 from array import array
 
+import numpy as np
+
 from peelbound.embed import (
     GraphFormatError,
     PlaneGraph,
     _Builder,
+    _csr,
+    _csr_gather,
+    _dart_ends,
+    _distinct,
     _finish_graph,
     build_plane_graph,
     connect_components,
     insert_edge_in_face,
 )
 from peelbound.gen import _prism_band, gen_random_triangulation
-from peelbound.peels import PeelContext
+from peelbound.peels import Augmentation, PeelContext, TreeOfPeels, _finish_tree
 
 
 def graph_fingerprint(g: PlaneGraph) -> list:
@@ -36,6 +42,8 @@ def build_plane_graph_by_slots(n, edges, rotation, faces=None, flags=None, meta=
     """
     if n < 0:
         raise GraphFormatError("negative vertex count")
+    if n == 0:
+        raise GraphFormatError("graph has no vertices")
     if len(rotation) != n:
         raise GraphFormatError(f"rotation has {len(rotation)} rows, expected {n}")
 
@@ -138,6 +146,104 @@ def articulation_flags(g: PlaneGraph) -> bytearray:
         if root_children >= 2:
             flags[start] = 1
     return flags
+
+
+def components_by_bfs(n: int, eu: array, ev: array) -> tuple[array, int]:
+    """Reference component labels: one numpy frontier BFS per component.
+
+    Seeds are taken in vertex order, so components are numbered by their
+    smallest vertex.
+    """
+    comp = array("i", [-1]) * n
+    comp_np = np.frombuffer(comp, dtype=np.int32)
+    indptr, dest = _csr(*_dart_ends(eu, ev), n)
+    slot = np.empty(n, dtype=np.int64)
+    label = 0
+    for seed in range(n):
+        if comp_np[seed] >= 0:
+            continue
+        comp_np[seed] = label
+        frontier = np.array([seed], dtype=np.int64)
+        while frontier.size:
+            nbrs = _csr_gather(indptr, dest, frontier)
+            frontier = _distinct(nbrs[comp_np[nbrs] < 0], slot)
+            comp_np[frontier] = label
+        label += 1
+    return comp, label
+
+
+def tree_of_peels_by_walks(aug: Augmentation) -> TreeOfPeels:
+    """Reference tree of peels: trace component boundaries, one step per dart.
+
+    For each not-yet-consumed dart that descends from layer i+1 to layer i,
+    walk the face of the depth-(i+1) component that looks down on the lower
+    layers: advance by rotating past (and consuming) descending darts,
+    otherwise stepping along the boundary.  Visited origins, in walk order,
+    form the node's stored list; its parent is the node storing the lower
+    endpoint.
+    """
+    h = aug.H
+    layer = aug.layer.tolist()
+    rn = h.rot_next
+    eu, ev = h.eu, h.ev
+
+    def origin(d: int) -> int:
+        return ev[d >> 1] if d & 1 else eu[d >> 1]
+
+    orig_np, head_np = _dart_ends(h.eu, h.ev)
+    desc_mask = aug.layer[orig_np] == aug.layer[head_np] + 1
+    desc_darts = np.nonzero(desc_mask)[0]
+    # by origin layer, then dart id (the stable sort keeps id order)
+    by_layer = desc_darts[np.argsort(aug.layer[orig_np[desc_darts]], kind="stable")]
+    is_desc = desc_mask.tolist()
+
+    consumed = bytearray(2 * h.m)
+    node_of = array("i", [-1] * h.n)
+    node_of[aug.root] = 0
+    parent, depth, stored = [-1], [0], [[aug.root]]
+    for d0 in by_layer.tolist():
+        if consumed[d0]:
+            continue
+        y = origin(d0)
+        pz = node_of[origin(d0 ^ 1)]
+        assert pz >= 0, "parent node must exist before its children"
+        nid = len(parent)
+        parent.append(pz)
+        depth.append(layer[y])
+
+        consumed[d0] = 1
+        cur = rn[d0]
+        while cur != d0 and is_desc[cur]:
+            consumed[cur] = 1
+            cur = rn[cur]
+        if cur == d0:  # every dart at y descends: a lone boundary vertex
+            assert node_of[y] == -1
+            node_of[y] = nid
+            stored.append([y])
+            continue
+
+        verts: list[int] = []
+        q = q0 = cur
+        while True:
+            v = origin(q)
+            if node_of[v] != nid:
+                assert node_of[v] == -1, "walk crossed into another component"
+                assert layer[v] == layer[y], "boundary walk left its layer"
+                node_of[v] = nid
+                verts.append(v)
+            nxt = rn[q ^ 1]
+            while is_desc[nxt]:
+                consumed[nxt] = 1
+                nxt = rn[nxt]
+            q = nxt
+            if q == q0:
+                break
+        stored.append(verts)
+
+    tree = TreeOfPeels(parent=parent, depth=depth, stored=stored, node_of=node_of)
+    _finish_tree(tree)
+    assert sum(tree.weight) == h.n, "stored sets must partition the vertices"
+    return tree
 
 
 def ring_chain(sizes: list[int], connected: bool = True) -> PlaneGraph:

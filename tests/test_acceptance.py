@@ -1,4 +1,5 @@
-"""The ten acceptance criteria, one test per criterion, in order.
+"""The ten acceptance criteria, one test per criterion, in order, then the
+tree of peels against its per-dart reference on the same corpus.
 
 Corpus: every generator family at the sizes the criteria name, four
 hand-built ring chains that pin down the rarer center-selection cases, and
@@ -16,7 +17,7 @@ from typing import Optional, Union
 import pytest
 
 from conftest import record_criterion
-from helpers import is_bipartite, ring_chain, thin_random_triangulation
+from helpers import is_bipartite, ring_chain, thin_random_triangulation, tree_of_peels_by_walks
 from peelbound.center import (
     ceil_sqrt,
     compute_delta,
@@ -427,3 +428,11 @@ def test_criterion_10_linearity():
         f"per-vertex spread x{ratio:.2f} over 2^15..2^20, last run {final_elapsed:.1f}s",
     )
     assert ok, (ratio, final_elapsed, [f"{p * 1e6:.2f}us" for p in per_vertex])
+
+
+def test_tree_matches_walk_reference_on_corpus(pipelines):
+    for pipe in pipelines.values():
+        tree, ref = pipe.tree, tree_of_peels_by_walks(pipe.aug)
+        assert (tree.parent, tree.depth, tree.node_of) == (ref.parent, ref.depth, ref.node_of)
+        assert [s[0] for s in tree.stored] == [s[0] for s in ref.stored]
+        assert [set(s) for s in tree.stored] == [set(s) for s in ref.stored]

@@ -337,6 +337,22 @@ def test_tiny_graphs_certify_and_verify(capsys, tmp_path, edges, rotation):
     assert record["ok"] is True
 
 
+@pytest.mark.parametrize("command", ["center", "verify", "oracle"])
+def test_empty_graph_exits_one(capsys, tmp_path, command):
+    graph = tmp_path / "empty.json"
+    graph.write_text('{"format": "plane-graph/1", "n": 0, "edges": [], "rotation": []}')
+    argv = [command, str(graph)]
+    if command == "verify":
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"s": 0, "bound": 1}))
+        argv.append(str(cert))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error:") and err.endswith("graph has no vertices\n")
+
+
 def test_verify_unreadable_certificate(capsys, tmp_path):
     graph = write_graph(capsys, tmp_path, "random", "--n", "20", "--seed", "0")
     bad = tmp_path / "cert.json"

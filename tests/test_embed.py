@@ -2,12 +2,23 @@
 
 import hashlib
 import json
+import random
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connect_by_insertion, graph_fingerprint, random_nesting, ring_chain
+from helpers import (
+    components_by_bfs,
+    connect_by_insertion,
+    graph_fingerprint,
+    random_nesting,
+    relabel,
+    ring_chain,
+    thin_random_triangulation,
+)
 from peelbound import embed
 from peelbound.center import certify
 from peelbound.embed import (
@@ -21,7 +32,12 @@ from peelbound.embed import (
     trace_faces,
     triangulate_preserving_embedding,
 )
-from peelbound.gen import _prism_band, gen_nested_cycles, gen_random_triangulation
+from peelbound.gen import (
+    _prism_band,
+    gen_lowerbound_H,
+    gen_nested_cycles,
+    gen_random_triangulation,
+)
 from peelbound.oracle import peel_numbers_by_deletion
 from peelbound.peels import choose_root
 
@@ -127,6 +143,11 @@ def test_flags_are_checked():
 def test_builder_rejects_bad_input(n, edges, rotation):
     with pytest.raises(GraphFormatError):
         build_plane_graph(n, edges, rotation)
+
+
+def test_builder_rejects_empty_graph():
+    with pytest.raises(GraphFormatError, match="^graph has no vertices$"):
+        build_plane_graph(0, [], [])
 
 
 def test_graph_format_error_is_value_error():
@@ -442,3 +463,82 @@ def test_adjacency_csr_matches_rotations(n, seed):
     for v in range(n):
         nbrs = sorted(g.head(d) for d in g.rotation_darts(v))
         assert sorted(heads[indptr[v]:indptr[v + 1]].tolist()) == nbrs
+
+
+# ---------------------------------------------------------------------------
+# Component labels (hook-and-jump against the frontier-BFS reference)
+# ---------------------------------------------------------------------------
+
+
+def assert_components_match_bfs(g):
+    assert (g.component_of, g.component_count) == components_by_bfs(g.n, g.eu, g.ev)
+
+
+def test_components_match_bfs_on_nestings():
+    corpus = [gen_nested_cycles(g, k) for g in range(1, 7) for k in range(1, 10)]
+    corpus += [random_nesting(seed, seed % 16) for seed in range(150)]
+    lone = many = 0
+    for g in corpus:
+        assert_components_match_bfs(g)
+        lone += len(g.lone_walk_vertex) > 0
+        many += g.component_count >= 5
+    assert lone >= 50 and many >= 50
+
+
+def test_components_match_bfs_on_relabelled_thinnings():
+    rng = random.Random(8)
+    for seed in range(12):
+        thin = thin_random_triangulation(60 + 40 * seed, seed)
+        perm = list(range(thin.n))
+        rng.shuffle(perm)
+        moved = relabel(thin, perm)
+        assert_components_match_bfs(moved)
+        # a random half of its edges leaves many components, lone vertices too
+        keep = np.flatnonzero(np.random.default_rng(seed).random(moved.m) < 0.5)
+        eu = array("i", np.asarray(moved.eu)[keep].tobytes())
+        ev = array("i", np.asarray(moved.ev)[keep].tobytes())
+        labels, count = embed._components(moved.n, eu, ev)
+        assert (labels, count) == components_by_bfs(moved.n, eu, ev)
+        assert count > 1
+
+
+def _permuted_walk(n, closed, seed):
+    order = np.random.default_rng(seed).permutation(n).astype(np.int32)
+    eu, ev = order[:-1], order[1:]
+    if closed:
+        eu, ev = np.r_[eu, order[-1]], np.r_[ev, order[0]]
+    return n, eu.tolist(), ev.tolist()
+
+
+@pytest.mark.parametrize(
+    "n,eu,ev",
+    [
+        _permuted_walk(10**5, closed=False, seed=1),
+        _permuted_walk(10**5, closed=True, seed=2),
+        (1, [], []),
+        (1, [0, 0], [0, 0]),  # two loops
+        (4, [2, 2, 1, 1], [2, 3, 3, 3]),  # a loop, a multi-edge, lone 0
+        (6, [5, 5, 5], [4, 4, 3]),  # triple edge; 0, 1, 2 isolated
+        (7, [6, 4, 2, 0], [5, 3, 1, 6]),  # descending ids across components
+        (0, [], []),
+    ],
+    ids=["path", "cycle", "K1", "loops", "loop-multi", "isolated", "descending", "empty"],
+)
+def test_components_match_bfs_on_edge_lists(n, eu, ev):
+    eu, ev = array("i", eu), array("i", ev)
+    assert embed._components(n, eu, ev) == components_by_bfs(n, eu, ev)
+
+
+def test_finish_graph_labels_without_bfs_rounds(monkeypatch):
+    g = gen_lowerbound_H(4, 601)
+    calls = {"gather": 0}
+    gather = embed._csr_gather
+
+    def counted_gather(*args, **kwargs):
+        calls["gather"] += 1
+        return gather(*args, **kwargs)
+
+    monkeypatch.setattr(embed, "_csr_gather", counted_gather)
+    h = embed._finish_graph(embed._Builder.from_graph(g))
+    assert h.connected
+    assert calls["gather"] == 0

@@ -27,16 +27,23 @@ from helpers import (
     relabel,
     ring_chain,
     thin_random_triangulation,
+    tree_of_peels_by_walks,
 )
 from peelbound import embed, peels
-from peelbound.embed import build_plane_graph, connect_components, radial_bfs
-from peelbound.gen import gen_lowerbound_H, gen_nested_cycles, gen_random_triangulation
+from peelbound.embed import InvariantError, build_plane_graph, connect_components, radial_bfs
+from peelbound.gen import (
+    gen_lowerbound_H,
+    gen_nested_cycles,
+    gen_prism_grid,
+    gen_random_triangulation,
+)
 from peelbound.oracle import (
     bfs_distances,
     layer_numbers_by_deletion,
     peel_count_by_deletion,
 )
 from peelbound.peels import (
+    Augmentation,
     augment,
     build_tree_of_peels,
     choose_root,
@@ -370,6 +377,19 @@ def test_augment_finishes_once_with_chords(monkeypatch):
     assert calls["finish"] == 1
 
 
+def run_under_optimize(script):
+    src = str(Path(peelbound.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
 def test_descending_check_survives_optimize():
     script = (
         "import numpy as np\n"
@@ -382,16 +402,7 @@ def test_descending_check_survives_optimize():
         "except InvariantError as exc:\n"
         "    print(__debug__, type(exc).__name__, exc)\n"
     )
-    src = str(Path(peelbound.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = run_under_optimize(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("False InvariantError vertices without a descending edge")
 
@@ -514,6 +525,98 @@ def test_tree_frozen_ring_chain():
     assert tree.is_descendant(4, 1) and not tree.is_descendant(1, 4)
     recs = tree.to_records()
     assert recs[0] == {"node": 0, "parent": -1, "depth": 0, "stored": [0]}
+
+
+def assert_tree_matches_walks(aug):
+    tree, ref = build_tree_of_peels(aug), tree_of_peels_by_walks(aug)
+    assert tree.parent == ref.parent
+    assert tree.depth == ref.depth
+    assert tree.node_of == ref.node_of
+    assert [s[0] for s in tree.stored] == [s[0] for s in ref.stored]
+    assert [set(s) for s in tree.stored] == [set(s) for s in ref.stored]
+    assert (tree.children, tree.above, tree.subtree_weight) == (
+        ref.children, ref.above, ref.subtree_weight
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_lowerbound_H(3, 11),
+        lambda: gen_lowerbound_H(4, 51),
+        lambda: gen_lowerbound_H(5, 7),
+        lambda: gen_lowerbound_H(9, 5),
+        lambda: gen_prism_grid(1),
+        lambda: gen_prism_grid(2),
+        lambda: gen_prism_grid(3),
+        lambda: gen_prism_grid(4),
+        lambda: build_plane_graph(1, [], [[]]),
+        lambda: build_plane_graph(2, [(0, 1)], [[0], [0]]),
+        lambda: build_plane_graph(2, [(0, 0), (0, 1)], [[0, 0, 1], [1]]),
+        lambda: ring_chain([3, 5, 2, 7]),
+        lambda: connect_components(gen_nested_cycles(6, 9)),
+    ],
+    ids=[
+        "H-3-11", "H-4-51", "H-5-7", "H-9-5", "prism-1", "prism-2", "prism-3",
+        "prism-4", "K1", "K2", "loop-plus-edge", "ring-chain", "nested-6-9",
+    ],
+)
+def test_tree_matches_walk_reference(make):
+    g = make()
+    for root in sorted({choose_root(g), g.n - 1}):
+        assert_tree_matches_walks(augment(compute_layers(g, root)))
+
+
+def test_tree_matches_walk_reference_on_nestings():
+    for seed in range(60):
+        g = connect_components(random_nesting(seed, 1 + seed % 16))
+        assert_tree_matches_walks(augment(compute_layers(g, choose_root(g))))
+
+
+K3 = ([(0, 1), (1, 2), (2, 0)], [[2, 0], [0, 1], [1, 2]])
+C4 = ([(0, 1), (1, 3), (3, 2), (2, 0)], [[3, 0], [0, 1], [2, 3], [1, 2]])
+
+
+def forged_augmentation(edges, rotation, layer):
+    """An Augmentation with the given layers, bypassing augment's own checks."""
+    g = build_plane_graph(len(rotation), edges, rotation)
+    return Augmentation(
+        G=g, H=g, root=0, layer=np.array(layer), original_edge_count=g.m,
+        out_dart=np.full(g.n, -1),
+    )
+
+
+@pytest.mark.parametrize(
+    "graph,layer,message",
+    [
+        (K3, [0, 2, 2], "vertices in no node"),  # layer 2 has no way down
+        (K3, [0, 0, 1], "node 0 of the tree of peels must hold only the root"),
+        (K3, [1, 2, 2], "parent does not sit one depth up"),  # the root off layer 0
+        (C4, [0, 1, 1, 2], "descending dart ends outside its node's parent"),
+    ],
+    ids=["no-node", "crowded-root", "parent-depth", "two-parents"],
+)
+def test_tree_invariants_raise(graph, layer, message):
+    with pytest.raises(InvariantError, match=message):
+        build_tree_of_peels(forged_augmentation(*graph, layer))
+
+
+def test_tree_check_survives_optimize():
+    script = (
+        "import numpy as np\n"
+        "from peelbound.embed import InvariantError, build_plane_graph\n"
+        "from peelbound.peels import Augmentation, build_tree_of_peels\n"
+        "g = build_plane_graph(3, [(0, 1), (1, 2), (2, 0)], [[2, 0], [0, 1], [1, 2]])\n"
+        "aug = Augmentation(G=g, H=g, root=0, layer=np.array([0, 2, 2]),\n"
+        "                   original_edge_count=3, out_dart=np.full(3, -1))\n"
+        "try:\n"
+        "    build_tree_of_peels(aug)\n"
+        "except InvariantError as exc:\n"
+        "    print(__debug__, type(exc).__name__, exc)\n"
+    )
+    proc = run_under_optimize(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("False InvariantError vertices in no node")
 
 
 # ---------------------------------------------------------------------------
