@@ -15,7 +15,8 @@ check the promised walk lengths, but the selection itself never runs them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .embed import PlaneGraph
@@ -27,6 +28,7 @@ __all__ = [
     "DetourParams",
     "GTooBigError",
     "SeparatorInfo",
+    "Stages",
     "ceil_sqrt",
     "certify",
     "choose_outerface",
@@ -340,6 +342,24 @@ def connect_within_node(
 # ---------------------------------------------------------------------------
 
 
+class Stages(dict):
+    """Seconds per stage, in the order the stages ran.
+
+    ``lap(name)`` closes the stage that ran since the previous lap (or since
+    the record was made).  This is the package's one stage clock: ``certify``,
+    the CLI, the oracle report and the scripts all time through it.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._last = time.perf_counter()
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        self[name] = now - self._last
+        self._last = now
+
+
 @dataclass
 class CenterCertificate:
     """Chosen center with its certified eccentricity bound in H."""
@@ -358,6 +378,7 @@ class CenterCertificate:
     outerface: Optional[int] = None
     peel_bound: Optional[int] = None
     root: Optional[int] = None
+    stages: dict = field(default_factory=dict, compare=False)  # not in to_dict()
 
     def to_dict(self) -> dict:
         def iv(x: Optional[int]) -> Optional[int]:
@@ -584,15 +605,22 @@ def certify(
     ``g`` defaults to the tree-derived effective parameter; ``method`` is
     "girth" (the main selection) or "diameter".  The certificate carries the
     chosen outerface (first face at the center in rotation order) and its
-    peel bound (eccentricity bound + 1).
+    peel bound (eccentricity bound + 1).  Its ``stages`` record the seconds
+    of ``root``, ``layers``, ``augment``, ``tree`` and ``center``, in that
+    order (see ``Stages``).
     """
     if not graph.connected:
         raise ValueError("pipeline requires a connected graph")
+    stages = Stages()
     if root is None:
         root = choose_root(graph)
+    stages.lap("root")
     ctx = compute_layers(graph, root)
+    stages.lap("layers")
     aug = augment(ctx)
+    stages.lap("augment")
     tree = build_tree_of_peels(aug)
+    stages.lap("tree")
     if method == "diameter":
         cert = find_center_diameter(aug, tree)
     elif method == "girth":
@@ -603,6 +631,8 @@ def certify(
         raise ValueError(f"unknown method {method!r}")
     cert.outerface = graph.first_face_of_vertex(cert.center)
     cert.peel_bound = cert.bound + 1
+    stages.lap("center")
+    cert.stages = stages
     return cert
 
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import Optional
 
-from .center import GTooBigError, certify
+from .center import GTooBigError, Stages, certify
 from .embed import GraphFormatError, PlaneGraph, connect_components
 from .gen import (
     gen_lowerbound_H,
@@ -22,7 +21,7 @@ from .gen import (
     gen_prism_grid,
     gen_random_triangulation,
 )
-from .graphio import dump_plane_graph, dumps_plane_graph, load_plane_graph
+from .graphio import dump_plane_graph, dumps_plane_graph, load_plane_graph, loads_plane_graph
 from .oracle import diameter_exact, full_oracle_report, radius_exact, verify_certificate
 
 __all__ = ["main"]
@@ -36,6 +35,9 @@ FAMILIES = ("nested", "lowerbound-h", "prism", "random")
 
 # Exact-oracle annotation checks are quadratic-ish; stay at desk scale.
 ANNOTATION_ORACLE_LIMIT = 2000
+
+# Certificate fields that ``verify`` reads as vertex, face or count values.
+CERT_INT_FIELDS = ("s", "center", "bound", "outerface", "peel_bound", "n")
 
 
 def _emit(record: dict) -> None:
@@ -121,7 +123,6 @@ def cmd_center(args: argparse.Namespace) -> int:
         except ValueError:
             _say(f"error: --g must be 'auto' or an integer, got {args.g!r}")
             return EXIT_INPUT
-    t0 = time.perf_counter()
     try:
         cert = certify(g, g=gval, method=args.mode)
     except GTooBigError as exc:
@@ -130,7 +131,6 @@ def cmd_center(args: argparse.Namespace) -> int:
     except ValueError as exc:
         _say(f"error: {exc}")
         return EXIT_INPUT
-    elapsed = time.perf_counter() - t0
     _emit(
         {
             "command": "center",
@@ -140,7 +140,7 @@ def cmd_center(args: argparse.Namespace) -> int:
             "m": g.m,
             "certificate": cert.to_dict(),
             "peel_bound": int(cert.peel_bound),
-            "seconds": round(elapsed, 6),
+            "seconds": round(sum(cert.stages.values()), 6),
         }
     )
     if args.out:
@@ -227,6 +227,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not isinstance(cert, dict):
         _say("error: certificate file must hold a JSON object")
         return EXIT_INPUT
+    for key in CERT_INT_FIELDS:
+        value = cert.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            _say(f"error: certificate field {key!r} must be an integer, got {value!r}")
+            return EXIT_INPUT
     report = verify_certificate(cert, g)
     checks = list(report.checks) + _annotation_checks(g, cert)
     ok = all(passed for _, passed, _ in checks)
@@ -265,36 +270,34 @@ def _parse_sizes(raw: Optional[str], flag: str) -> list[int]:
     return sizes
 
 
-def _bench_instance(family: str, size: int, seed: int, g_param: int) -> PlaneGraph:
-    if family == "random":
-        return gen_random_triangulation(size, seed)
-    if family == "prism":
-        return gen_prism_grid(size)
-    if family == "nested":
-        return connect_components(gen_nested_cycles(g_param, size))
-    raise ValueError(f"family {family!r} not benchable")
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
+    key = "n" if args.family == "random" else "k"
     try:
-        if args.family == "random":
-            sizes = _parse_sizes(args.n, "--n")
-        else:
-            sizes = _parse_sizes(args.k, "--k")
+        sizes = _parse_sizes(getattr(args, key), f"--{key}")
     except ValueError as exc:
         _say(f"error: {exc}")
         return EXIT_INPUT
-    g_param = 3
-    if args.g not in (None, "auto"):
-        g_param = int(args.g)
     prev: Optional[float] = None
     rows = []
     for size in sizes:
-        graph = _bench_instance(args.family, size, args.seed, g_param)
-        t0 = time.perf_counter()
+        try:
+            text = dumps_plane_graph(
+                _build_family(args.family, argparse.Namespace(**{**vars(args), key: size}))
+            )
+        except ValueError as exc:
+            _say(f"error: {exc}")
+            return EXIT_INPUT
+        stages = Stages()
+        graph = loads_plane_graph(text)
+        stages.lap("load")
+        if not graph.connected:
+            graph = connect_components(graph)
+        stages.lap("connect")
         cert = certify(graph)
-        elapsed = time.perf_counter() - t0
-        per_vertex = elapsed / graph.n
+        stages.update(cert.stages)
+        stage_s = {name: round(sec, 6) for name, sec in stages.items()}
+        seconds = round(sum(stage_s.values()), 6)
+        per_vertex = seconds / graph.n
         ratio = None if prev is None else per_vertex / prev
         prev = per_vertex
         row = {
@@ -304,14 +307,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "n": graph.n,
             "bound": int(cert.bound),
             "case": cert.case,
-            "seconds": round(elapsed, 6),
+            "stages": stage_s,
+            "seconds": seconds,
             "per_vertex": round(per_vertex, 9),
             "ratio": None if ratio is None else round(ratio, 3),
         }
         rows.append(row)
         _emit(row)
         _say(
-            f"bench {args.family} {size}: n={graph.n} {elapsed:.3f}s "
+            f"bench {args.family} {size}: n={graph.n} {seconds:.3f}s "
             f"({per_vertex * 1e6:.2f} us/vertex"
             + (f", ratio {ratio:.2f})" if ratio is not None else ")")
         )
@@ -327,8 +331,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one stderr line, like every other input error."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="peelbound",
         description="Peel decompositions and certified outerface choices for plane graphs.",
     )
@@ -373,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("family", choices=("random", "prism", "nested"))
     p_bench.add_argument("--n", default=None, help="comma list of sizes (random)")
     p_bench.add_argument("--k", default=None, help="comma list of parameters")
-    p_bench.add_argument("--g", default=None, help="girth parameter for nested")
+    p_bench.add_argument("--g", type=int, default=3, help="girth parameter for nested (default 3)")
     p_bench.add_argument("--seed", type=int, default=1, help="RNG seed (random)")
     p_bench.add_argument("--out", default=None, help="write rows as JSON here")
     p_bench.set_defaults(func=cmd_bench)

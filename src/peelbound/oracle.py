@@ -11,13 +11,13 @@ Jordan-side test.  Costs are desk-scale by design.
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from . import peels
+from .center import Stages
 from .embed import PlaneGraph, connect_components, triangulate_preserving_embedding
 
 __all__ = [
@@ -519,31 +519,28 @@ class OracleReport:
 
 
 def full_oracle_report(g: PlaneGraph, fence_budget: int = 5_000_000) -> OracleReport:
-    runtimes: dict[str, float] = {}
     connected_copy = not g.connected
     gc_ = g if g.connected else connect_components(g)
 
-    t0 = time.perf_counter()
+    runtimes = Stages()
     fse = fse_outerplanarity_bruteforce(gc_)
-    runtimes["fse"] = time.perf_counter() - t0
+    runtimes.lap("fse")
 
-    t0 = time.perf_counter()
     eccs = all_eccentricities(gc_)
     rad, diam = min(eccs), max(eccs)
     assert rad <= diam <= 2 * rad
-    runtimes["distances"] = time.perf_counter() - t0
+    runtimes.lap("distances")
 
     fence: Optional[Union[int, float]] = None
     skipped = True
     if gc_.n <= 60:
-        t0 = time.perf_counter()
         try:
             fence = fence_girth_bruteforce(gc_, budget=fence_budget)
             skipped = False
         except OracleBudgetError:
             fence = None
             skipped = True
-        runtimes["fence_girth"] = time.perf_counter() - t0
+        runtimes.lap("fence_girth")
 
     return OracleReport(
         n=g.n,

@@ -439,6 +439,16 @@ def test_certificate_serialization_keys():
         assert val is None or isinstance(val, (int, str)), (key, type(val))
 
 
+@pytest.mark.parametrize("method", ["girth", "diameter"])
+def test_certify_records_its_stages(method):
+    cert = certify(gen_random_triangulation(60, 2), method=method)
+    assert list(cert.stages) == ["root", "layers", "augment", "tree", "center"]
+    assert all(sec >= 0 for sec in cert.stages.values())
+    assert "stages" not in cert.to_dict()
+    again = certify(gen_random_triangulation(60, 2), method=method)
+    assert again == cert  # stage times never decide equality
+
+
 def test_certify_end_to_end():
     g = gen_random_triangulation(60, 2)
     cert = certify(g)

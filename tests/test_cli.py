@@ -353,6 +353,31 @@ def test_empty_graph_exits_one(capsys, tmp_path, command):
     assert err.startswith("error:") and err.endswith("graph has no vertices\n")
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"s": "abc", "bound": 3},
+        {"s": [1], "bound": 3},
+        {"s": 1, "bound": "x"},
+        {"s": 1, "bound": 3, "outerface": "a"},
+        {"s": 1, "bound": 3, "outerface": 0, "peel_bound": "z"},
+        {"s": 1.7, "bound": 14, "outerface": 2.9},  # was truncated to s = 1
+        {"s": True, "bound": 14},  # was read as vertex 1
+        {"s": 1, "bound": 14.9},
+        {"s": 1, "bound": 14, "n": "20"},
+        {"center": "abc", "bound": 3},
+    ],
+)
+def test_verify_rejects_non_integer_fields(capsys, tmp_path, doc):
+    graph = write_graph(capsys, tmp_path, "random", "--n", "20", "--seed", "0")
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", graph, str(cert))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: certificate field")
+
+
 def test_verify_unreadable_certificate(capsys, tmp_path):
     graph = write_graph(capsys, tmp_path, "random", "--n", "20", "--seed", "0")
     bad = tmp_path / "cert.json"
@@ -369,6 +394,9 @@ def test_verify_unreadable_certificate(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+BENCH_STAGES = ("load", "connect", "root", "layers", "augment", "tree", "center")
+
+
 def test_bench_rows(capsys, tmp_path):
     out_path = tmp_path / "rows.json"
     code, out, err = run(
@@ -380,8 +408,12 @@ def test_bench_rows(capsys, tmp_path):
     assert rows[0]["ratio"] is None and isinstance(rows[1]["ratio"], float)
     for r in rows:
         assert r["command"] == "bench" and r["per_vertex"] > 0
+        assert set(r["stages"]) == set(BENCH_STAGES)
+        assert r["seconds"] == round(sum(r["stages"].values()), 6)
     with open(out_path, encoding="utf-8") as fh:
-        assert json.load(fh) == rows
+        saved = json.load(fh)
+    assert saved == rows
+    assert [list(r["stages"]) for r in saved] == [list(BENCH_STAGES)] * 2  # run order
     assert "us/vertex" in err
 
 
@@ -390,9 +422,25 @@ def test_bench_nested_uses_k(capsys):
     assert code == 0
     rows = stdout_records(out)
     assert [r["n"] for r in rows] == [14, 22]
+    assert all(r["stages"]["connect"] > 0 for r in rows)  # nested rings are disconnected
 
 
 def test_bench_without_sizes(capsys):
     code, _, err = run(capsys, "bench", "random")
     assert code == 1
     assert "--n" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nested", "--k", "3", "--g", "abc"),
+        ("nested", "--k", "3", "--g", "0"),
+        ("random", "--n", "3"),
+    ],
+)
+def test_bench_bad_parameters_exit_one(capsys, argv):
+    code, out, err = run(capsys, "bench", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")

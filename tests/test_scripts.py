@@ -1,0 +1,35 @@
+"""The scripts under ``scripts/`` run end to end in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import peelbound
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(peelbound.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
+def test_run_families_rows(tmp_path):
+    out = tmp_path / "rows.json"
+    proc = run_script("run_families.py", "--gs", "3", "--ks", "3", "--prisms", "1", "--json", str(out))
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(out.read_text())
+    assert [r["instance"] for r in rows] == ["nested g=3 k=3", "H g=3 k=3", "prism k=1"]
+    for r in rows:
+        assert r["fse_bruteforce"] <= r["realized_peels"] <= r["peel_bound"]
+        assert r["certify_seconds"] >= 0 and r["oracle_seconds"] >= 0
