@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .embed import PlaneGraph
+from .embed import InvariantError, PlaneGraph
 from .peels import Augmentation, TreeOfPeels, augment, build_tree_of_peels, choose_root, compute_layers
 
 __all__ = [
@@ -491,7 +491,8 @@ def find_center(
                 D = x
                 took_deep_branch = True
                 break
-        assert took_deep_branch, "no small ancestor found on the way to a deep node"
+        if not took_deep_branch:
+            raise InvariantError("no small ancestor found on the way to a deep node")
 
     s_D = spanning_tree_center(aug.H, tree.stored[D])
     s = _climb_to_node(aug, tree, s_D, S)

@@ -18,11 +18,10 @@ implied.
 from __future__ import annotations
 
 from array import array
-from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, count, islice
-from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import chain
+from operator import index
+from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -500,11 +499,11 @@ def build_plane_graph(
     exactly when the graph is disconnected.  ``flags`` entries
     (simple/connected/triangulated), if given, are checked against reality.
 
-    Checks run in numpy over the flattened rows, but report what a scan in
-    document order meets first: the first bad edge, else the first bad
-    rotation slot (vertex by vertex, slot by slot), else the first edge
-    missing a slot.  A value that ``int()`` refuses raises ``int()``'s own
-    error at its position; an integer beyond int32 is out of range.
+    Numpy only decides whether the edges and rotation are sound.  When they
+    are not, a plain scan in document order raises the error of the first
+    defect it meets: the first bad edge, else the first bad rotation slot
+    (vertex by vertex, slot by slot), else the first edge missing a slot.
+    An id that is not an integer raises ``operator.index``'s TypeError.
     """
     if n < 0:
         raise GraphFormatError("negative vertex count")
@@ -513,12 +512,12 @@ def build_plane_graph(
     if len(rotation) != n:
         raise GraphFormatError(f"rotation has {len(rotation)} rows, expected {n}")
 
-    ends = _edge_ends(n, edges)
-    rot_next, rot_first = _rotation_arrays(ends, rotation)
+    system = _rotation_system(len(rotation), edges, rotation)  # an int, as n may be 2.0
+    if system is None:
+        _first_defect(n, edges, rotation)
     b = _Builder(n)
-    b.eu, b.ev = _int_array(ends[:, 0]), _int_array(ends[:, 1])
-    b.rot_next, b.rot_first = _int_array(rot_next), _int_array(rot_first)
-    del ends, rot_next, rot_first
+    b.eu, b.ev, b.rot_next, b.rot_first = map(_int_array, system)
+    del system
     g = _finish_graph(b, face_grouping=faces, meta=meta)
 
     if flags:
@@ -539,118 +538,45 @@ def _int_array(x: np.ndarray) -> array:
     return array("i", x.astype(np.int32, copy=False).tobytes())
 
 
-def _leading(func: Callable, items: Callable[[], Iterable], total: int) -> np.ndarray:
-    """int32 values of func over the first ``total`` of ``items()``.
+def _rotation_system(
+    n: int, edges: Sequence[Sequence[int]], rotation: Sequence[Sequence[int]]
+) -> Optional[tuple[np.ndarray, ...]]:
+    """(eu, ev, rot_next, rot_first) as int32, or None if the input is unsound.
 
-    Stops short before the first item that func refuses (TypeError,
-    ValueError, OverflowError) or whose value int32 cannot hold; the caller
-    re-evaluates that item to report it.  Only that failure path walks the
-    items again: once with a counter (zip draws the next index before the
-    next item, so the counter ends one past the refused item), and once to
-    convert the items before it.
+    Sound means: every edge a pair of vertex ids, every slot an edge id at
+    one of that edge's endpoints, and every dart named by exactly one slot.
+    A slot at eu[e] names dart 2e, one at ev[e] dart 2e + 1; a loop's first
+    slot names 2e and every later one 2e + 1, so a loop listed once or three
+    times leaves a dart named zero times or twice.
     """
+    m = len(edges)
     try:
-        return np.fromiter(map(func, items()), np.int32, total)
+        if not (np.fromiter(map(len, edges), np.int32, m) == 2).all():
+            return None
+        ends = np.fromiter(map(index, chain.from_iterable(edges)), np.int32, 2 * m)
+        lens = np.fromiter(map(len, rotation), np.int32, n)
+        total = int(lens.sum())
+        slots = np.fromiter(map(index, chain.from_iterable(rotation)), np.int32, total)
     except (TypeError, ValueError, OverflowError):
-        pass
-    taken = count()
-    with suppress(TypeError, ValueError, OverflowError):
-        np.fromiter(map(func, map(itemgetter(1), zip(taken, items()))), np.int32, total)
-    good = next(taken) - 1
-    return np.fromiter(map(func, islice(items(), good)), np.int32, good)
-
-
-def _edge_ends(n: int, edges: Sequence[Sequence[int]]) -> np.ndarray:
-    """(m, 2) int32 endpoints; raises the error of the first bad edge."""
-    lens = _leading(len, lambda: edges, len(edges))
-    short = np.flatnonzero(lens != 2)
-    pairs = int(short[0]) if short.size else len(lens)
-    flat = _leading(int, lambda: chain.from_iterable(islice(edges, pairs)), 2 * pairs)
-    whole = len(flat) // 2
-    ends = flat[: 2 * whole].reshape(whole, 2)
-    bad = np.flatnonzero(((ends < 0) | (ends >= n)).any(axis=1))
-    if bad.size:
-        raise GraphFormatError(f"edge {bad[0]} endpoint out of range")
-    if whole < pairs:
-        [int(x) for x in edges[whole]]  # raises int()'s error, if that refused
-        raise GraphFormatError(f"edge {whole} endpoint out of range")
-    if pairs < len(lens):
-        raise GraphFormatError(f"edge {pairs} is not a pair")
-    if len(lens) < len(edges):
-        len(edges[len(lens)])  # raises len()'s TypeError
-    return ends
-
-
-def _rotation_arrays(
-    ends: np.ndarray, rotation: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rot_next, rot_first) as int32; raises the error of the first bad slot.
-
-    Slot checks, in the order one slot meets them: edge id in range, a loop
-    at its own vertex and at most twice, any other edge at one of its
-    endpoints and at most once per endpoint.  Each check is a mask over all
-    slots, and the earliest flagged slot is the one reported: every slot
-    before it passes every check, so the occurrence counts it sees are the
-    ones a slot-by-slot scan would have.
-    """
-    n, m = len(rotation), len(ends)
-    if not m:  # every slot is out of range; one dummy edge keeps lookups valid
-        ends = np.full((1, 2), -1, dtype=np.int32)
-    lens = _leading(len, lambda: rotation, n)
-    rows = len(lens)
-    total = int(lens.sum())
-    slots = _leading(int, lambda: chain.from_iterable(islice(rotation, rows)), total)
-    k = len(slots)
-    vert_all = np.repeat(np.arange(rows, dtype=np.int32), lens)
-    vert = vert_all[:k]
-
-    out = (slots < 0) | (slots >= m)
-    e = np.where(out, 0, slots)
-    u0, v0 = ends[e, 0], ends[e, 1]
+        return None
+    if not (((0 <= ends) & (ends < n)).all() and ((0 <= slots) & (slots < m)).all()):
+        return None
+    eu, ev = ends.reshape(m, 2).T
+    vert = np.repeat(np.arange(n, dtype=np.int32), lens)
+    u0, v0 = eu[slots], ev[slots]
     at_u = vert == u0
-    loop = (u0 == v0) & ~out
-    wrong_loop = loop & ~at_u
-    stray = ~out & ~loop & ~at_u & (vert != v0)
-    dart = 2 * e + ~at_u  # 2e at eu[e], 2e + 1 at ev[e]
-    # Arrays die as soon as they are read: without these dels a 2^18-vertex
-    # load peaked 22 MiB higher.
-    del u0, v0, at_u
-
-    thrice = np.zeros(k, dtype=bool)
-    loops = np.flatnonzero(loop & ~wrong_loop)
+    if not (at_u | (vert == v0)).all():
+        return None
+    dart = 2 * slots + ~at_u
+    loops = np.flatnonzero(u0 == v0)
+    del vert, u0, v0, at_u, slots  # keeps the peak of a large load low
     if loops.size:
-        seen = _earlier_repeats(e[loops])
-        dart[loops] += seen > 0
-        thrice[loops[seen > 1]] = True
-    twice = np.zeros(k, dtype=bool)
-    plain = np.flatnonzero(~(out | loop | stray))
-    if np.bincount(dart[plain], minlength=2 * m).max(initial=0) > 1:
-        twice[plain[_earlier_repeats(dart[plain]) > 0]] = True
-    del loop, loops, plain
-
-    checks = (
-        (out, "rotation of {v} references edge {e}"),
-        (wrong_loop, "loop {e} listed at wrong vertex {v}"),
-        (thrice, "loop {e} appears more than twice"),
-        (stray, "edge {e} listed at non-endpoint {v}"),
-        (twice, "edge {e} appears twice in rotation of {v}"),
-    )
-    hits = [(int(i[0]), msg) for mask, msg in checks if (i := np.flatnonzero(mask)).size]
-    if hits:
-        s, msg = min(hits)
-        raise GraphFormatError(msg.format(e=int(slots[s]), v=int(vert[s])))
-    if k < total:
-        e_bad = int(next(islice(chain.from_iterable(rotation), k, None)))
-        raise GraphFormatError(f"rotation of {vert_all[k]} references edge {e_bad}")
-    if rows < n:
-        len(rotation[rows])  # raises len()'s TypeError
-    del out, e, wrong_loop, thrice, stray, twice, slots, vert, vert_all
-
-    used = np.bincount(dart, minlength=2 * m)
-    missing = np.flatnonzero((used[0::2] == 0) | (used[1::2] == 0))
-    if missing.size:
-        raise GraphFormatError(f"edge {missing[0]} missing from some rotation")
-    del used, missing
+        first = np.full(2 * m, total)
+        np.minimum.at(first, dart[loops], loops)
+        dart[loops] += first[dart[loops]] != loops
+        del first
+    if not (np.bincount(dart, minlength=2 * m) == 1).all():
+        return None
 
     # Slot s hands over to s + 1, and a row's last slot back to its first.
     stop = np.cumsum(lens, dtype=np.int32)
@@ -662,18 +588,44 @@ def _rotation_arrays(
     rot_next[dart] = dart[after]
     rot_first = np.full(n, -1, dtype=np.int32)
     rot_first[full] = dart[start[full]]
-    return rot_next, rot_first
+    return eu, ev, rot_next, rot_first
 
 
-def _earlier_repeats(keys: np.ndarray) -> np.ndarray:
-    """For each entry, how many earlier entries hold the same key."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    runs = np.diff(np.r_[first, len(keys)])
-    out = np.empty(len(keys), dtype=np.int64)
-    out[order] = np.arange(len(keys)) - np.repeat(first, runs)
-    return out
+def _first_defect(
+    n: int, edges: Sequence[Sequence[int]], rotation: Sequence[Sequence[int]]
+) -> NoReturn:
+    """Raise the error of the first defect a scan in document order meets."""
+    ends = []
+    for e, pair in enumerate(edges):
+        if len(pair) != 2:
+            raise GraphFormatError(f"edge {e} is not a pair")
+        u, v = index(pair[0]), index(pair[1])
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"edge {e} endpoint out of range")
+        ends.append((u, v))
+    named = bytearray(2 * len(ends))  # darts named so far
+    for v, row in enumerate(rotation):
+        len(row)  # a scalar row fails here, as len() words it
+        for e in map(index, row):
+            if not 0 <= e < len(ends):
+                raise GraphFormatError(f"rotation of {v} references edge {e}")
+            u0, v0 = ends[e]
+            if u0 == v0:
+                if v != u0:
+                    raise GraphFormatError(f"loop {e} listed at wrong vertex {v}")
+                d = 2 * e + named[2 * e]
+                if named[d]:
+                    raise GraphFormatError(f"loop {e} appears more than twice")
+            elif v in (u0, v0):
+                d = 2 * e + (v != u0)
+                if named[d]:
+                    raise GraphFormatError(f"edge {e} appears twice in rotation of {v}")
+            else:
+                raise GraphFormatError(f"edge {e} listed at non-endpoint {v}")
+            named[d] = 1
+    if 0 in named:
+        raise GraphFormatError(f"edge {named.index(0) // 2} missing from some rotation")
+    raise InvariantError("numpy refused edges and a rotation that a scan accepts")
 
 
 def trace_faces(g: PlaneGraph) -> list[list[int]]:

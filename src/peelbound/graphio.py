@@ -12,6 +12,7 @@ edge-insertion surgery) departs from walk order.
 from __future__ import annotations
 
 import json
+from operator import index
 from typing import IO, Union
 
 from .embed import GraphFormatError, PlaneGraph, build_plane_graph
@@ -64,7 +65,7 @@ def from_document(doc: dict) -> PlaneGraph:
             raise GraphFormatError(f"malformed document: JSON object in {key!r}")
     try:
         return build_plane_graph(
-            int(doc["n"]),
+            index(doc["n"]),
             doc["edges"],
             doc["rotation"],
             faces=doc.get("faces"),
@@ -74,8 +75,8 @@ def from_document(doc: dict) -> PlaneGraph:
     except GraphFormatError:
         raise
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-        # a value of the wrong JSON type (null count, scalar row, list flags,
-        # Infinity as an integer) fails inside the builder; report it as such
+        # a value of the wrong JSON type (null or 2.5 as a count, "1" as an id,
+        # scalar row, list flags) fails inside the builder; report it as such
         raise GraphFormatError(f"malformed document: {exc}") from exc
 
 

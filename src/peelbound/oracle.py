@@ -14,6 +14,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from . import peels
@@ -416,6 +417,10 @@ class VerifyReport:
         self.ok = self.ok and passed
 
 
+# Certificate fields read as vertex, face or count values.
+_INT_FIELDS = ("s", "center", "bound", "outerface", "peel_bound", "n")
+
+
 def _cert_get(cert, key: str):
     if isinstance(cert, Mapping):
         return cert.get(key)
@@ -429,8 +434,13 @@ def verify_certificate(cert, target: PlaneGraph) -> VerifyReport:
     decomposition pipeline is re-run deterministically to rebuild the
     augmentation.  Eccentricity of the center is rechecked in the augmented
     graph; the peel count of the chosen outerface is rechecked in the
-    original graph (connected first if it is not).
+    original graph (connected first if it is not).  A field that is present
+    but not an integer (a float, a string, a bool) raises ValueError.
     """
+    for key in _INT_FIELDS:
+        value = _cert_get(cert, key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, Integral)):
+            raise ValueError(f"certificate field {key!r} must be an integer, got {value!r}")
     report = VerifyReport(ok=True)
     s = _cert_get(cert, "center")
     if s is None:
@@ -453,28 +463,28 @@ def verify_certificate(cert, target: PlaneGraph) -> VerifyReport:
         report.add("size", False, f"certificate n={n} but graph has {original.n}")
         return report
 
-    if not (0 <= int(s) < aug.H.n):
+    if not (0 <= s < aug.H.n):
         report.add("center-range", False, f"center {s} out of range")
         return report
 
-    ecc = eccentricity(aug.H, int(s))
+    ecc = eccentricity(aug.H, s)
     report.add(
         "eccentricity",
-        ecc <= int(bound),
+        ecc <= bound,
         f"ecc_H({s}) = {ecc} vs bound {bound}",
     )
 
     if outerface is not None:
         peel_bound = _cert_get(cert, "peel_bound")
         if peel_bound is None:
-            peel_bound = int(bound) + 1
-        if not (0 <= int(outerface) < original.face_count):
+            peel_bound = bound + 1
+        if not (0 <= outerface < original.face_count):
             report.add("outerface-range", False, f"face {outerface} out of range")
         else:
-            count = peels.peel_count_for_outerface(original, int(outerface))
+            count = peels.peel_count_for_outerface(original, outerface)
             report.add(
                 "peel-count",
-                count <= int(peel_bound),
+                count <= peel_bound,
                 f"peel count {count} vs bound {peel_bound}",
             )
     return report

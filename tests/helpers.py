@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from operator import index
 
 import numpy as np
 
@@ -51,7 +52,7 @@ def build_plane_graph_by_slots(n, edges, rotation, faces=None, flags=None, meta=
     for e, pair in enumerate(edges):
         if len(pair) != 2:
             raise GraphFormatError(f"edge {e} is not a pair")
-        u, v = int(pair[0]), int(pair[1])
+        u, v = index(pair[0]), index(pair[1])
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"edge {e} endpoint out of range")
         b._new_edge(u, v)
@@ -61,7 +62,7 @@ def build_plane_graph_by_slots(n, edges, rotation, faces=None, flags=None, meta=
     for v in range(n):
         darts: list[int] = []
         for e in rotation[v]:
-            e = int(e)
+            e = index(e)
             if not (0 <= e < m):
                 raise GraphFormatError(f"rotation of {v} references edge {e}")
             u0, v0 = b.eu[e], b.ev[e]

@@ -1,5 +1,7 @@
 """Center selection: arithmetic helpers, separator, detour, dispatch cases."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from peelbound.center import (
     spanning_tree_center,
     tree_separator,
 )
-from peelbound.embed import build_plane_graph
+from peelbound.embed import InvariantError, build_plane_graph
 from peelbound.gen import gen_nested_cycles, gen_random_triangulation
 from peelbound.embed import connect_components
 from peelbound.oracle import (
@@ -33,6 +35,7 @@ from peelbound.oracle import (
     verify_certificate,
 )
 from peelbound.peels import augment, build_tree_of_peels, choose_root, compute_layers
+from test_peels import run_under_optimize
 
 
 def pipeline(g, root=None):
@@ -336,6 +339,33 @@ def test_deep_with_switch_case():
     assert (cert.center, cert.bound) == (10, 11)
     assert (cert.separator, cert.switcher, cert.theta) == (4, 5, 4)
     check_cert(aug, cert)
+
+
+def forged_deep_tree():
+    """The deep-with-D chain with every node forged to store 2g = 6 vertices:
+    no node on the way from the separator to a deep node is small."""
+    aug, tree = pipeline(ring_chain([3, 3, 3, 10, 3, 3, 3, 3, 3, 3]), root=0)
+    tree.weight = [max(w, 6) for w in tree.weight]
+    return aug, tree
+
+
+def test_missing_small_ancestor_raises():
+    with pytest.raises(InvariantError, match="no small ancestor found"):
+        find_center(*forged_deep_tree(), 3)
+
+
+def test_missing_small_ancestor_survives_optimize():
+    script = (
+        f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "from test_center import InvariantError, find_center, forged_deep_tree\n"
+        "try:\n"
+        "    find_center(*forged_deep_tree(), 3)\n"
+        "except InvariantError as exc:\n"
+        "    print(__debug__, type(exc).__name__, exc)\n"
+    )
+    proc = run_under_optimize(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("False InvariantError no small ancestor found")
 
 
 def test_find_center_argument_checks():

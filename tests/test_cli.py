@@ -193,6 +193,34 @@ def test_center_rejects_mistyped_documents(capsys, tmp_path, patch):
     assert err.count("\n") == 1 and err.startswith("error:")
 
 
+# Each of these was read as a triangle: int() truncated 2.7 to 2, "2" to 2
+# and 3.9 to 3.
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"edges": [[0, 1], [1, 2.7], [2, 0]]},
+        {"rotation": [[0, "2"], [1, 0], [2, 1]]},
+        {"n": 3.9},
+    ],
+    ids=["float-endpoint", "string-slot", "float-n"],
+)
+def test_center_rejects_non_integer_ids(capsys, tmp_path, patch):
+    doc = {
+        "format": "plane-graph/1",
+        "n": 3,
+        "edges": [[0, 1], [1, 2], [2, 0]],
+        "rotation": [[0, 2], [1, 0], [2, 1]],
+    }
+    doc.update(patch)
+    graph = tmp_path / "bad.json"
+    graph.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "center", str(graph))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "malformed document: " in err
+
+
 # Two disjoint triangles with both walks of the first one grouped into one
 # face: the Euler count holds, but no face joins the two components.
 SAME_COMPONENT_FACE = {

@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import build_plane_graph_by_slots, graph_fingerprint, random_nesting
-from peelbound.embed import GraphFormatError, build_plane_graph, connect_components
+from peelbound import embed
+from peelbound.embed import (
+    GraphFormatError,
+    InvariantError,
+    build_plane_graph,
+    connect_components,
+)
 from peelbound.gen import gen_random_triangulation
 from peelbound.graphio import from_document, loads_plane_graph, to_document
 
@@ -167,10 +173,10 @@ def test_first_bad_slot_is_reported():
     # edge 0 is listed twice at vertex 0 (slot 1) before vertex 1 names an unknown edge
     with pytest.raises(GraphFormatError, match="edge 0 appears twice in rotation of 0"):
         build_plane_graph(2, [(0, 1)], [[0, 0], [9]])
-    # a value int() refuses, after a bad slot, does not mask it
+    # a value that is not an integer, after a bad slot, does not mask it
     with pytest.raises(GraphFormatError, match="rotation of 0 references edge 9"):
         build_plane_graph(2, [(0, 1)], [[9, "x"], [0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         build_plane_graph(2, [(0, 1)], [["x", 9], [0]])
 
 
@@ -179,6 +185,35 @@ def test_malformed_text_names_the_value():
     doc["rotation"][1][0] = None
     with pytest.raises(GraphFormatError, match="^malformed document: "):
         loads_plane_graph(json.dumps(doc))
+
+
+K3_DOCUMENT = {"format": "plane-graph/1", "n": 3, "edges": K3_EDGES, "rotation": K3_ROTATION}
+
+
+# The differential above compares only the class of a TypeError; pin the text
+# that len() gives a row without a length, before anything iterates it.
+@pytest.mark.parametrize(
+    "patch,message",
+    [
+        ({"edges": [[0, 1], 5, [2, 0]]}, "malformed document: object of type 'int' has no len()"),
+        ({"rotation": [[0, 2], 7, [2, 1]]},
+         "malformed document: object of type 'int' has no len()"),
+        ({"rotation": [[0, 2], None, [2, 1]]},
+         "malformed document: object of type 'NoneType' has no len()"),
+        ({"edges": [], "rotation": [[0], [], []]}, "rotation of 0 references edge 0"),
+    ],
+    ids=["scalar-edge-row", "scalar-rotation-row", "null-rotation-row", "no-edges"],
+)
+def test_loader_texts(patch, message):
+    with pytest.raises(GraphFormatError) as exc:
+        loads_plane_graph(json.dumps({**K3_DOCUMENT, **patch}))
+    assert str(exc.value) == message
+
+
+def test_scan_that_finds_no_defect_raises_invariant_error(monkeypatch):
+    monkeypatch.setattr(embed, "_rotation_system", lambda n, edges, rotation: None)
+    with pytest.raises(InvariantError):
+        build_plane_graph(3, K3_EDGES, K3_ROTATION)
 
 
 def test_lone_walk_grouped_alone_before_a_merged_face():

@@ -171,6 +171,33 @@ def test_verify_certificate_serialized_keys():
     assert rep.ok
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        # was ok=True, read as "ecc_H(1.7) = 3 vs bound 14.9"
+        ({"s": 1.7, "bound": 14.9, "outerface": True},
+         "certificate field 's' must be an integer, got 1.7"),
+        ({"s": 1, "bound": "14"}, "certificate field 'bound' must be an integer, got '14'"),
+    ],
+)
+def test_verify_certificate_rejects_non_integer_fields(doc, message):
+    g = gen_random_triangulation(40, 3)
+    with pytest.raises(ValueError) as exc:
+        verify_certificate(doc, g)
+    assert str(exc.value) == message
+
+
+def test_verify_certificate_checks_certificate_objects():
+    from peelbound.center import certify
+
+    g = gen_random_triangulation(30, 4)
+    cert = certify(g)
+    cert.bound = 14.9
+    with pytest.raises(ValueError) as exc:
+        verify_certificate(cert, g)
+    assert str(exc.value) == "certificate field 'bound' must be an integer, got 14.9"
+
+
 def test_full_oracle_report_smoke():
     rep = full_oracle_report(gen_nested_cycles(3, 3))
     assert rep.n == 11
