@@ -316,6 +316,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             + (f", ratio {ratio:.2f})" if ratio is not None else ")")
         )
     if args.out:
+        if args.append:
+            try:
+                with open(args.out, encoding="utf-8") as fh:
+                    rows = json.load(fh) + rows
+            except FileNotFoundError:
+                pass
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=2)
             fh.write("\n")
@@ -377,12 +383,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="time the pipeline across doubling sizes")
-    p_bench.add_argument("family", choices=("random", "prism", "nested"))
+    p_bench.add_argument("family", choices=("random", "prism", "nested", "lowerbound-h"))
     p_bench.add_argument("--n", default=None, help="comma list of sizes (random)")
     p_bench.add_argument("--k", default=None, help="comma list of parameters")
-    p_bench.add_argument("--g", type=int, default=3, help="girth parameter for nested (default 3)")
+    p_bench.add_argument(
+        "--g", type=int, default=3, help="girth parameter for nested and lowerbound-h (default 3)"
+    )
     p_bench.add_argument("--seed", type=int, default=1, help="RNG seed (random)")
     p_bench.add_argument("--out", default=None, help="write rows as JSON here")
+    p_bench.add_argument(
+        "--append", action="store_true", help="add the rows after those already in --out"
+    )
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

@@ -67,9 +67,9 @@ class PlaneGraph:
         "ev",
         "rot_next",
         "rot_first",
-        "walk_indptr",
-        "walk_flat",
         "walk_of_dart",
+        "_dart_walks",
+        "_walk_order",
         "lone_walk_vertex",
         "face_walks",
         "face_of_walk",
@@ -118,11 +118,27 @@ class PlaneGraph:
 
     @property
     def walk_count(self) -> int:
-        return len(self.walk_indptr) - 1 + len(self.lone_walk_vertex)
+        return self._dart_walks + len(self.lone_walk_vertex)
 
     @property
     def dart_walk_count(self) -> int:
-        return len(self.walk_indptr) - 1
+        return self._dart_walks
+
+    @property
+    def walk_indptr(self) -> array:
+        """Walk w is ``walk_flat[walk_indptr[w]:walk_indptr[w + 1]]``."""
+        return self._walks_in_order()[0]
+
+    @property
+    def walk_flat(self) -> array:
+        """Darts of every dart walk in trace order, walk after walk."""
+        return self._walks_in_order()[1]
+
+    def _walks_in_order(self) -> tuple[array, array]:
+        # built on first read: the load and certify paths only need walk_of_dart
+        if self._walk_order is None:
+            self._walk_order = _walk_order(self.rot_next, self.walk_of_dart, self._dart_walks)
+        return self._walk_order
 
     def walk(self, w: int) -> list[int]:
         """Darts of walk w in trace order; [] for an isolated-vertex walk."""
@@ -282,27 +298,71 @@ class _Builder:
 # ---------------------------------------------------------------------------
 
 
-def _trace_walks(rot_next: array, m2: int) -> tuple[array, array, array]:
-    """Orbit decomposition of face_next; returns (indptr, flat, walk_of_dart)."""
-    walk_of = array("i", [-1]) * m2
-    flat = array("i")
-    indptr = array("i", [0])
-    rn = rot_next
-    wid = 0
-    append = flat.append
-    for d0 in range(m2):
-        if walk_of[d0] >= 0:
-            continue
-        d = d0
-        while True:
-            walk_of[d] = wid
-            append(d)
-            d = rn[d ^ 1]
-            if d == d0:
-                break
-        indptr.append(len(flat))
-        wid += 1
-    return indptr, flat, walk_of
+def _face_next(rot_next: array) -> np.ndarray:
+    """face_next(d) = rot_next[d ^ 1] for every dart, as int32."""
+    return np.frombuffer(rot_next, dtype=np.int32).reshape(-1, 2)[:, ::-1].ravel()
+
+
+def _label_walks(rot_next: array) -> tuple[np.ndarray, int]:
+    """Walk id of every dart (int32) and the number of dart walks.
+
+    A walk is an orbit of face_next.  Pointer doubling labels every dart
+    with the smallest dart of its orbit: after round k, ``lab[d]`` is the
+    least of the 2^k darts from d on.  While the window is shorter than an
+    orbit, the dart that many steps before the orbit's minimum still gains
+    it, so the first round that changes nothing has covered every orbit.
+    Ranking the labels numbers the walks by their smallest dart, the order
+    in which a trace from dart 0 upward meets them.
+    """
+    jump = _face_next(rot_next)
+    lab = np.arange(len(jump), dtype=np.int32)
+    while True:
+        step = lab[jump]
+        if not (step < lab).any():
+            break
+        np.minimum(lab, step, out=lab)
+        del step  # keeps the peak of a large load low
+        jump = jump[jump]
+    del jump, step
+    rank = np.cumsum(lab == np.arange(len(lab), dtype=np.int32), dtype=np.int32)
+    rank -= 1
+    return rank[lab], int(rank[-1]) + 1 if len(rank) else 0
+
+
+def _walk_order(rot_next: array, walk_of_dart: array, count: int) -> tuple[array, array]:
+    """(indptr, flat): each walk's darts from its smallest one, in trace order.
+
+    List ranking (Wyllie, "The complexity of parallel computations", Cornell
+    TR 79-387, 1979) on every orbit, cut just before its smallest dart: each
+    dart doubles its pointer towards the cut and sums the steps on the way,
+    which gives its distance to the walk's last dart.
+    """
+    walk = np.frombuffer(walk_of_dart, dtype=np.int32)
+    m2 = len(walk)
+    size = np.bincount(walk, minlength=count)
+    indptr = np.zeros(count + 1, dtype=np.int32)
+    np.cumsum(size, out=indptr[1:])
+    if not m2:
+        return _int_array(indptr), array("i")
+    # the smallest darts of the walks appear in walk id order
+    least = np.diff(np.maximum.accumulate(walk), prepend=-1).astype(bool)
+    nxt = _face_next(rot_next)
+    last = least[nxt]  # the dart before its walk's smallest one
+    del least
+    nxt[last] = np.flatnonzero(last)
+    dist = (~last).astype(np.int32)
+    del last
+    # after k rounds a dart sees 2^k steps ahead; the longest walk needs size - 1
+    for _ in range(max(int(size.max()) - 2, 0).bit_length()):
+        dist += dist[nxt]
+        nxt = nxt[nxt]
+    del nxt
+    pos = indptr[1:][walk] - 1
+    pos -= dist
+    del dist
+    flat = np.empty(m2, dtype=np.int32)
+    flat[pos] = np.arange(m2, dtype=np.int32)
+    return _int_array(indptr), _int_array(flat)
 
 
 def _dart_ends(eu: array, ev: array) -> tuple[np.ndarray, np.ndarray]:
@@ -391,12 +451,12 @@ def _finish_graph(
     b: _Builder,
     face_grouping: Optional[Sequence[Sequence[int]]] = None,
     meta: Optional[dict] = None,
-    walks: Optional[tuple[array, array, array]] = None,
+    walks: Optional[tuple[np.ndarray, int]] = None,
 ) -> PlaneGraph:
-    """Trace walks, resolve faces, validate Euler count, freeze the graph.
+    """Label walks, resolve faces, validate Euler count, freeze the graph.
 
-    ``walks`` is b's trace as :func:`_trace_walks` returns it, when the
-    caller already has one.
+    ``walks`` is b's labelling as :func:`_label_walks` returns it, when the
+    caller already has one.  Walk order waits until something reads it.
     """
     g = PlaneGraph()
     g.n = b.n
@@ -407,10 +467,12 @@ def _finish_graph(
     g.rot_first = b.rot_first
     g.meta = dict(meta) if meta else {}
 
-    indptr, flat, walk_of = walks or _trace_walks(b.rot_next, 2 * g.m)
-    g.walk_indptr = indptr
-    g.walk_flat = flat
-    g.walk_of_dart = walk_of
+    walk_of, n_dart_walks = walks or _label_walks(b.rot_next)
+    g.walk_of_dart = _int_array(walk_of)
+    triangles = (np.bincount(walk_of, minlength=n_dart_walks) == 3).all()
+    del walk_of, walks  # keeps the peak of a large load low
+    g._dart_walks = n_dart_walks
+    g._walk_order = None
     g.lone_walk_vertex = _int_array(
         np.flatnonzero(np.frombuffer(b.rot_first, dtype=np.int32) < 0)
     )
@@ -420,7 +482,6 @@ def _finish_graph(
     g.component_count = ncomp
     g.connected = ncomp <= 1
 
-    n_dart_walks = len(indptr) - 1
     n_walks = n_dart_walks + len(g.lone_walk_vertex)
 
     if face_grouping is None:
@@ -464,16 +525,20 @@ def _finish_graph(
         )
 
     # Simplicity: no loops, no parallel edges.
-    origin, head = _dart_ends(b.eu, b.ev)
-    u, v = origin[0::2], head[0::2]  # dart 2e runs eu[e] -> ev[e]
-    pair = np.sort(np.minimum(u, v) * g.n + np.maximum(u, v))
+    u = np.frombuffer(b.eu, dtype=np.int32)
+    v = np.frombuffer(b.ev, dtype=np.int32)
+    pair = np.minimum(u, v).astype(np.int64)
+    pair *= g.n
+    pair += np.maximum(u, v)
+    pair.sort()
     g.simple = bool(not (u == v).any() and (pair[1:] != pair[:-1]).all())
+    del pair
     # One face per walk (groups partition the walks), every walk a triangle.
     g.triangulated = bool(
         g.m > 0
         and not g.lone_walk_vertex
         and len(face_walks) == n_walks
-        and (np.diff(np.frombuffer(indptr, dtype=np.int32)) == 3).all()
+        and triangles
     )
     return g
 
@@ -503,8 +568,10 @@ def build_plane_graph(
     are not, a plain scan in document order raises the error of the first
     defect it meets: the first bad edge, else the first bad rotation slot
     (vertex by vertex, slot by slot), else the first edge missing a slot.
-    An id that is not an integer raises ``operator.index``'s TypeError.
+    ``n`` or an id that is not an integer raises ``operator.index``'s
+    TypeError.
     """
+    n = index(n)
     if n < 0:
         raise GraphFormatError("negative vertex count")
     if n == 0:
@@ -512,7 +579,7 @@ def build_plane_graph(
     if len(rotation) != n:
         raise GraphFormatError(f"rotation has {len(rotation)} rows, expected {n}")
 
-    system = _rotation_system(len(rotation), edges, rotation)  # an int, as n may be 2.0
+    system = _rotation_system(n, edges, rotation)
     if system is None:
         _first_defect(n, edges, rotation)
     b = _Builder(n)
@@ -535,7 +602,9 @@ def build_plane_graph(
 
 
 def _int_array(x: np.ndarray) -> array:
-    return array("i", x.astype(np.int32, copy=False).tobytes())
+    out = array("i", [0]) * len(x)
+    np.frombuffer(out, dtype=np.int32)[:] = x  # one copy, cast on the way
+    return out
 
 
 def _rotation_system(
@@ -631,9 +700,9 @@ def _first_defect(
 def trace_faces(g: PlaneGraph) -> list[list[int]]:
     """Boundary walks in discovery order (darts; [] rows are lone vertices).
 
-    The walks are precomputed at build time; this accessor exists so callers
-    can rely on the numbering contract (ascending smallest dart id, then
-    isolated vertices ascending).
+    Walk ids are labelled at build time and the walk order is built on first
+    read; this accessor exists so callers can rely on the numbering contract
+    (ascending smallest dart id, then isolated vertices ascending).
     """
     return [g.walk(w) for w in range(g.walk_count)]
 
@@ -791,11 +860,11 @@ def _finish_splice(
     split its face (at most one per face): the walk of 2e+1 becomes a face of
     its own right after, and the rest stays with the walk of 2e.
     """
-    walks = _trace_walks(b.rot_next, 2 * len(b.eu))
-    indptr, _, walk_of = walks
+    walks = _label_walks(b.rot_next)
+    walk_of = _int_array(walks[0])
     flat, old_indptr, nd = g.walk_flat, g.walk_indptr, g.dart_walk_count
     lone = np.flatnonzero(np.frombuffer(b.rot_first, dtype=np.int32) < 0).tolist()
-    lone_id = {v: len(indptr) - 1 + i for i, v in enumerate(lone)}
+    lone_id = {v: walks[1] + i for i, v in enumerate(lone)}
 
     def new_walk(w: int) -> int:
         if w < nd:
@@ -983,6 +1052,6 @@ def triangulate_preserving_embedding(g: PlaneGraph) -> PlaneGraph:
                 raise RuntimeError("cannot triangulate a bridge face of length 2")
 
     out = _finish_graph(b, meta=g.meta)
-    assert out.simple and out.triangulated, "triangulation postcondition failed"
-    assert out.m == 3 * out.n - 6
+    if not (out.simple and out.triangulated and out.m == 3 * out.n - 6):
+        raise InvariantError("triangulation postcondition failed")
     return out

@@ -22,6 +22,7 @@ from array import array
 from typing import Optional
 
 from .embed import (
+    InvariantError,
     PlaneGraph,
     _Builder,
     _finish_graph,
@@ -254,7 +255,8 @@ def gen_prism_grid(k: int) -> PlaneGraph:
         if len(d) == 4:  # diagonal from the walk's first vertex to its third
             touched[f] = [b.add_chord(d[3], d[0], d[1], d[2])]
     g = _finish_splice(band, b, touched)
-    assert g.triangulated and g.simple
+    if not (g.triangulated and g.simple):
+        raise InvariantError("prism grid is not a simple triangulation")
     return g
 
 
@@ -387,5 +389,6 @@ def gen_random_triangulation(n: int, seed: int) -> PlaneGraph:
         faces.extend((tri[2], spokes[0], q2))
         nfaces += 2
     out = _finish_graph(b, meta={"family": "random", "n": n, "seed": seed})
-    assert out.triangulated and out.simple
+    if not (out.triangulated and out.simple):
+        raise InvariantError("random triangulation is not a simple triangulation")
     return out

@@ -11,6 +11,7 @@ edge-insertion surgery) departs from walk order.
 
 from __future__ import annotations
 
+import gc
 import json
 from operator import index
 from typing import IO, Union
@@ -86,11 +87,18 @@ def dumps_plane_graph(g: PlaneGraph) -> str:
 
 
 def loads_plane_graph(text: str) -> PlaneGraph:
+    # The document holds one list per row.  They form no cycles, but while
+    # they live every collection would walk them all, so the cyclic
+    # collector stays off until the graph is built and the document freed.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        doc = json.loads(text)
+        return from_document(json.loads(text))
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
-    return from_document(doc)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def dump_plane_graph(g: PlaneGraph, fp: Union[str, IO[str]]) -> None:

@@ -171,7 +171,8 @@ def augment(ctx: PeelContext) -> Augmentation:
     nothing is added (every triangulation), ``H`` is ``G`` itself.
     """
     g = ctx.G
-    b = _splice_hub_chords(g, ctx.layer)
+    # every walk of a triangulation has 3 darts, so k = 2 .. t-2 is empty
+    b = None if g.triangulated else _splice_hub_chords(g, ctx.layer)
     if b is None:
         h = g
     else:

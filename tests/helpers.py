@@ -35,6 +35,31 @@ def graph_fingerprint(g: PlaneGraph) -> list:
     ]
 
 
+def trace_walks_by_loop(rot_next, m2: int) -> tuple[array, array, array]:
+    """Reference walk trace: one Python step per dart of face_next.
+
+    Returns (walk_indptr, walk_flat, walk_of_dart); walks start at the
+    smallest unvisited dart, so they are numbered by their smallest dart.
+    """
+    walk_of = array("i", [-1]) * m2
+    flat = array("i")
+    indptr = array("i", [0])
+    wid = 0
+    for d0 in range(m2):
+        if walk_of[d0] >= 0:
+            continue
+        d = d0
+        while True:
+            walk_of[d] = wid
+            flat.append(d)
+            d = rot_next[d ^ 1]
+            if d == d0:
+                break
+        indptr.append(len(flat))
+        wid += 1
+    return indptr, flat, walk_of
+
+
 def build_plane_graph_by_slots(n, edges, rotation, faces=None, flags=None, meta=None):
     """Reference for ``build_plane_graph``: one Python step per edge and slot.
 

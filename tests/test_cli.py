@@ -453,6 +453,23 @@ def test_bench_nested_uses_k(capsys):
     assert all(r["stages"]["connect"] > 0 for r in rows)  # nested rings are disconnected
 
 
+def test_bench_lowerbound_appends_rows(capsys, tmp_path):
+    out_path = tmp_path / "rows.json"
+    run(capsys, "bench", "random", "--n", "50", "--out", str(out_path))
+    code, out, _ = run(
+        capsys, "bench", "lowerbound-h", "--g", "4", "--k", "5,9",
+        "--out", str(out_path), "--append",
+    )
+    assert code == 0
+    rows = stdout_records(out)
+    assert [r["n"] for r in rows] == [22, 38]
+    with open(out_path, encoding="utf-8") as fh:
+        saved = json.load(fh)
+    assert [(r["family"], r["param"]) for r in saved] == [
+        ("random", 50), ("lowerbound-h", 5), ("lowerbound-h", 9)
+    ]
+
+
 def test_bench_without_sizes(capsys):
     code, _, err = run(capsys, "bench", "random")
     assert code == 1

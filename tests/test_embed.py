@@ -18,6 +18,7 @@ from helpers import (
     relabel,
     ring_chain,
     thin_random_triangulation,
+    trace_walks_by_loop,
 )
 from peelbound import embed
 from peelbound.center import certify
@@ -36,6 +37,7 @@ from peelbound.gen import (
     _prism_band,
     gen_lowerbound_H,
     gen_nested_cycles,
+    gen_prism_grid,
     gen_random_triangulation,
 )
 from peelbound.oracle import peel_numbers_by_deletion
@@ -381,7 +383,7 @@ def test_connect_components_matches_insertion_chain():
 def test_connect_components_single_pass(monkeypatch):
     g = gen_nested_cycles(4, 60)
     calls = {"finish": 0, "trace": 0}
-    finish, trace = embed._finish_graph, embed._trace_walks
+    finish, trace = embed._finish_graph, embed._label_walks
 
     def counted_finish(*args, **kwargs):
         calls["finish"] += 1
@@ -392,7 +394,7 @@ def test_connect_components_single_pass(monkeypatch):
         return trace(*args, **kwargs)
 
     monkeypatch.setattr(embed, "_finish_graph", counted_finish)
-    monkeypatch.setattr(embed, "_trace_walks", counted_trace)
+    monkeypatch.setattr(embed, "_label_walks", counted_trace)
     c = connect_components(g)
     assert c.connected and c.m == g.m + 61
     assert calls["finish"] == 1
@@ -542,3 +544,152 @@ def test_finish_graph_labels_without_bfs_rounds(monkeypatch):
     h = embed._finish_graph(embed._Builder.from_graph(g))
     assert h.connected
     assert calls["gather"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Walks (pointer doubling and list ranking against the loop reference)
+# ---------------------------------------------------------------------------
+
+
+def walk_triple(rot_next):
+    """(walk_indptr, walk_flat, walk_of_dart) as lists, from the numpy path."""
+    walk_of, count = embed._label_walks(rot_next)
+    walk_of = embed._int_array(walk_of)
+    indptr, flat = embed._walk_order(rot_next, walk_of, count)
+    return [list(indptr), list(flat), list(walk_of)]
+
+
+def assert_walks_match_loop(rot_next):
+    ref = trace_walks_by_loop(rot_next, len(rot_next))
+    assert walk_triple(rot_next) == [list(x) for x in ref]
+
+
+@st.composite
+def rotation_systems(draw):
+    """rot_next of random edges (loops and multi-edges too), any slot order.
+
+    Most of these are not spherical; the walks are orbits all the same.
+    """
+    n = draw(st.integers(min_value=1, max_value=12))
+    ends = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=24))
+    at = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        at[u].append(2 * e)
+        at[v].append(2 * e + 1)
+    rot_next = array("i", [0]) * (2 * len(edges))
+    for darts in at:
+        darts = draw(st.permutations(darts))
+        for a, b in zip(darts, darts[1:] + darts[:1]):
+            rot_next[a] = b
+    return rot_next
+
+
+@settings(max_examples=200, deadline=None)
+@given(rotation_systems())
+def test_walks_match_loop_on_rotation_systems(rot_next):
+    assert_walks_match_loop(rot_next)
+
+
+@pytest.mark.parametrize(
+    "n,edges,rotation,sizes",
+    [
+        # a path: one walk over both darts of every edge
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4)], [[0], [0, 1], [1, 2], [2, 3], [3]], [8]),
+        # a star, then a loop with a pendant edge
+        (4, [(0, 1), (0, 2), (0, 3)], [[0, 1, 2], [0], [1], [2]], [6]),
+        (2, [(0, 0), (0, 1)], [[0, 1, 0], [1]], [1, 3]),
+        (1, [(0, 0), (0, 0)], [[0, 1, 1, 0]], [1, 2, 1]),
+        # an edgeless graph has no dart walk, only its lone vertex
+        (1, [], [[]], []),
+    ],
+    ids=["path", "star", "loop-pendant", "nested-loops", "edgeless"],
+)
+def test_walks_match_loop_on_small_graphs(n, edges, rotation, sizes):
+    g = build_plane_graph(n, edges, rotation)
+    assert_walks_match_loop(g.rot_next)
+    assert np.diff(g.walk_indptr).tolist() == sizes
+    assert g.dart_walk_count == len(sizes)
+
+
+def test_walks_match_loop_on_families():
+    corpus = [gen_random_triangulation(n, 3) for n in (4, 50, 3000)]
+    corpus += [gen_lowerbound_H(4, 51), gen_nested_cycles(6, 9), gen_prism_grid(2)]
+    corpus += [random_nesting(seed, seed % 16) for seed in range(40)]
+    corpus += [connect_components(g) for g in corpus if not g.connected]
+    for g in corpus:
+        ref = trace_walks_by_loop(g.rot_next, 2 * g.m)
+        assert [g.walk_indptr, g.walk_flat, g.walk_of_dart] == list(ref)
+
+
+def assert_faces_match_networkx(nx, g):
+    """Every walk is the face networkx traces from the walk's first dart.
+
+    networkx reads the rotation counterclockwise and keeps the face on its
+    right, so each half-edge goes in clockwise after the previous one.
+    """
+    emb = nx.PlanarEmbedding()
+    for v in range(g.n):
+        ref = None
+        for d in g.rotation_darts(v):
+            emb.add_half_edge(v, g.head(d), cw=ref)
+            ref = g.head(d)
+    emb.check_structure()
+    faces = [emb.traverse_face(g.origin(walk[0]), g.head(walk[0])) for walk in trace_faces(g)]
+    assert faces == [g.walk_vertices(w) for w in range(g.walk_count)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_random_triangulation(300, 5),
+        lambda: thin_random_triangulation(200, 4),
+        lambda: thin_random_triangulation(120, 9, frac=0.5),
+        lambda: gen_lowerbound_H(4, 21),
+        lambda: gen_prism_grid(1),
+        lambda: connect_components(gen_nested_cycles(5, 4)),
+        lambda: build_plane_graph(4, [(0, 1), (0, 2), (0, 3)], [[0, 1, 2], [0], [1], [2]]),
+    ],
+)
+def test_faces_match_networkx(make):
+    nx = pytest.importorskip("networkx")
+    assert_faces_match_networkx(nx, make())
+
+
+def count_walk_orders(monkeypatch):
+    calls = []
+    order = embed._walk_order
+
+    def counted_order(*args):
+        calls.append(args)
+        return order(*args)
+
+    monkeypatch.setattr(embed, "_walk_order", counted_order)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_certify_never_orders_walks_of_a_triangulation(monkeypatch, seed):
+    g = gen_random_triangulation(2000, seed)
+    calls = count_walk_orders(monkeypatch)
+    certify(g)
+    certify(g, method="diameter")
+    assert calls == []
+
+
+def test_walk_order_is_built_once_on_first_read(monkeypatch):
+    g = gen_lowerbound_H(4, 51)
+    calls = count_walk_orders(monkeypatch)
+    certify(g)  # the augmentation reads the walks of g
+    assert len(calls) == 1
+    ref = trace_walks_by_loop(g.rot_next, 2 * g.m)
+    assert [g.walk_indptr, g.walk_flat, g.walk_of_dart] == list(ref)
+    trace_faces(g)
+    assert len(calls) == 1
+
+
+def test_build_plane_graph_refuses_a_float_count():
+    # sound edges and rotation, then a rotation with a slot at a non-endpoint
+    for rotation in (K3_ROTATION, [[0, 2], [1, 0], [2, 0]]):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+            build_plane_graph(3.0, K3_EDGES, rotation)

@@ -14,6 +14,7 @@ from peelbound.gen import (
 )
 from peelbound.graphio import dumps_plane_graph
 from peelbound.oracle import diameter_exact, radius_exact
+from test_peels import run_under_optimize
 
 
 # ---------------------------------------------------------------------------
@@ -201,3 +202,32 @@ def test_random_triangulation_domain():
 def test_meta_survives_connecting():
     g = connect_components(gen_nested_cycles(5, 3))
     assert g.meta["family"] == "nested"
+
+
+def test_triangulation_postconditions_survive_optimize():
+    # each generator's graph is finished with its flags forced off
+    script = (
+        "from peelbound import embed, gen\n"
+        "def spoiled(finish):\n"
+        "    def run(*args, **kwargs):\n"
+        "        g = finish(*args, **kwargs)\n"
+        "        g.triangulated = False\n"
+        "        return g\n"
+        "    return run\n"
+        "k4 = gen.gen_random_triangulation(4, 0)\n"
+        "embed._finish_graph = gen._finish_graph = spoiled(embed._finish_graph)\n"
+        "gen._finish_splice = spoiled(gen._finish_splice)\n"
+        "for make in (lambda: gen.gen_random_triangulation(9, 1), lambda: gen.gen_prism_grid(1),\n"
+        "             lambda: embed.triangulate_preserving_embedding(k4)):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except embed.InvariantError as exc:\n"
+        "        print(__debug__, type(exc).__name__, exc)\n"
+    )
+    proc = run_under_optimize(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False InvariantError random triangulation is not a simple triangulation",
+        "False InvariantError prism grid is not a simple triangulation",
+        "False InvariantError triangulation postcondition failed",
+    ]

@@ -1,5 +1,6 @@
 """Round trips and format validation for the plane-graph JSON documents."""
 
+import gc
 import io
 import json
 
@@ -125,3 +126,21 @@ def test_flags_in_document_are_revalidated():
     doc["flags"]["simple"] = False
     with pytest.raises(GraphFormatError):
         loads_plane_graph(json.dumps(doc))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "text", [None, '{"format": ', "[1, 2]"], ids=["valid", "bad-json", "not-a-graph"]
+)
+def test_loads_leaves_gc_state_as_found(enabled, text):
+    text = text or dumps_plane_graph(k3())
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        try:
+            loads_plane_graph(text)
+        except GraphFormatError:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()

@@ -343,7 +343,7 @@ def test_augment_matches_face_loop_on_rings(make):
 
 def count_finishing(monkeypatch):
     calls = {"finish": 0, "trace": 0}
-    finish, trace = peels._finish_graph, embed._trace_walks
+    finish, trace = peels._finish_graph, embed._label_walks
 
     def counted_finish(*args, **kwargs):
         calls["finish"] += 1
@@ -354,7 +354,7 @@ def count_finishing(monkeypatch):
         return trace(*args, **kwargs)
 
     monkeypatch.setattr(peels, "_finish_graph", counted_finish)
-    monkeypatch.setattr(embed, "_trace_walks", counted_trace)
+    monkeypatch.setattr(embed, "_label_walks", counted_trace)
     return calls
 
 
