@@ -19,7 +19,12 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from . import peels
 from .center import Stages
-from .embed import PlaneGraph, connect_components, triangulate_preserving_embedding
+from .embed import (
+    InvariantError,
+    PlaneGraph,
+    connect_components,
+    triangulate_preserving_embedding,
+)
 
 __all__ = [
     "OracleBudgetError",
@@ -158,7 +163,8 @@ def _deletion_rounds(
         outer_root = uf.find(outer_face)
         root_of = [uf.find(f) for f in range(g.face_count)]
         sel = [v for v in alive if any(root_of[f] == outer_root for f in incident[v])]
-        assert sel, "outer region lost all boundary vertices: corrupt embedding"
+        if not sel:
+            raise InvariantError("outer region lost all boundary vertices: corrupt embedding")
         for v in sel:
             peel[v] = rnd
             for e in edges_at[v]:
@@ -227,10 +233,11 @@ def fse_outerplanarity_bruteforce(g: PlaneGraph, threads: int = 1) -> FseBruteRe
 
     Disconnected graphs are connected first (inside their shared faces),
     which never increases the count of any face.  For n <= 200 every
-    per-face count is recomputed through the vertex/face incidence BFS and
-    the two routes must agree.  ``threads`` fans the per-face counts over a
-    pool; results are collected in face order, so the answer does not
-    depend on the thread count.
+    per-face count is recomputed through the vertex/face incidence BFS (all
+    faces share g's one incidence view), and a disagreement raises
+    :class:`InvariantError`, also under ``-O``.  ``threads`` fans the
+    per-face counts over a pool; results are collected in face order, so
+    the answer does not depend on the thread count.
     """
     if not g.connected:
         g = connect_components(g)
@@ -240,9 +247,10 @@ def fse_outerplanarity_bruteforce(g: PlaneGraph, threads: int = 1) -> FseBruteRe
         c = peel_count_by_deletion(g, f)
         if cross_check:
             via_radial = peels.peel_count_for_outerface(g, f)
-            assert via_radial == c, (
-                f"peel-count routes disagree on face {f}: deletion={c} radial={via_radial}"
-            )
+            if via_radial != c:
+                raise InvariantError(
+                    f"peel-count routes disagree on face {f}: deletion={c} radial={via_radial}"
+                )
         return c
 
     if threads > 1:
@@ -384,7 +392,8 @@ def simple_bound_check(g: PlaneGraph) -> SimpleBoundReport:
 
     A minimum-eccentricity vertex of a triangulated supergraph is located,
     and any original face incident to it works as outerface: peels of the
-    subgraph can only come earlier than in the triangulation.
+    subgraph can only come earlier than in the triangulation.  A realized
+    count above the bound raises :class:`InvariantError`.
     """
     if not g.connected:
         raise ValueError("bound check requires a connected graph")
@@ -396,9 +405,8 @@ def simple_bound_check(g: PlaneGraph) -> SimpleBoundReport:
     bound = min(1 + rad_g, (g.n + 26) // 6)
     face = g.first_face_of_vertex(center)
     realized = peel_count_by_deletion(g, face)
-    assert realized <= bound, (
-        f"realized peel count {realized} exceeds certified bound {bound}"
-    )
+    if realized > bound:
+        raise InvariantError(f"realized peel count {realized} exceeds certified bound {bound}")
     return SimpleBoundReport(bound, face, realized, center, rad_g, rad_t)
 
 
@@ -538,7 +546,8 @@ def full_oracle_report(g: PlaneGraph, fence_budget: int = 5_000_000) -> OracleRe
 
     eccs = all_eccentricities(gc_)
     rad, diam = min(eccs), max(eccs)
-    assert rad <= diam <= 2 * rad
+    if not rad <= diam <= 2 * rad:
+        raise InvariantError(f"radius {rad} and diameter {diam} break rad <= diam <= 2 rad")
     runtimes.lap("distances")
 
     fence: Optional[Union[int, float]] = None

@@ -123,7 +123,11 @@ def compute_layers(g: PlaneGraph, root: int) -> PeelContext:
 
 
 def peel_count_for_outerface(g: PlaneGraph, face: int) -> int:
-    """Number of peels when ``face`` is the outerface."""
+    """Number of peels when ``face`` is the outerface.
+
+    Every call on one graph reads that graph's one incidence view, which
+    the first radial BFS on it builds.
+    """
     if not g.connected:
         raise ValueError("peel counting requires a connected graph")
     rd = radial_bfs(g, source_face=face)

@@ -11,6 +11,7 @@ import numpy as np
 from peelbound.embed import (
     GraphFormatError,
     PlaneGraph,
+    RadialDistance,
     _Builder,
     _csr,
     _csr_gather,
@@ -196,6 +197,123 @@ def components_by_bfs(n: int, eu: array, ev: array) -> tuple[array, int]:
             comp_np[frontier] = label
         label += 1
     return comp, label
+
+
+def radial_bfs_by_rounds(g: PlaneGraph, source_vertex=None, source_face=None) -> RadialDistance:
+    """Reference radial BFS: both incidence CSRs sorted afresh, one numpy round per level.
+
+    Every dart links its origin to its face and every isolated vertex its
+    host face; raises like ``radial_bfs`` on bad sources and unreached
+    vertices or faces.
+    """
+    if (source_vertex is None) == (source_face is None):
+        raise ValueError("exactly one of source_vertex / source_face required")
+
+    vdist = np.full(g.n, -1, dtype=np.int64)
+    fdist = np.full(g.face_count, -1, dtype=np.int64)
+    if source_vertex is not None:
+        if not (0 <= source_vertex < g.n):
+            raise ValueError("source vertex out of range")
+        kind, src = "vertex", source_vertex
+        vdist[src] = 0
+    else:
+        if not (0 <= source_face < g.face_count):
+            raise ValueError("source face out of range")
+        kind, src = "face", source_face
+        fdist[src] = 0
+
+    face_of_walk = np.frombuffer(g.face_of_walk, dtype=np.int32)
+    walk_of_dart = np.frombuffer(g.walk_of_dart, dtype=np.int32)
+    verts = np.concatenate(
+        [_dart_ends(g.eu, g.ev)[0], np.frombuffer(g.lone_walk_vertex, dtype=np.int32)]
+    )
+    faces = np.concatenate(
+        [face_of_walk[walk_of_dart], face_of_walk[g.dart_walk_count :]]
+    ).astype(np.int64)
+    to_faces = (*_csr(verts, faces, g.n), fdist)
+    to_verts = (*_csr(faces, verts, g.face_count), vdist)
+    step, next_step = (to_faces, to_verts) if kind == "vertex" else (to_verts, to_faces)
+    slot = np.empty(max(g.n, g.face_count), dtype=np.int64)
+
+    front = np.array([src], dtype=np.int64)
+    dist = 0
+    while front.size:
+        dist += 1
+        indptr, nbrs, nbr_dist = step
+        cand = _csr_gather(indptr, nbrs, front)
+        front = _distinct(cand[nbr_dist[cand] < 0], slot)
+        nbr_dist[front] = dist
+        step, next_step = next_step, step
+
+    if (vdist < 0).any():
+        raise GraphFormatError("radial BFS did not reach every vertex")
+    if (fdist < 0).any():
+        raise GraphFormatError("radial BFS did not reach every face")
+    return RadialDistance(kind, src, vdist, fdist)
+
+
+def random_plane_map(seed: int, steps: int, components: int = 1) -> PlaneGraph:
+    """Seeded plane multigraph: random connected maps nested in each other's faces.
+
+    Each component starts as one vertex and takes about ``steps /
+    components`` random steps at a random corner: a pendant edge to a new
+    vertex, a chord to another corner of the same walk (loops through two
+    corners of one vertex and parallel edges included) or a loop inside the
+    corner.  A component that takes no step stays a lone vertex.  Component
+    i > 0 is dropped into a random face of those before it, one of its own
+    walks (picked at random) joining that face.  Faces are shuffled.
+    """
+    rng = random.Random(seed)
+    b = _Builder(0)
+    rn = b.rot_next
+    comp_darts: list[list[int]] = []
+    first_vertex: list[int] = []
+    for c in range(components):
+        v0 = b.new_vertex()
+        first_vertex.append(v0)
+        darts: list[int] = []
+        for _ in range(rng.randint(0, 2 * steps // components)):
+            if not darts:
+                w = b.new_vertex()
+                e = b.add_isolated_pair(v0, w)
+                darts += [2 * e, 2 * e + 1]
+                continue
+            rot_prev = {rn[d]: d for d in darts}
+            at = rng.choice(darts)
+            prev = rot_prev[at] ^ 1
+            kind = rng.random()
+            if kind < 0.4:
+                e = b.add_edge_at_corner_to_isolated(prev, at, b.new_vertex())
+            else:
+                walk = [at]
+                while rn[walk[-1] ^ 1] != at:
+                    walk.append(rn[walk[-1] ^ 1])
+                at2 = at if kind > 0.9 else rng.choice(walk)
+                if at2 == at:  # a loop inside one corner bounds a face of one dart
+                    v = b.ev[prev >> 1] if prev & 1 == 0 else b.eu[prev >> 1]
+                    e = b._new_edge(v, v)
+                    rn[prev ^ 1] = 2 * e
+                    rn[2 * e] = 2 * e + 1
+                    rn[2 * e + 1] = at
+                else:
+                    e = b.add_chord(prev, at, rot_prev[at2] ^ 1, at2)
+            darts += [2 * e, 2 * e + 1]
+        comp_darts.append(darts)
+
+    _, _, walk_of = trace_walks_by_loop(rn, len(rn))
+    nd = max(walk_of, default=-1) + 1
+    lone = [v for v in range(b.n) if b.rot_first[v] < 0]
+    faces: list[list[int]] = []
+    for c, darts in enumerate(comp_darts):
+        walks = sorted({walk_of[d] for d in darts}) or [nd + lone.index(first_vertex[c])]
+        if c == 0:
+            faces += [[w] for w in walks]
+            continue
+        outer = rng.choice(walks)
+        rng.choice(faces).append(outer)
+        faces += [[w] for w in walks if w != outer]
+    rng.shuffle(faces)
+    return _finish_graph(b, face_grouping=faces if components > 1 else None)
 
 
 def tree_of_peels_by_walks(aug: Augmentation) -> TreeOfPeels:

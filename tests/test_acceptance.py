@@ -14,10 +14,17 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
+import numpy as np
 import pytest
 
 from conftest import record_criterion
-from helpers import is_bipartite, ring_chain, thin_random_triangulation, tree_of_peels_by_walks
+from helpers import (
+    is_bipartite,
+    radial_bfs_by_rounds,
+    ring_chain,
+    thin_random_triangulation,
+    tree_of_peels_by_walks,
+)
 from peelbound.center import (
     ceil_sqrt,
     compute_delta,
@@ -27,7 +34,7 @@ from peelbound.center import (
     find_center_diameter,
     tree_separator,
 )
-from peelbound.embed import PlaneGraph, connect_components
+from peelbound.embed import PlaneGraph, connect_components, radial_bfs
 from peelbound.gen import (
     gen_lowerbound_H,
     gen_nested_cycles,
@@ -436,3 +443,20 @@ def test_tree_matches_walk_reference_on_corpus(pipelines):
         assert (tree.parent, tree.depth, tree.node_of) == (ref.parent, ref.depth, ref.node_of)
         assert [s[0] for s in tree.stored] == [s[0] for s in ref.stored]
         assert [set(s) for s in tree.stored] == [set(s) for s in ref.stored]
+
+
+def test_radial_bfs_matches_rounds_on_corpus(corpus):
+    # from each graph's root, and from every face of the graphs the oracle takes
+    graphs = faces = 0
+    for e in corpus:
+        g = e.graph
+        sources = [dict(source_vertex=choose_root(g) if e.root is None else e.root)]
+        if g.n <= 200:
+            graphs += 1
+            faces += g.face_count
+            sources += [dict(source_face=f) for f in range(g.face_count)]
+        for src in sources:
+            got, ref = radial_bfs(g, **src), radial_bfs_by_rounds(g, **src)
+            assert np.array_equal(got.vertex_dist, ref.vertex_dist), (e.name, src)
+            assert np.array_equal(got.face_dist, ref.face_dist), (e.name, src)
+    assert len(corpus) == 139 and graphs == 49, (len(corpus), graphs, faces)

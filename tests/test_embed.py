@@ -4,6 +4,8 @@ import hashlib
 import json
 import random
 from array import array
+from collections.abc import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from helpers import (
     components_by_bfs,
     connect_by_insertion,
     graph_fingerprint,
+    radial_bfs_by_rounds,
     random_nesting,
+    random_plane_map,
     relabel,
     ring_chain,
     thin_random_triangulation,
@@ -40,8 +44,9 @@ from peelbound.gen import (
     gen_prism_grid,
     gen_random_triangulation,
 )
-from peelbound.oracle import peel_numbers_by_deletion
-from peelbound.peels import choose_root
+from peelbound.graphio import from_document, to_document
+from peelbound.oracle import fse_outerplanarity_bruteforce, peel_numbers_by_deletion
+from peelbound.peels import augment, choose_root, compute_layers
 
 K3_EDGES = [(0, 1), (1, 2), (2, 0)]
 K3_ROTATION = [[0, 2], [1, 0], [2, 1]]
@@ -215,6 +220,127 @@ def test_radial_bfs_crosses_components():
                 assert rd.vertex_peels().tolist() == peel_numbers_by_deletion(g, f)
             faces += g.face_count
     assert faces == 56
+
+
+def test_vertex_peels_needs_a_face_source():
+    with pytest.raises(ValueError, match="face source"):
+        radial_bfs(octahedron(), source_vertex=0).vertex_peels()
+
+
+# ---------------------------------------------------------------------------
+# Radial BFS: hybrid frontier against the all-numpy reference
+# ---------------------------------------------------------------------------
+
+
+def assert_radial_matches_rounds(g, vertices=None, faces=None):
+    """Every given source (default: all) gives bit-identical int64 distances."""
+    sources = [dict(source_vertex=v) for v in (range(g.n) if vertices is None else vertices)]
+    sources += [dict(source_face=f) for f in (range(g.face_count) if faces is None else faces)]
+    for src in sources:
+        got, ref = radial_bfs(g, **src), radial_bfs_by_rounds(g, **src)
+        assert got.vertex_dist.dtype == got.face_dist.dtype == np.int64
+        assert np.array_equal(got.vertex_dist, ref.vertex_dist), src
+        assert np.array_equal(got.face_dist, ref.face_dist), src
+        assert (got.source_kind, got.source) == (ref.source_kind, ref.source)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=4),
+)
+def test_radial_bfs_matches_rounds_on_random_maps(seed, steps, components):
+    # loops, parallel edges, lone vertices and nested components; a low
+    # threshold moves levels between the two ways of expanding them
+    g = random_plane_map(seed, steps, components)
+    for threshold in (1, 2, 4, embed._PYTHON_FRONTIER):
+        with mock.patch.object(embed, "_PYTHON_FRONTIER", threshold):
+            assert_radial_matches_rounds(g)
+
+
+def _wheel(k):
+    edges = [(0, i) for i in range(1, k + 1)] + [(i, i % k + 1) for i in range(1, k + 1)]
+    rotation = [list(range(k))]
+    rotation += [[i - 1, k + (i - 2) % k, k + i - 1] for i in range(1, k + 1)]
+    return build_plane_graph(k + 1, edges, rotation)
+
+
+def _star(k):
+    return build_plane_graph(k + 1, [(0, i) for i in range(1, k + 1)], [list(range(k))] + [[i] for i in range(k)])
+
+
+@pytest.mark.parametrize("shape", [_wheel, _star])
+def test_radial_bfs_matches_rounds_across_threshold(shape):
+    # from the hub, k faces (wheel) or k leaves (star) form one level
+    t = embed._PYTHON_FRONTIER
+    for k in (t - 1, t, t + 1, 2 * t + 1, 4 * t):
+        g = shape(k)
+        rd = radial_bfs(g, source_vertex=0)
+        level = rd.face_dist == 1 if shape is _wheel else rd.vertex_dist == 2
+        assert np.count_nonzero(level) == k
+        assert_radial_matches_rounds(g, vertices=[0, 1, k])
+
+
+def test_radial_bfs_matches_rounds_on_families():
+    graphs = [gen_nested_cycles(g, k) for g in (1, 2, 5, 64) for k in (1, 4, 9)]
+    graphs += [gen_lowerbound_H(4, 201), gen_lowerbound_H(9, 41), gen_prism_grid(3)]
+    graphs += [gen_random_triangulation(n, n) for n in (4, 50, 3000)]
+    graphs += [random_nesting(seed, 12) for seed in range(10)]
+    for g in graphs:
+        assert_radial_matches_rounds(g, vertices=[0, g.n - 1], faces=[0, g.face_count - 1])
+
+
+def test_fse_bruteforce_builds_one_incidence_view(monkeypatch):
+    g = gen_random_triangulation(200, 5)
+    calls = []
+    build = embed._incidence
+    monkeypatch.setattr(embed, "_incidence", lambda h: calls.append(h) or build(h))
+    fse_outerplanarity_bruteforce(g)
+    assert g.face_count == 396
+    assert calls == [g]
+
+
+def test_augment_gives_h_its_own_incidence_view():
+    g = gen_lowerbound_H(4, 7)
+    ctx = compute_layers(g, choose_root(g))
+    aug = augment(ctx)
+    assert aug.H is not g and aug.H.m > g.m
+    assert g._incidence is not None and aug.H._incidence is None
+    assert_radial_matches_rounds(aug.H, vertices=[ctx.root], faces=[0])
+    vf_indptr, vf_faces, fv_indptr, fv_verts = aug.H._incidence
+    assert len(vf_indptr) == aug.H.n + 1 and len(fv_indptr) == aug.H.face_count + 1
+    assert len(vf_faces) == len(fv_verts) == 2 * aug.H.m
+    assert not vf_faces.flags.writeable and vf_faces.dtype == np.int32
+
+
+def test_deep_layers_take_few_numpy_rounds(monkeypatch):
+    g = gen_lowerbound_H(4, 601)
+    calls = []
+    gather = embed._csr_gather
+    monkeypatch.setattr(embed, "_csr_gather", lambda *a: calls.append(1) or gather(*a))
+    ctx = compute_layers(g, choose_root(g))
+    # one BFS level per vertex layer and one per face layer in between
+    assert ctx.depth > 600
+    assert len(calls) * 20 < ctx.depth
+
+
+def test_one_walk_faces_read_as_one_tuples():
+    g = octahedron()
+    faces = g.face_walks
+    assert isinstance(faces, Sequence) and not isinstance(faces, list)
+    assert len(faces) == g.face_count == 8
+    assert list(faces) == [(f,) for f in range(8)]
+    assert faces[3] == (3,) and faces[-1] == (7,) and faces[2:5] == [(2,), (3,), (4,)]
+    assert (5,) in faces and faces.index((6,)) == 6
+    with pytest.raises(IndexError):
+        faces[8]
+    with pytest.raises(TypeError):
+        faces[0] = (1,)
+    # a document of a connected graph names no faces, and reloads the same way
+    doc = to_document(g)
+    assert "faces" not in doc
+    assert list(from_document(json.loads(json.dumps(doc))).face_walks) == list(faces)
 
 
 def test_insert_edge_splits_face():

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import thin_random_triangulation
-from peelbound.embed import build_plane_graph, connect_components, radial_bfs
+from peelbound import oracle
+from peelbound.embed import InvariantError, build_plane_graph, connect_components, radial_bfs
 from peelbound.gen import (
     gen_lowerbound_H,
     gen_nested_cycles,
@@ -33,6 +34,7 @@ from peelbound.oracle import (
     verify_certificate,
 )
 from test_embed import octahedron
+from test_peels import run_under_optimize
 
 
 class DistanceOracleTests(unittest.TestCase):
@@ -222,3 +224,32 @@ def test_layer_routes_agree(n, seed):
     g = gen_random_triangulation(n, seed)
     rd = radial_bfs(g, source_vertex=0)
     assert (rd.vertex_dist // 2).tolist() == layer_numbers_by_deletion(g, 0)
+
+
+def test_oracle_checks_raise_invariant_error(monkeypatch):
+    g = gen_random_triangulation(30, 7)
+    monkeypatch.setattr(oracle, "peel_count_by_deletion", lambda g, f: 10**6)
+    with pytest.raises(InvariantError, match="exceeds certified bound"):
+        simple_bound_check(g)
+    monkeypatch.setattr(oracle, "fse_outerplanarity_bruteforce", lambda g: None)
+    monkeypatch.setattr(oracle, "all_eccentricities", lambda g: [1, 3])
+    with pytest.raises(InvariantError, match="radius 1 and diameter 3"):
+        full_oracle_report(g)
+
+
+def test_peel_route_disagreement_survives_optimize():
+    script = (
+        "from peelbound import oracle, peels\n"
+        "from peelbound.embed import InvariantError\n"
+        "from peelbound.gen import gen_random_triangulation\n"
+        "peels.peel_count_for_outerface = lambda g, f: -1\n"
+        "try:\n"
+        "    oracle.fse_outerplanarity_bruteforce(gen_random_triangulation(12, 3))\n"
+        "except InvariantError as exc:\n"
+        "    print(__debug__, type(exc).__name__, exc)\n"
+    )
+    proc = run_under_optimize(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(
+        "False InvariantError peel-count routes disagree on face 0: deletion="
+    )
