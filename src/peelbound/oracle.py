@@ -2,8 +2,10 @@
 
 Everything here is deliberately definition-shaped and independent of the
 fast pipeline: peel numbers come from literally deleting outer-face vertices
-round by round (tracking face merges with a union-find over the original
-faces), distances come from plain breadth-first search on adjacency lists,
+round by round (each deleted edge joins its two faces, and a face that so
+reaches the outer region floods its joined neighbours into it; the next
+round peels the vertices on the faces that just joined), distances come
+from plain breadth-first search on adjacency lists,
 and fence-girth comes from exhaustive simple-cycle enumeration plus a
 Jordan-side test.  Costs are desk-scale by design.
 """
@@ -15,7 +17,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import peels
 from .center import Stages
@@ -119,71 +121,94 @@ def diameter_exact(g: PlaneGraph) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
+class _DeletionTables(NamedTuple):
+    """What the deletion oracles read of a plane graph, built once per graph."""
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+    edges_at: list[list[int]]  # rotation_edges(v) of each vertex
+    sides: list[tuple[int, int]]  # (face_of_dart(2e), face_of_dart(2e + 1)) of each edge
+    face_verts: list[list[int]]  # vertices on each face: the inverse of faces_of_vertex
+    first_face: list[int]  # faces_of_vertex(v)[0] of each vertex
 
 
-def _deletion_rounds(
-    g: PlaneGraph,
-    peel: list[int],
-    uf: _UnionFind,
-    dead_edge: list[bool],
-    outer_face: int,
-    first_round: int,
-) -> int:
-    """Delete outer-boundary vertices round by round; returns last round used.
+def _deletion_tables(g: PlaneGraph) -> _DeletionTables:
+    """Read g once into the tables every outerface of g shares."""
+    face_of = [g.face_of_dart(d) for d in range(2 * g.m)]
+    face_verts: list[list[int]] = [[] for _ in range(g.face_count)]
+    first_face = []
+    for v in range(g.n):
+        faces = g.faces_of_vertex(v)  # a lone vertex: its host face
+        first_face.append(faces[0])
+        for f in faces:
+            face_verts[f].append(v)
+    return _DeletionTables(
+        [g.rotation_edges(v) for v in range(g.n)],
+        list(zip(face_of[0::2], face_of[1::2])),
+        face_verts,
+        first_face,
+    )
 
-    Deleting a vertex removes its edges; each removed edge merges the two
-    faces on its sides.  A surviving vertex sits on the (merged) outer region
-    exactly when one of its originally incident faces has been merged into it.
+
+def _deletion_rounds(t: _DeletionTables, outer_face: int, root: Optional[int] = None) -> list[int]:
+    """Peel round (1-based) of every vertex for outer_face; -1 for a pre-deleted root.
+
+    Each round deletes every live vertex on the outer region, and with it
+    its edges.  A deleted edge joins the two faces on its sides: when exactly
+    one of them is outer, the other's component under deleted edges floods
+    into the outer region.  A live vertex on a face that was outer before a
+    round is deleted in that round, so the next round takes the live
+    vertices on the faces that joined during this one.  Every face floods
+    once and every edge is deleted from each end once, so one outerface
+    costs O(n + m + F) on top of the shared tables.
     """
-    incident = [g.faces_of_vertex(v) for v in range(g.n)]
-    edges_at = [g.rotation_edges(v) for v in range(g.n)]
-    alive = [v for v in range(g.n) if peel[v] == 0]
-    rnd = first_round - 1
-    while alive:
-        rnd += 1
-        outer_root = uf.find(outer_face)
-        root_of = [uf.find(f) for f in range(g.face_count)]
-        sel = [v for v in alive if any(root_of[f] == outer_root for f in incident[v])]
-        if not sel:
-            raise InvariantError("outer region lost all boundary vertices: corrupt embedding")
+    edges_at, sides, face_verts, _ = t
+    peel = [0] * len(edges_at)
+    outer = [False] * len(face_verts)
+    across: list[list[int]] = [[] for _ in face_verts]  # over deleted edges, while not outer
+    outer[outer_face] = True
+    fresh = [outer_face]  # faces that joined the outer region since the last round began
+    sel = []
+    if root is not None:
+        peel[root] = -1
+        sel = [root]
+    rnd = 0
+    while True:
         for v in sel:
-            peel[v] = rnd
-            for e in edges_at[v]:
-                if not dead_edge[e]:
-                    dead_edge[e] = True
-                    uf.union(g.face_of_dart(2 * e), g.face_of_dart(2 * e + 1))
-        alive = [v for v in alive if peel[v] == 0]
-    return rnd
+            for e in edges_at[v]:  # an edge met again from its other end changes nothing
+                a, b = sides[e]
+                if outer[a] == outer[b]:
+                    if not outer[a]:
+                        across[a].append(b)
+                        across[b].append(a)
+                    continue
+                f = b if outer[a] else a
+                outer[f] = True
+                stack = [f]
+                while stack:
+                    f = stack.pop()
+                    fresh.append(f)
+                    for h in across[f]:
+                        if not outer[h]:
+                            outer[h] = True
+                            stack.append(h)
+        rnd += 1
+        sel = []
+        for f in fresh:
+            for v in face_verts[f]:
+                if not peel[v]:
+                    peel[v] = rnd
+                    sel.append(v)
+        if not sel:
+            if 0 in peel:
+                raise InvariantError("outer region lost all boundary vertices: corrupt embedding")
+            return peel
+        fresh = []
 
 
 def peel_numbers_by_deletion(g: PlaneGraph, outer_face: int) -> list[int]:
     """Peel index (1-based) of every vertex for the given outerface."""
     if not (0 <= outer_face < g.face_count):
         raise ValueError("outer face out of range")
-    peel = [0] * g.n
-    uf = _UnionFind(g.face_count)
-    dead_edge = [False] * g.m
-    _deletion_rounds(g, peel, uf, dead_edge, outer_face, first_round=1)
-    return peel
+    return _deletion_rounds(_deletion_tables(g), outer_face)
 
 
 def peel_count_by_deletion(g: PlaneGraph, outer_face: int) -> int:
@@ -199,18 +224,9 @@ def layer_numbers_by_deletion(g: PlaneGraph, root: int) -> list[int]:
     """
     if not (0 <= root < g.n):
         raise ValueError("root out of range")
-    peel = [0] * g.n
-    uf = _UnionFind(g.face_count)
-    dead_edge = [False] * g.m
-    peel[root] = -1  # mark deleted; layer 0 in the result
-    for e in g.rotation_edges(root):
-        if not dead_edge[e]:
-            dead_edge[e] = True
-            uf.union(g.face_of_dart(2 * e), g.face_of_dart(2 * e + 1))
-    outer = g.faces_of_vertex(root)[0]
-    _deletion_rounds(g, peel, uf, dead_edge, outer, first_round=1)
-    layers = [0 if p == -1 else p for p in peel]
-    return layers
+    t = _deletion_tables(g)
+    peel = _deletion_rounds(t, t.first_face[root], root)
+    return [0 if p == -1 else p for p in peel]
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +248,11 @@ def fse_outerplanarity_bruteforce(g: PlaneGraph, threads: int = 1) -> FseBruteRe
     """Minimum peel count over all outerfaces, by literal deletion.
 
     Disconnected graphs are connected first (inside their shared faces),
-    which never increases the count of any face.  For n <= 200 every
-    per-face count is recomputed through the vertex/face incidence BFS (all
-    faces share g's one incidence view), and a disagreement raises
+    which never increases the count of any face.  All faces share one set
+    of deletion tables, so each face costs O(n + m + F) and the whole
+    search O(F (n + m + F)).  For n <= 200 every per-face count is
+    recomputed through the vertex/face incidence BFS (all faces share g's
+    one incidence view), and a disagreement raises
     :class:`InvariantError`, also under ``-O``.  ``threads`` fans the
     per-face counts over a pool; results are collected in face order, so
     the answer does not depend on the thread count.
@@ -242,9 +260,10 @@ def fse_outerplanarity_bruteforce(g: PlaneGraph, threads: int = 1) -> FseBruteRe
     if not g.connected:
         g = connect_components(g)
     cross_check = g.n <= 200
+    tables = _deletion_tables(g)
 
     def count_face(f: int) -> int:
-        c = peel_count_by_deletion(g, f)
+        c = max(_deletion_rounds(tables, f), default=0)
         if cross_check:
             via_radial = peels.peel_count_for_outerface(g, f)
             if via_radial != c:
@@ -308,24 +327,45 @@ def _simple_cycles_of_length(g: PlaneGraph, L: int, budget: list[int]) -> Iterat
         yield from extend(s, s, [], set())
 
 
-def _is_fence(g: PlaneGraph, cycle: Sequence[int]) -> bool:
+class _UnionFind:
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if ra > rb:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+
+def _is_fence(g: PlaneGraph, t: _DeletionTables, cycle: Sequence[int]) -> bool:
     """True when vertices exist strictly on both sides of the cycle."""
     cyc_edges = {d >> 1 for d in cycle}
     cyc_verts = {g.origin(d) for d in cycle}
     uf = _UnionFind(g.face_count)
-    for e in range(g.m):
+    for e, (a, b) in enumerate(t.sides):
         if e not in cyc_edges:
-            uf.union(g.face_of_dart(2 * e), g.face_of_dart(2 * e + 1))
+            uf.union(a, b)
     d0 = cycle[0]
-    left = uf.find(g.face_of_dart(d0))
-    right = uf.find(g.face_of_dart(d0 ^ 1))
+    left = uf.find(t.sides[d0 >> 1][d0 & 1])
+    right = uf.find(t.sides[d0 >> 1][(d0 & 1) ^ 1])
     if left == right:
         return False
     seen_left = seen_right = False
-    for v in range(g.n):
+    for v, f in enumerate(t.first_face):
         if v in cyc_verts:
             continue
-        side = uf.find(g.faces_of_vertex(v)[0])
+        side = uf.find(f)
         if side == left:
             seen_left = True
         elif side == right:
@@ -349,9 +389,10 @@ def fence_girth_bruteforce(
     if max_len is None:
         max_len = g.n  # a simple cycle repeats no vertex
     remaining = [budget]
+    tables = _deletion_tables(g)
     for L in range(1, max_len + 1):
         for cycle in _simple_cycles_of_length(g, L, remaining):
-            if _is_fence(g, cycle):
+            if _is_fence(g, tables, cycle):
                 return L
     return math.inf
 

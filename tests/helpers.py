@@ -10,6 +10,7 @@ import numpy as np
 
 from peelbound.embed import (
     GraphFormatError,
+    InvariantError,
     PlaneGraph,
     RadialDistance,
     _Builder,
@@ -23,6 +24,7 @@ from peelbound.embed import (
     insert_edge_in_face,
 )
 from peelbound.gen import _prism_band, gen_random_triangulation
+from peelbound.oracle import _UnionFind
 from peelbound.peels import Augmentation, PeelContext, TreeOfPeels, _finish_tree
 
 
@@ -314,6 +316,52 @@ def random_plane_map(seed: int, steps: int, components: int = 1) -> PlaneGraph:
         faces += [[w] for w in walks if w != outer]
     rng.shuffle(faces)
     return _finish_graph(b, face_grouping=faces if components > 1 else None)
+
+
+def _union_find_rounds(g: PlaneGraph, peel: list[int], uf: _UnionFind, outer_face: int) -> None:
+    """Delete outer-boundary vertices round by round, rescanning every face.
+
+    Deleting a vertex removes its edges; each removed edge merges the two
+    faces on its sides.  A surviving vertex sits on the (merged) outer region
+    exactly when one of its originally incident faces has been merged into it.
+    """
+    incident = [g.faces_of_vertex(v) for v in range(g.n)]
+    edges_at = [g.rotation_edges(v) for v in range(g.n)]
+    dead_edge = [False] * g.m
+    alive = [v for v in range(g.n) if peel[v] == 0]
+    rnd = 0
+    while alive:
+        rnd += 1
+        outer_root = uf.find(outer_face)
+        root_of = [uf.find(f) for f in range(g.face_count)]
+        sel = [v for v in alive if any(root_of[f] == outer_root for f in incident[v])]
+        if not sel:
+            raise InvariantError("outer region lost all boundary vertices: corrupt embedding")
+        for v in sel:
+            peel[v] = rnd
+            for e in edges_at[v]:
+                if not dead_edge[e]:
+                    dead_edge[e] = True
+                    uf.union(g.face_of_dart(2 * e), g.face_of_dart(2 * e + 1))
+        alive = [v for v in alive if peel[v] == 0]
+
+
+def peel_numbers_by_union_find(g: PlaneGraph, outer_face: int) -> list[int]:
+    """Reference peel numbers: face merges in a union-find, every face rescanned per round."""
+    peel = [0] * g.n
+    _union_find_rounds(g, peel, _UnionFind(g.face_count), outer_face)
+    return peel
+
+
+def layer_numbers_by_union_find(g: PlaneGraph, root: int) -> list[int]:
+    """Reference layer numbers: the root deleted first, then union-find rounds."""
+    peel = [0] * g.n
+    uf = _UnionFind(g.face_count)
+    peel[root] = -1
+    for e in g.rotation_edges(root):
+        uf.union(g.face_of_dart(2 * e), g.face_of_dart(2 * e + 1))
+    _union_find_rounds(g, peel, uf, g.faces_of_vertex(root)[0])
+    return [0 if p == -1 else p for p in peel]
 
 
 def tree_of_peels_by_walks(aug: Augmentation) -> TreeOfPeels:

@@ -20,6 +20,7 @@ import pytest
 from conftest import record_criterion
 from helpers import (
     is_bipartite,
+    peel_numbers_by_union_find,
     radial_bfs_by_rounds,
     ring_chain,
     thin_random_triangulation,
@@ -460,3 +461,30 @@ def test_radial_bfs_matches_rounds_on_corpus(corpus):
             assert np.array_equal(got.vertex_dist, ref.vertex_dist), (e.name, src)
             assert np.array_equal(got.face_dist, ref.face_dist), (e.name, src)
     assert len(corpus) == 139 and graphs == 49, (len(corpus), graphs, faces)
+
+
+def test_fse_per_face_matches_union_find_on_corpus(corpus):
+    graphs = 0
+    for e in corpus:
+        g = e.graph
+        if g.n <= 200:
+            graphs += 1
+            assert g.connected, e.name
+            ref = [max(peel_numbers_by_union_find(g, f)) for f in range(g.face_count)]
+            assert fse_outerplanarity_bruteforce(g).per_face == ref, e.name
+    assert graphs == 49
+
+
+FENCE_GIRTH = {
+    **{f"H-{g}-{k}": g for g in (3, 4, 5, 6) for k in (3, 5, 7)},
+    **{f"nested-{g}-{k}": g for g in (3, 4, 5) for k in (1, 3, 5, 7)},
+    **{f"chain-{c}": 3 for c in ("deep", "generic", "small-alpha", "small-s")},
+    **{"digon-chain": 2, "loop-chain": 1, "prism-1": 4, "prism-2": 4},
+    **{"rand-10-0": 3, "rand-30-1": 3, "rand-50-2": 3, "tiny-rand-4": math.inf},
+    **{f"tiny-rand-{n}": 3 for n in (5, 6, 7, 8)},
+}
+
+
+def test_fence_girth_frozen_on_corpus(corpus):
+    got = {e.name: fence_girth_bruteforce(e.graph) for e in corpus if e.graph.n <= 60}
+    assert got == FENCE_GIRTH

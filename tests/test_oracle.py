@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import thin_random_triangulation
+from helpers import (
+    layer_numbers_by_union_find,
+    peel_numbers_by_union_find,
+    random_plane_map,
+    thin_random_triangulation,
+)
 from peelbound import oracle
 from peelbound.embed import InvariantError, build_plane_graph, connect_components, radial_bfs
 from peelbound.gen import (
@@ -97,6 +102,70 @@ def test_fse_threads_agree():
     seq = fse_outerplanarity_bruteforce(g, threads=1)
     par = fse_outerplanarity_bruteforce(g, threads=4)
     assert seq.per_face == par.per_face and seq.face == par.face
+
+
+def test_fse_bruteforce_builds_deletion_tables_once(monkeypatch):
+    g = gen_random_triangulation(200, 5)
+    calls = []
+    build = oracle._deletion_tables
+    monkeypatch.setattr(oracle, "_deletion_tables", lambda h: calls.append(h) or build(h))
+    fse_outerplanarity_bruteforce(g)
+    assert g.face_count == 396
+    assert calls == [g]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=3),
+)
+def test_deletion_matches_union_find_on_random_maps(seed, steps, components):
+    # loops, parallel edges and lone vertices; maps of 2-3 components as
+    # drawn and in their connected form
+    g = random_plane_map(seed, steps, components)
+    for h in [g] + ([connect_components(g)] if components > 1 else []):
+        for f in range(h.face_count):
+            assert peel_numbers_by_deletion(h, f) == peel_numbers_by_union_find(h, f), f
+        for root in range(h.n):
+            assert layer_numbers_by_deletion(h, root) == layer_numbers_by_union_find(h, root), root
+
+
+def test_lost_outer_region_raises_invariant_error(monkeypatch):
+    # forged tables list vertex 5 on no face: rounds 1 and 2 peel the rest
+    build = oracle._deletion_tables
+
+    def forged(g):
+        t = build(g)
+        return t._replace(face_verts=[[v for v in vs if v != 5] for vs in t.face_verts])
+
+    monkeypatch.setattr(oracle, "_deletion_tables", forged)
+    with pytest.raises(InvariantError, match="outer region lost all boundary vertices"):
+        peel_numbers_by_deletion(octahedron(), 0)
+    with pytest.raises(InvariantError, match="outer region lost all boundary vertices"):
+        layer_numbers_by_deletion(octahedron(), 0)
+
+
+def test_lost_outer_region_survives_optimize():
+    script = (
+        "from peelbound import oracle\n"
+        "from peelbound.embed import InvariantError\n"
+        "from peelbound.gen import gen_random_triangulation\n"
+        "build = oracle._deletion_tables\n"
+        "def forged(g):\n"
+        "    t = build(g)\n"
+        "    return t._replace(face_verts=[[v for v in vs if v] for vs in t.face_verts])\n"
+        "oracle._deletion_tables = forged\n"
+        "try:\n"
+        "    oracle.fse_outerplanarity_bruteforce(gen_random_triangulation(12, 3))\n"
+        "except InvariantError as exc:\n"
+        "    print(__debug__, type(exc).__name__, exc)\n"
+    )
+    proc = run_under_optimize(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "False InvariantError outer region lost all boundary vertices: corrupt embedding\n"
+    )
 
 
 def test_girth_values():
