@@ -20,6 +20,7 @@ from .embed import (
     radial_bfs,
     trace_faces,
     triangulate_preserving_embedding,
+    vertex_bfs,
 )
 from .gen import (
     gen_lowerbound_H,

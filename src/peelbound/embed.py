@@ -34,6 +34,7 @@ __all__ = [
     "build_plane_graph",
     "trace_faces",
     "radial_bfs",
+    "vertex_bfs",
     "connect_components",
     "insert_edge_in_face",
     "triangulate_preserving_embedding",
@@ -401,18 +402,16 @@ def _dart_ends(eu: array, ev: array) -> tuple[np.ndarray, np.ndarray]:
     return origin, head
 
 
-def _csr(
-    keys: np.ndarray, values: np.ndarray, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group values by key in [0, size): row k is grouped[indptr[k]:indptr[k+1]].
+def _grouping(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, order) grouping positions by key in [0, size).
 
-    Order within a row is unspecified; every reader dedupes or sorts.  The
-    radial BFS groups by one argsort per incidence direction, once per graph
-    (:func:`_incidence`).
+    Row k of any values array v is v[order][indptr[k]:indptr[k+1]], so
+    arrays keyed alike share one sort.  Order within a row is unspecified;
+    every reader dedupes or sorts.
     """
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys, minlength=size), out=indptr[1:])
-    return indptr, values[np.argsort(keys)]
+    return indptr, np.argsort(keys)
 
 
 def _label_components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -766,28 +765,49 @@ class RadialDistance:
         return (self.vertex_dist + 1) // 2
 
 
-def _incidence(g: PlaneGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(vf_indptr, vf_faces, fv_indptr, fv_verts): g's vertex/face incidence, int32.
+def _incidence(
+    g: PlaneGraph,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(vf_indptr, vf_faces, vf_heads, fv_indptr, fv_verts): g's incidence, int32.
 
-    Row v of the first CSR lists a face per dart leaving v, row f of the
-    second a vertex per dart on f; an isolated vertex and its host face list
-    each other once.  Repeats stay in.  Read-only, built once per graph by
-    :func:`radial_bfs` and kept in the graph's ``_incidence`` slot.
+    Three CSRs from one sort per direction.  Row v of vf_faces lists a face
+    per dart leaving v, and the same entry of vf_heads (same vf_indptr, same
+    order) that dart's head, so vf_heads is g's vertex-to-neighbour CSR.
+    Row f of fv_verts lists a vertex per dart on f.  An isolated vertex and
+    its host face list each other once, and the vertex lists itself as its
+    own head.  Repeats stay in.  Read-only, built once per graph by the
+    first search (:func:`radial_bfs`, :func:`vertex_bfs`) and kept in the
+    graph's ``_incidence`` slot.
     """
     m2 = 2 * g.m
     lone = np.frombuffer(g.lone_walk_vertex, dtype=np.int32)
+    eu = np.frombuffer(g.eu, dtype=np.int32)
+    ev = np.frombuffer(g.ev, dtype=np.int32)
     face_of_walk = np.frombuffer(g.face_of_walk, dtype=np.int32)
     verts = np.empty(m2 + len(lone), dtype=np.int32)
-    verts[0:m2:2] = np.frombuffer(g.eu, dtype=np.int32)
-    verts[1:m2:2] = np.frombuffer(g.ev, dtype=np.int32)
+    verts[0:m2:2] = eu
+    verts[1:m2:2] = ev
     verts[m2:] = lone
+    heads = np.empty_like(verts)
+    heads[0:m2:2] = ev
+    heads[1:m2:2] = eu
+    heads[m2:] = lone
     faces = np.empty_like(verts)
     faces[:m2] = face_of_walk[np.frombuffer(g.walk_of_dart, dtype=np.int32)]
     faces[m2:] = face_of_walk[g.dart_walk_count :]
-    view = (*_csr(verts, faces, g.n), *_csr(faces, verts, g.face_count))
+    vf_indptr, by_vert = _grouping(verts, g.n)
+    fv_indptr, by_face = _grouping(faces, g.face_count)
+    view = (vf_indptr, faces[by_vert], heads[by_vert], fv_indptr, verts[by_face])
     for part in view:
         part.flags.writeable = False
     return view
+
+
+def _cached_incidence(g: PlaneGraph) -> tuple[np.ndarray, ...]:
+    """g's :func:`_incidence` view, built on the first call for g."""
+    if g._incidence is None:
+        g._incidence = _incidence(g)
+    return g._incidence
 
 
 _PYTHON_FRONTIER = 40
@@ -805,6 +825,45 @@ the fourth by 18%.
 """
 
 
+def _bfs_levels(steps: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], source: int) -> None:
+    """Breadth-first search from source, filling the distance arrays of steps.
+
+    Each step is (indptr, nbrs, dist): row x of the CSR lists the ids that
+    one level steps to from x, and dist, indexed by those ids, holds -1
+    where unreached.  Level k takes step (k - 1) mod len(steps), so the
+    first step leads out of the source, whose own distance the caller set.
+
+    A frontier below ``_PYTHON_FRONTIER`` expands in plain Python through
+    memoryviews of the CSR and of dist, so a deep graph with narrow levels
+    does not pay numpy's fixed cost per call on each of them (the per-level
+    switch of Beamer, Asanovic and Patterson, "Direction-optimizing
+    breadth-first search", SC 2012, applied to that cost); a larger one
+    takes one :func:`_csr_gather` and :func:`_distinct` round.  Both ways
+    assign the same distances.
+    """
+    small_steps = [[memoryview(a) for a in step] for step in steps]
+    slot = np.empty(max(len(dist) for _, _, dist in steps), dtype=np.int64)
+    front = [source]
+    level = 0
+    while len(front):
+        side = level % len(steps)
+        level += 1
+        if len(front) < _PYTHON_FRONTIER:
+            indptr, nbrs, nbr_dist = small_steps[side]
+            reached = []
+            for x in front:
+                for y in nbrs[indptr[x] : indptr[x + 1]]:
+                    if nbr_dist[y] < 0:
+                        nbr_dist[y] = level
+                        reached.append(y)
+            front = reached
+        else:
+            indptr, nbrs, nbr_dist = steps[side]
+            cand = _csr_gather(indptr, nbrs, np.asarray(front))
+            front = _distinct(cand[nbr_dist[cand] < 0], slot)
+            nbr_dist[front] = level
+
+
 def radial_bfs(
     g: PlaneGraph,
     source_vertex: Optional[int] = None,
@@ -817,13 +876,8 @@ def radial_bfs(
     of a spherical embedding is always connected); raises if some vertex or
     face is left unreached, which indicates a corrupt face grouping.
 
-    Level by level, the frontier alternates between vertices and faces.  A
-    frontier below ``_PYTHON_FRONTIER`` expands in plain Python through
-    memoryviews of the incidence CSRs and the distance arrays, so a deep
-    graph with narrow levels does not pay numpy's fixed cost per call on
-    each of them (the per-level switch of Beamer, Asanovic and Patterson,
-    "Direction-optimizing breadth-first search", SC 2012, applied to that
-    cost).  Both ways assign the same distances.
+    Levels alternate between the vertex-to-face and the face-to-vertex CSR
+    of g's cached view, in the level loop :func:`_bfs_levels`.
     """
     if (source_vertex is None) == (source_face is None):
         raise ValueError("exactly one of source_vertex / source_face required")
@@ -833,47 +887,41 @@ def radial_bfs(
     if source_vertex is not None:
         if not (0 <= source_vertex < g.n):
             raise ValueError("source vertex out of range")
-        kind, src, side = "vertex", source_vertex, 0
+        kind, src = "vertex", source_vertex
         vdist[src] = 0
     else:
         if not (0 <= source_face < g.face_count):
             raise ValueError("source face out of range")
-        kind, src, side = "face", source_face, 1
+        kind, src = "face", source_face
         fdist[src] = 0
 
-    if g._incidence is None:
-        g._incidence = _incidence(g)
-    vf_indptr, vf_faces, fv_indptr, fv_verts = g._incidence
-    # side 0 steps from vertices to faces, side 1 from faces to vertices
-    steps = ((vf_indptr, vf_faces, fdist), (fv_indptr, fv_verts, vdist))
-    small_steps = [[memoryview(a) for a in step] for step in steps]
-    slot = np.empty(max(g.n, g.face_count), dtype=np.int64)
-
-    front = [src]
-    dist = 0
-    while len(front):
-        dist += 1
-        if len(front) < _PYTHON_FRONTIER:
-            indptr, nbrs, nbr_dist = small_steps[side]
-            reached = []
-            for x in front:
-                for y in nbrs[indptr[x] : indptr[x + 1]]:
-                    if nbr_dist[y] < 0:
-                        nbr_dist[y] = dist
-                        reached.append(y)
-            front = reached
-        else:
-            indptr, nbrs, nbr_dist = steps[side]
-            cand = _csr_gather(indptr, nbrs, np.asarray(front))
-            front = _distinct(cand[nbr_dist[cand] < 0], slot)
-            nbr_dist[front] = dist
-        side ^= 1
+    vf_indptr, vf_faces, _, fv_indptr, fv_verts = _cached_incidence(g)
+    to_faces = (vf_indptr, vf_faces, fdist)
+    to_verts = (fv_indptr, fv_verts, vdist)
+    _bfs_levels((to_faces, to_verts) if kind == "vertex" else (to_verts, to_faces), src)
 
     if (vdist < 0).any():
         raise GraphFormatError("radial BFS did not reach every vertex")
     if (fdist < 0).any():
         raise GraphFormatError("radial BFS did not reach every face")
     return RadialDistance(kind, src, vdist, fdist)
+
+
+def vertex_bfs(g: PlaneGraph, source: int) -> np.ndarray:
+    """Hop distances from source along g's edges, int64, -1 where unreachable.
+
+    The contract of ``oracle.bfs_distances``, computed by :func:`_bfs_levels`
+    over the vertex-to-neighbour CSR of g's cached view (``vf_indptr``,
+    ``vf_heads``), so the search shares its level loop and its view with
+    :func:`radial_bfs`.
+    """
+    if not (0 <= source < g.n):
+        raise ValueError("source vertex out of range")
+    vf_indptr, _, vf_heads, _, _ = _cached_incidence(g)
+    dist = np.full(g.n, -1, dtype=np.int64)
+    dist[source] = 0
+    _bfs_levels(((vf_indptr, vf_heads, dist),), source)
+    return dist
 
 
 # ---------------------------------------------------------------------------

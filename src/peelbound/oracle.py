@@ -8,6 +8,11 @@ round peels the vertices on the faces that just joined), distances come
 from plain breadth-first search on adjacency lists,
 and fence-girth comes from exhaustive simple-cycle enumeration plus a
 Jordan-side test.  Costs are desk-scale by design.
+
+:func:`verify_certificate` is the exception: it runs at full scale on
+every certificate the CLI checks, so it reads ecc_H(s) from the pipeline's
+numpy BFS (:func:`embed.vertex_bfs`), which the tests hold to this module's
+pure-Python :func:`bfs_distances`.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .embed import (
     PlaneGraph,
     connect_components,
     triangulate_preserving_embedding,
+    vertex_bfs,
 )
 
 __all__ = [
@@ -477,14 +483,18 @@ def _cert_get(cert, key: str):
 
 
 def verify_certificate(cert, target: PlaneGraph) -> VerifyReport:
-    """Recheck a center certificate by brute force.
+    """Recheck a center certificate on the graph it was issued for.
 
     ``target`` is the plane graph the certificate was issued for; the
     decomposition pipeline is re-run deterministically to rebuild the
-    augmentation.  Eccentricity of the center is rechecked in the augmented
-    graph; the peel count of the chosen outerface is rechecked in the
-    original graph (connected first if it is not).  A field that is present
-    but not an integer (a float, a string, a bool) raises ValueError.
+    augmentation H.  The eccentricity of the center in H comes from one
+    BFS from it (:func:`embed.vertex_bfs`, checked against this module's
+    :func:`bfs_distances` in the tests); the peel count of the chosen
+    outerface is rechecked in the original graph (connected first if it is
+    not).  On a triangulation H is that graph, so all three searches read
+    one incidence view.  A field that is present but not an integer (a
+    float, a string, a bool) raises ValueError; the size and center-range
+    checks run before the rebuild, which keeps the vertex count.
     """
     for key in _INT_FIELDS:
         value = _cert_get(cert, key)
@@ -500,6 +510,15 @@ def verify_certificate(cert, target: PlaneGraph) -> VerifyReport:
         report.add("fields", False, "certificate lacks center/bound")
         return report
 
+    n = _cert_get(cert, "n")
+    if n is not None and n != target.n:
+        report.add("size", False, f"certificate n={n} but graph has {target.n}")
+        return report
+
+    if not (0 <= s < target.n):
+        report.add("center-range", False, f"center {s} out of range")
+        return report
+
     original = target
     if not target.connected:
         original = connect_components(target)
@@ -507,16 +526,10 @@ def verify_certificate(cert, target: PlaneGraph) -> VerifyReport:
     ctx = peels.compute_layers(original, root)
     aug = peels.augment(ctx)
 
-    n = _cert_get(cert, "n")
-    if n is not None and n != original.n:
-        report.add("size", False, f"certificate n={n} but graph has {original.n}")
-        return report
-
-    if not (0 <= s < aug.H.n):
-        report.add("center-range", False, f"center {s} out of range")
-        return report
-
-    ecc = eccentricity(aug.H, s)
+    dist = vertex_bfs(aug.H, s)
+    if (dist < 0).any():
+        raise ValueError("eccentricity undefined: graph is disconnected")
+    ecc = int(dist.max())
     report.add(
         "eccentricity",
         ecc <= bound,

@@ -14,11 +14,11 @@ from peelbound.embed import (
     PlaneGraph,
     RadialDistance,
     _Builder,
-    _csr,
     _csr_gather,
     _dart_ends,
     _distinct,
     _finish_graph,
+    _grouping,
     build_plane_graph,
     connect_components,
     insert_edge_in_face,
@@ -177,6 +177,12 @@ def articulation_flags(g: PlaneGraph) -> bytearray:
     return flags
 
 
+def csr_by_sort(keys: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row k of values by key k in [0, size), sorted afresh on every call."""
+    indptr, order = _grouping(keys, size)
+    return indptr, values[order]
+
+
 def components_by_bfs(n: int, eu: array, ev: array) -> tuple[array, int]:
     """Reference component labels: one numpy frontier BFS per component.
 
@@ -185,7 +191,7 @@ def components_by_bfs(n: int, eu: array, ev: array) -> tuple[array, int]:
     """
     comp = array("i", [-1]) * n
     comp_np = np.frombuffer(comp, dtype=np.int32)
-    indptr, dest = _csr(*_dart_ends(eu, ev), n)
+    indptr, dest = csr_by_sort(*_dart_ends(eu, ev), n)
     slot = np.empty(n, dtype=np.int64)
     label = 0
     for seed in range(n):
@@ -232,8 +238,8 @@ def radial_bfs_by_rounds(g: PlaneGraph, source_vertex=None, source_face=None) ->
     faces = np.concatenate(
         [face_of_walk[walk_of_dart], face_of_walk[g.dart_walk_count :]]
     ).astype(np.int64)
-    to_faces = (*_csr(verts, faces, g.n), fdist)
-    to_verts = (*_csr(faces, verts, g.face_count), vdist)
+    to_faces = (*csr_by_sort(verts, faces, g.n), fdist)
+    to_verts = (*csr_by_sort(faces, verts, g.face_count), vdist)
     step, next_step = (to_faces, to_verts) if kind == "vertex" else (to_verts, to_faces)
     slot = np.empty(max(g.n, g.face_count), dtype=np.int64)
 

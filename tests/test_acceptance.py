@@ -35,7 +35,7 @@ from peelbound.center import (
     find_center_diameter,
     tree_separator,
 )
-from peelbound.embed import PlaneGraph, connect_components, radial_bfs
+from peelbound.embed import PlaneGraph, connect_components, radial_bfs, vertex_bfs
 from peelbound.gen import (
     gen_lowerbound_H,
     gen_nested_cycles,
@@ -461,6 +461,25 @@ def test_radial_bfs_matches_rounds_on_corpus(corpus):
             assert np.array_equal(got.vertex_dist, ref.vertex_dist), (e.name, src)
             assert np.array_equal(got.face_dist, ref.face_dist), (e.name, src)
     assert len(corpus) == 139 and graphs == 49, (len(corpus), graphs, faces)
+
+
+def test_vertex_bfs_matches_networkx_on_corpus(corpus):
+    nx = pytest.importorskip("networkx")
+    for e in corpus:
+        g = e.graph
+        h = nx.MultiGraph(list(zip(g.eu, g.ev)))
+        h.add_nodes_from(range(g.n))
+        for v in sorted({0, g.n // 2, g.n - 1}):
+            want = nx.single_source_shortest_path_length(h, v)
+            assert vertex_bfs(g, v).tolist() == [want[u] for u in range(g.n)], (e.name, v)
+
+
+def test_center_eccentricity_matches_oracle_on_corpus(pipelines):
+    # the ecc_H(s) that verify_certificate reads, against the oracle's BFS
+    for pipe in pipelines.values():
+        h, s = pipe.aug.H, pipe.cert.center
+        assert int(vertex_bfs(h, s).max()) == eccentricity(h, s), pipe.entry.name
+    assert len(pipelines) == 139
 
 
 def test_fse_per_face_matches_union_find_on_corpus(corpus):

@@ -12,6 +12,7 @@ import pytest
 import peelbound
 from peelbound.cli import main
 from peelbound.graphio import loads_plane_graph
+from peelbound.oracle import VerifyReport
 
 
 def run(capsys, *argv):
@@ -438,11 +439,19 @@ def test_bench_rows(capsys, tmp_path):
         assert r["command"] == "bench" and r["per_vertex"] > 0
         assert set(r["stages"]) == set(BENCH_STAGES)
         assert r["seconds"] == round(sum(r["stages"].values()), 6)
+        assert r["verify"] > 0  # timed apart: not a stage, not in seconds
     with open(out_path, encoding="utf-8") as fh:
         saved = json.load(fh)
     assert saved == rows
     assert [list(r["stages"]) for r in saved] == [list(BENCH_STAGES)] * 2  # run order
     assert "us/vertex" in err
+
+
+def test_bench_stops_on_a_certificate_that_fails(capsys, monkeypatch):
+    monkeypatch.setattr("peelbound.cli.verify_certificate", lambda cert, g: VerifyReport(ok=False))
+    code, out, err = run(capsys, "bench", "random", "--n", "50")
+    assert code == 3 and out == ""
+    assert "failed verification" in err
 
 
 def test_bench_nested_uses_k(capsys):

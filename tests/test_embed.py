@@ -28,14 +28,13 @@ from peelbound import embed
 from peelbound.center import certify
 from peelbound.embed import (
     GraphFormatError,
-    _csr,
-    _dart_ends,
     build_plane_graph,
     connect_components,
     insert_edge_in_face,
     radial_bfs,
     trace_faces,
     triangulate_preserving_embedding,
+    vertex_bfs,
 )
 from peelbound.gen import (
     _prism_band,
@@ -45,7 +44,12 @@ from peelbound.gen import (
     gen_random_triangulation,
 )
 from peelbound.graphio import from_document, to_document
-from peelbound.oracle import fse_outerplanarity_bruteforce, peel_numbers_by_deletion
+from peelbound.oracle import (
+    bfs_distances,
+    fse_outerplanarity_bruteforce,
+    peel_numbers_by_deletion,
+    verify_certificate,
+)
 from peelbound.peels import augment, choose_root, compute_layers
 
 K3_EDGES = [(0, 1), (1, 2), (2, 0)]
@@ -291,6 +295,71 @@ def test_radial_bfs_matches_rounds_on_families():
         assert_radial_matches_rounds(g, vertices=[0, g.n - 1], faces=[0, g.face_count - 1])
 
 
+# ---------------------------------------------------------------------------
+# Vertex BFS: the radial BFS's level loop over the neighbour CSR
+# ---------------------------------------------------------------------------
+
+
+def assert_vertex_bfs_matches_oracle(g, sources=None):
+    """From every given source (default: all), the oracle's distances as int64."""
+    for v in range(g.n) if sources is None else sources:
+        got = vertex_bfs(g, v)
+        assert got.dtype == np.int64
+        assert got.tolist() == bfs_distances(g, v), v
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=4),
+)
+def test_vertex_bfs_matches_oracle_on_random_maps(seed, steps, components):
+    # loops, parallel edges and lone vertices; a map drawn with several
+    # components leaves the others at -1, its connected form reaches them
+    g = random_plane_map(seed, steps, components)
+    for h in (g, connect_components(g)):
+        for threshold in (1, 2, 4, embed._PYTHON_FRONTIER):
+            with mock.patch.object(embed, "_PYTHON_FRONTIER", threshold):
+                assert_vertex_bfs_matches_oracle(h)
+
+
+def test_vertex_bfs_leaves_other_components_unreached():
+    g = gen_nested_cycles(3, 2)
+    assert not g.connected
+    dist = vertex_bfs(g, 0)
+    assert (dist < 0).any() and dist.tolist() == bfs_distances(g, 0)
+
+
+@pytest.mark.parametrize("shape", [_wheel, _star])
+@pytest.mark.parametrize("k", [39, 40, 41, 81])
+def test_vertex_bfs_across_threshold(shape, k):
+    # from the hub, the k rim vertices or leaves form one level
+    g = shape(k)
+    assert np.count_nonzero(vertex_bfs(g, 0) == 1) == k
+    assert_vertex_bfs_matches_oracle(g)
+
+
+def test_vertex_bfs_argument_check():
+    with pytest.raises(ValueError, match="out of range"):
+        vertex_bfs(octahedron(), 6)
+    with pytest.raises(ValueError, match="out of range"):
+        vertex_bfs(octahedron(), -1)
+
+
+def test_verify_on_a_triangulation_builds_one_incidence_view(monkeypatch):
+    # layers, ecc_H(s) and the peel count all read the graph's one view
+    g = gen_random_triangulation(500, 3)
+    cert = certify(g)
+    h = from_document(to_document(g))
+    calls = []
+    build = embed._incidence
+    monkeypatch.setattr(embed, "_incidence", lambda x: calls.append(x) or build(x))
+    report = verify_certificate(cert.to_dict(), h)
+    assert report.ok and [name for name, _, _ in report.checks] == ["eccentricity", "peel-count"]
+    assert calls == [h]
+
+
 def test_fse_bruteforce_builds_one_incidence_view(monkeypatch):
     g = gen_random_triangulation(200, 5)
     calls = []
@@ -308,10 +377,11 @@ def test_augment_gives_h_its_own_incidence_view():
     assert aug.H is not g and aug.H.m > g.m
     assert g._incidence is not None and aug.H._incidence is None
     assert_radial_matches_rounds(aug.H, vertices=[ctx.root], faces=[0])
-    vf_indptr, vf_faces, fv_indptr, fv_verts = aug.H._incidence
+    vf_indptr, vf_faces, vf_heads, fv_indptr, fv_verts = aug.H._incidence
     assert len(vf_indptr) == aug.H.n + 1 and len(fv_indptr) == aug.H.face_count + 1
-    assert len(vf_faces) == len(fv_verts) == 2 * aug.H.m
-    assert not vf_faces.flags.writeable and vf_faces.dtype == np.int32
+    assert len(vf_faces) == len(vf_heads) == len(fv_verts) == 2 * aug.H.m
+    for part in aug.H._incidence:
+        assert not part.flags.writeable and part.dtype == np.int32
 
 
 def test_deep_layers_take_few_numpy_rounds(monkeypatch):
@@ -586,8 +656,9 @@ def test_triangulation_euler(n, seed):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=4, max_value=60), st.integers(min_value=0, max_value=10**6))
 def test_adjacency_csr_matches_rotations(n, seed):
+    # the vertex-to-neighbour rows of the cached view, which vertex_bfs reads
     g = gen_random_triangulation(n, seed)
-    indptr, heads = _csr(*_dart_ends(g.eu, g.ev), g.n)
+    indptr, _, heads, _, _ = embed._cached_incidence(g)
     for v in range(n):
         nbrs = sorted(g.head(d) for d in g.rotation_darts(v))
         assert sorted(heads[indptr[v]:indptr[v + 1]].tolist()) == nbrs

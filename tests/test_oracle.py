@@ -38,6 +38,7 @@ from peelbound.oracle import (
     simple_bound_check,
     verify_certificate,
 )
+from peelbound.peels import augment, choose_root, compute_layers
 from test_embed import octahedron
 from test_peels import run_under_optimize
 
@@ -230,6 +231,29 @@ def test_verify_certificate_pass_and_fail():
     assert not bad.ok
     failed = [name for name, passed, _ in bad.checks if not passed]
     assert "eccentricity" in failed
+
+
+@pytest.mark.parametrize("g", [gen_lowerbound_H(4, 31), gen_nested_cycles(6, 9)])
+def test_verify_certificate_reads_eccentricity_in_h(g):
+    # the hub chords of H put the center closer to everything than in G
+    from peelbound.center import certify
+
+    g = connect_components(g)
+    aug = augment(compute_layers(g, choose_root(g)))
+    s = certify(g).center
+    ecc = eccentricity(aug.H, s)
+    assert eccentricity(g, s) > ecc
+    for bound in (ecc, ecc - 1):
+        rep = verify_certificate({"s": s, "bound": bound}, g)
+        assert rep.checks == [("eccentricity", bound == ecc, f"ecc_H({s}) = {ecc} vs bound {bound}")]
+
+
+@pytest.mark.parametrize("field,value,check", [("n", 51, "size"), ("s", 50, "center-range"), ("s", -1, "center-range")])
+def test_verify_certificate_checks_fields_before_the_rebuild(monkeypatch, field, value, check):
+    g = gen_random_triangulation(50, 11)
+    monkeypatch.setattr("peelbound.peels.choose_root", lambda h: pytest.fail("H was rebuilt"))
+    rep = verify_certificate({"s": 0, "bound": 10, "n": 50, field: value}, g)
+    assert [(name, ok) for name, ok, _ in rep.checks] == [(check, False)]
 
 
 def test_verify_certificate_serialized_keys():
