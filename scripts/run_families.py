@@ -44,7 +44,11 @@ def run_instance(label, graph):
         "certify_seconds": round(sum(cert.stages.values()), 6),
         "oracle_seconds": round(oracle["fse"], 6),
     }
-    assert fse <= realized <= cert.peel_bound
+    if not fse <= realized <= cert.peel_bound:
+        raise SystemExit(
+            f"error: {label}: fse {fse}, realized peels {realized}, peel bound "
+            f"{cert.peel_bound} break fse <= realized <= peel bound"
+        )
     return row
 
 

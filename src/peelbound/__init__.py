@@ -37,6 +37,7 @@ from .peels import (
     build_tree_of_peels,
     choose_root,
     compute_layers,
+    face_peel_counts,
     peel_count_for_outerface,
 )
 

@@ -323,7 +323,11 @@ def _prism_band(k: int) -> PlaneGraph:
     )
     # Exactly one quadrangular face per rim edge of one copy; the rest are
     # the grid triangles.
-    assert lengths.count(4) == 3 * s and lengths[-1] == 4 and lengths[0] == 3
+    if not (lengths.count(4) == 3 * s and lengths[-1] == 4 and lengths[0] == 3):
+        raise InvariantError(
+            f"prism band has {lengths.count(4)} quadrangles and faces of {lengths[0]}"
+            f"..{lengths[-1]} darts, expected {3 * s} quadrangles among triangles"
+        )
     return g
 
 
@@ -379,7 +383,8 @@ def gen_random_triangulation(n: int, seed: int) -> PlaneGraph:
             spokes.append(2 * b._new_edge(org, vnew))
         for t in range(3):
             slot = tri[t - 1] ^ 1  # corner at the origin of tri[t]
-            assert rn[slot] == tri[t]
+            if rn[slot] != tri[t]:
+                raise InvariantError(f"face list out of step with the rotation at dart {tri[t]}")
             rn[slot] = spokes[t]
             rn[spokes[t]] = tri[t]
         q0, q1, q2 = (sp ^ 1 for sp in spokes)

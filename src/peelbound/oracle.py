@@ -9,10 +9,17 @@ from plain breadth-first search on adjacency lists,
 and fence-girth comes from exhaustive simple-cycle enumeration plus a
 Jordan-side test.  Costs are desk-scale by design.
 
-:func:`verify_certificate` is the exception: it runs at full scale on
-every certificate the CLI checks, so it reads ecc_H(s) from the pipeline's
-numpy BFS (:func:`embed.vertex_bfs`), which the tests hold to this module's
-pure-Python :func:`bfs_distances`.
+Three exceptions read the pipeline's numpy searches on g's cached
+incidence view, and the tests hold each to a pure-Python route:
+
+- :func:`verify_certificate` runs at full scale on every certificate the
+  CLI checks, so it reads ecc_H(s) from :func:`embed.vertex_bfs`, held to
+  :func:`bfs_distances`;
+- :func:`all_eccentricities` runs one bit-parallel BFS from every vertex
+  at once, held to one :func:`bfs_distances` per vertex;
+- the cross-check in :func:`fse_outerplanarity_bruteforce` recounts every
+  face by one bit-parallel radial BFS (:func:`peels.face_peel_counts`),
+  held to the literal deletion it checks.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ from .center import Stages
 from .embed import (
     InvariantError,
     PlaneGraph,
+    _bit_bfs,
+    _cached_incidence,
     connect_components,
     triangulate_preserving_embedding,
     vertex_bfs,
@@ -101,14 +110,19 @@ def eccentricity(g: PlaneGraph, v: int) -> int:
 
 
 def all_eccentricities(g: PlaneGraph) -> list[int]:
-    adj = _adjacency(g)
-    out = []
-    for v in range(g.n):
-        dist = bfs_distances(g, v, adj)
-        if min(dist) < 0:
-            raise ValueError("eccentricities undefined: graph is disconnected")
-        out.append(max(dist))
-    return out
+    """Eccentricity of every vertex; ValueError on a disconnected graph.
+
+    One bit-parallel BFS from all vertices at once (``embed._bit_bfs``)
+    over the neighbour CSR of g's incidence view (``vf_indptr``,
+    ``vf_heads``): the last level at which a source reaches a new vertex is
+    its eccentricity.  The tests hold it to one :func:`bfs_distances` per
+    vertex.
+    """
+    vf_indptr, _, vf_heads, _, _ = _cached_incidence(g)
+    last, full = _bit_bfs(((vf_indptr, vf_heads),))
+    if not full.all():
+        raise ValueError("eccentricities undefined: graph is disconnected")
+    return last.tolist()
 
 
 def radius_exact(g: PlaneGraph) -> tuple[int, int]:
@@ -256,33 +270,30 @@ def fse_outerplanarity_bruteforce(g: PlaneGraph, threads: int = 1) -> FseBruteRe
     Disconnected graphs are connected first (inside their shared faces),
     which never increases the count of any face.  All faces share one set
     of deletion tables, so each face costs O(n + m + F) and the whole
-    search O(F (n + m + F)).  For n <= 200 every per-face count is
-    recomputed through the vertex/face incidence BFS (all faces share g's
-    one incidence view), and a disagreement raises
-    :class:`InvariantError`, also under ``-O``.  ``threads`` fans the
-    per-face counts over a pool; results are collected in face order, so
-    the answer does not depend on the thread count.
+    search O(F (n + m + F)).  On every graph the per-face counts are then
+    recomputed by one bit-parallel radial BFS from all faces
+    (:func:`peels.face_peel_counts`, on g's one incidence view), and the
+    first face where the two disagree raises :class:`InvariantError`, also
+    under ``-O``.  ``threads`` fans the deletion rounds over a pool;
+    results are collected in face order, so the answer does not depend on
+    the thread count.
     """
     if not g.connected:
         g = connect_components(g)
-    cross_check = g.n <= 200
     tables = _deletion_tables(g)
 
     def count_face(f: int) -> int:
-        c = max(_deletion_rounds(tables, f), default=0)
-        if cross_check:
-            via_radial = peels.peel_count_for_outerface(g, f)
-            if via_radial != c:
-                raise InvariantError(
-                    f"peel-count routes disagree on face {f}: deletion={c} radial={via_radial}"
-                )
-        return c
+        return max(_deletion_rounds(tables, f), default=0)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             counts = list(pool.map(count_face, range(g.face_count)))
     else:
         counts = [count_face(f) for f in range(g.face_count)]
+    radial = peels.face_peel_counts(g)
+    for f, (c, r) in enumerate(zip(counts, radial)):
+        if c != r:
+            raise InvariantError(f"peel-count routes disagree on face {f}: deletion={c} radial={r}")
     value = min(counts)
     return FseBruteResult(value, counts.index(value), counts)
 

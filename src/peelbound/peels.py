@@ -26,9 +26,12 @@ from typing import Optional
 import numpy as np
 
 from .embed import (
+    GraphFormatError,
     InvariantError,
     PlaneGraph,
+    _bit_bfs,
     _Builder,
+    _cached_incidence,
     _dart_ends,
     _finish_graph,
     _int_array,
@@ -44,6 +47,7 @@ __all__ = [
     "build_tree_of_peels",
     "choose_root",
     "compute_layers",
+    "face_peel_counts",
     "peel_count_for_outerface",
 ]
 
@@ -132,6 +136,25 @@ def peel_count_for_outerface(g: PlaneGraph, face: int) -> int:
         raise ValueError("peel counting requires a connected graph")
     rd = radial_bfs(g, source_face=face)
     return int(rd.vertex_peels().max()) if g.n else 0
+
+
+def face_peel_counts(g: PlaneGraph) -> list[int]:
+    """Peel count from every face: ``peel_count_for_outerface(g, f)`` for each f.
+
+    One bit-parallel search from all faces at once (``embed._bit_bfs``)
+    over g's incidence view: the last level at which face f reaches a new
+    vertex is its largest vertex distance d, and the count is (d + 1) / 2.
+    Raises as the per-face calls would, for the first face that raises.
+    """
+    if not g.connected:
+        raise ValueError("peel counting requires a connected graph")
+    vf_indptr, vf_faces, _, fv_indptr, fv_verts = _cached_incidence(g)
+    last, full = _bit_bfs(((vf_indptr, vf_faces), (fv_indptr, fv_verts)))
+    missed = ~full.all(axis=0)
+    if missed.any():
+        f = int(missed.argmax())
+        raise GraphFormatError(f"radial BFS did not reach every {'face' if full[0, f] else 'vertex'}")
+    return ((last + 1) // 2).tolist()
 
 
 # ---------------------------------------------------------------------------

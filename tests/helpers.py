@@ -24,7 +24,7 @@ from peelbound.embed import (
     insert_edge_in_face,
 )
 from peelbound.gen import _prism_band, gen_random_triangulation
-from peelbound.oracle import _UnionFind
+from peelbound.oracle import _adjacency, _UnionFind, bfs_distances
 from peelbound.peels import Augmentation, PeelContext, TreeOfPeels, _finish_tree
 
 
@@ -322,6 +322,18 @@ def random_plane_map(seed: int, steps: int, components: int = 1) -> PlaneGraph:
         faces += [[w] for w in walks if w != outer]
     rng.shuffle(faces)
     return _finish_graph(b, face_grouping=faces if components > 1 else None)
+
+
+def eccentricities_by_bfs(g: PlaneGraph) -> list[int]:
+    """Reference for ``oracle.all_eccentricities``: one plain BFS per vertex."""
+    adj = _adjacency(g)
+    out = []
+    for v in range(g.n):
+        dist = bfs_distances(g, v, adj)
+        if min(dist) < 0:
+            raise ValueError("eccentricities undefined: graph is disconnected")
+        out.append(max(dist))
+    return out
 
 
 def _union_find_rounds(g: PlaneGraph, peel: list[int], uf: _UnionFind, outer_face: int) -> None:

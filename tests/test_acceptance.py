@@ -43,6 +43,7 @@ from peelbound.gen import (
     gen_random_triangulation,
 )
 from peelbound.oracle import (
+    all_eccentricities,
     diameter_exact,
     eccentricity,
     fence_girth_bruteforce,
@@ -472,6 +473,20 @@ def test_vertex_bfs_matches_networkx_on_corpus(corpus):
         for v in sorted({0, g.n // 2, g.n - 1}):
             want = nx.single_source_shortest_path_length(h, v)
             assert vertex_bfs(g, v).tolist() == [want[u] for u in range(g.n)], (e.name, v)
+
+
+def test_all_eccentricities_match_networkx_on_corpus(corpus):
+    nx = pytest.importorskip("networkx")
+    graphs = 0
+    for e in corpus:
+        g = e.graph
+        if g.n <= 200:  # the oracle graphs; networkx takes O(n m) per graph
+            graphs += 1
+            h = nx.MultiGraph(list(zip(g.eu, g.ev)))
+            h.add_nodes_from(range(g.n))
+            want = nx.eccentricity(h)
+            assert all_eccentricities(g) == [want[v] for v in range(g.n)], e.name
+    assert graphs == 49
 
 
 def test_center_eccentricity_matches_oracle_on_corpus(pipelines):

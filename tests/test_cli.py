@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import peelbound
+from helpers import eccentricities_by_bfs
 from peelbound.cli import main
+from peelbound.gen import gen_prism_grid
 from peelbound.graphio import loads_plane_graph
 from peelbound.oracle import VerifyReport
 
@@ -329,6 +331,19 @@ def test_verify_prism_metric_annotations(capsys, tmp_path):
     (record,) = stdout_records(out)
     names = {c["name"] for c in record["checks"]}
     assert {"family-diameter", "family-radius"} <= names
+
+
+def test_verify_prism_14_family_details_match_reference(capsys, tmp_path):
+    # n = 1892, just under ANNOTATION_ORACLE_LIMIT: the largest prism whose
+    # verify runs the eccentricity oracle
+    graph, cert = certificate_for(capsys, tmp_path, "prism", "--k", "14")
+    eccs = eccentricities_by_bfs(gen_prism_grid(14))
+    code, out, _ = run(capsys, "verify", graph, cert)
+    assert code == 0
+    (record,) = stdout_records(out)
+    details = {c["name"]: c["detail"] for c in record["checks"]}
+    assert details["family-diameter"] == f"diameter {max(eccs)} vs promised <= 43"
+    assert details["family-radius"] == f"radius {min(eccs)} vs promised >= 28"
 
 
 def test_verify_forged_certificate_exits_three(capsys, tmp_path):

@@ -231,3 +231,46 @@ def test_triangulation_postconditions_survive_optimize():
         "False InvariantError prism grid is not a simple triangulation",
         "False InvariantError triangulation postcondition failed",
     ]
+
+
+@pytest.mark.parametrize(
+    "forge,make,message",
+    [
+        # K3 with every edge reversed: the builder's darts no longer match
+        # the face list read from k3's walks
+        (
+            "other = embed.build_plane_graph(3, [(1, 0), (2, 1), (0, 2)], [[0, 2], [0, 1], [1, 2]])\n"
+            "real = gen._Builder.from_graph\n"
+            "gen._Builder.from_graph = lambda g: real(other)\n",
+            "gen.gen_random_triangulation(10, 1)",
+            "face list out of step with the rotation at dart 0",
+        ),
+        # the band comes back as K3: no quadrangle to close
+        (
+            "real = gen.build_plane_graph\n"
+            "gen.build_plane_graph = lambda *a, **k: real(3, [(0, 1), (1, 2), (2, 0)], [[2, 0], [0, 1], [1, 2]])\n",
+            "gen.gen_prism_grid(1)",
+            "prism band has 0 quadrangles and faces of 3..3 darts, expected 9 quadrangles among triangles",
+        ),
+        # every face walk of a 4-cycle reads as one dart
+        (
+            "c4 = embed.build_plane_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [[3, 0], [0, 1], [1, 2], [2, 3]])\n"
+            "embed.PlaneGraph.walk = lambda self, w: [0]\n",
+            "embed.triangulate_preserving_embedding(c4)",
+            "triangulation met a face walk of 1 dart(s)",
+        ),
+    ],
+    ids=["random-face-list", "prism-band", "triangulate-walk"],
+)
+def test_triangulation_step_checks_survive_optimize(forge, make, message):
+    script = (
+        "from peelbound import embed, gen\n"
+        + forge
+        + "try:\n"
+        f"    {make}\n"
+        "except embed.InvariantError as exc:\n"
+        "    print(__debug__, type(exc).__name__, exc)\n"
+    )
+    proc = run_under_optimize(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"False InvariantError {message}\n"

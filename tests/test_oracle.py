@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    eccentricities_by_bfs,
     layer_numbers_by_union_find,
     peel_numbers_by_union_find,
     random_plane_map,
     thin_random_triangulation,
 )
-from peelbound import oracle
+from peelbound import embed, oracle
 from peelbound.embed import InvariantError, build_plane_graph, connect_components, radial_bfs
 from peelbound.gen import (
     gen_lowerbound_H,
@@ -38,7 +39,13 @@ from peelbound.oracle import (
     simple_bound_check,
     verify_certificate,
 )
-from peelbound.peels import augment, choose_root, compute_layers
+from peelbound.peels import (
+    augment,
+    choose_root,
+    compute_layers,
+    face_peel_counts,
+    peel_count_for_outerface,
+)
 from test_embed import octahedron
 from test_peels import run_under_optimize
 
@@ -65,6 +72,37 @@ class DistanceOracleTests(unittest.TestCase):
         self.assertEqual(bfs_distances(path, 0), [0, 1, 2, 3])
         self.assertEqual(radius_exact(path), (1, 2))
         self.assertEqual(diameter_exact(path), 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=3),
+)
+def test_all_eccentricities_match_per_vertex_bfs_on_random_maps(seed, steps, components):
+    # loops, parallel edges, lone vertices and n = 1; maps of 2-3
+    # components raise as the per-vertex loop does, then are connected
+    g = random_plane_map(seed, steps, components)
+    if not g.connected:
+        with pytest.raises(ValueError) as batched:
+            all_eccentricities(g)
+        with pytest.raises(ValueError) as looped:
+            eccentricities_by_bfs(g)
+        assert str(batched.value) == str(looped.value)
+        g = connect_components(g)
+    assert all_eccentricities(g) == eccentricities_by_bfs(g)
+
+
+@pytest.mark.parametrize("block", [64, 128])
+def test_bit_bfs_blocks_meet_at_the_seam(monkeypatch, block):
+    # 150 vertices and 296 faces: several blocks, the last one partial
+    g = gen_random_triangulation(150, 1)
+    want_faces = [peel_count_for_outerface(g, f) for f in range(g.face_count)]
+    want_eccs = eccentricities_by_bfs(g)
+    monkeypatch.setattr(embed, "_BIT_BLOCK", block)
+    assert face_peel_counts(g) == want_faces
+    assert all_eccentricities(g) == want_eccs
 
 
 def connected_nested(g, k):
@@ -331,18 +369,23 @@ def test_oracle_checks_raise_invariant_error(monkeypatch):
 
 
 def test_peel_route_disagreement_survives_optimize():
+    # the radial route miscounts face 5; n = 240 is above the old n <= 200
+    # limit, past which the cross-check used not to run
     script = (
         "from peelbound import oracle, peels\n"
         "from peelbound.embed import InvariantError\n"
         "from peelbound.gen import gen_random_triangulation\n"
-        "peels.peel_count_for_outerface = lambda g, f: -1\n"
-        "try:\n"
-        "    oracle.fse_outerplanarity_bruteforce(gen_random_triangulation(12, 3))\n"
-        "except InvariantError as exc:\n"
-        "    print(__debug__, type(exc).__name__, exc)\n"
+        "radial = peels.face_peel_counts\n"
+        "peels.face_peel_counts = lambda g: [c + (f == 5) for f, c in enumerate(radial(g))]\n"
+        "for n in (12, 240):\n"
+        "    try:\n"
+        "        oracle.fse_outerplanarity_bruteforce(gen_random_triangulation(n, 3))\n"
+        "    except InvariantError as exc:\n"
+        "        print(__debug__, type(exc).__name__, exc)\n"
     )
     proc = run_under_optimize(script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith(
-        "False InvariantError peel-count routes disagree on face 0: deletion="
+    assert proc.stdout == (
+        "False InvariantError peel-count routes disagree on face 5: deletion=3 radial=4\n"
+        "False InvariantError peel-count routes disagree on face 5: deletion=5 radial=6\n"
     )

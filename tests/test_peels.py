@@ -24,6 +24,7 @@ from helpers import (
     articulation_flags,
     augment_by_face_loop,
     random_nesting,
+    random_plane_map,
     relabel,
     ring_chain,
     thin_random_triangulation,
@@ -48,6 +49,7 @@ from peelbound.peels import (
     build_tree_of_peels,
     choose_root,
     compute_layers,
+    face_peel_counts,
     peel_count_for_outerface,
 )
 
@@ -239,6 +241,41 @@ def test_layers_smooth_on_edges(g):
 def test_peel_count_matches_deletion_oracle(g):
     for f in range(min(g.face_count, 5)):
         assert peel_count_for_outerface(g, f) == peel_count_by_deletion(g, f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=3),
+)
+def test_face_peel_counts_match_per_face_routes(seed, steps, components):
+    # loops, parallel edges, lone vertices and n = 1; maps of 2-3
+    # components raise as the per-face count does, then are connected
+    g = random_plane_map(seed, steps, components)
+    if not g.connected:
+        with pytest.raises(ValueError) as batched:
+            face_peel_counts(g)
+        with pytest.raises(ValueError) as single:
+            peel_count_for_outerface(g, 0)
+        assert str(batched.value) == str(single.value)
+        g = connect_components(g)
+    counts = face_peel_counts(g)
+    assert counts == [peel_count_for_outerface(g, f) for f in range(g.face_count)]
+    assert counts == [peel_count_by_deletion(g, f) for f in range(g.face_count)]
+
+
+def test_face_peel_counts_raise_on_unreached_vertex():
+    # a forged incidence view of K3 that splits it: face 0 and vertex 0
+    # list only each other
+    g = build_plane_graph(3, [(0, 1), (1, 2), (2, 0)], [[2, 0], [0, 1], [1, 2]])
+    vf = ([0, 1, 2, 3], [0, 1, 1], [1, 2, 0])  # vf_indptr, vf_faces, vf_heads
+    fv = ([0, 1, 3], [0, 1, 2])  # fv_indptr, fv_verts
+    g._incidence = tuple(np.array(a, dtype=np.int32) for a in vf + fv)
+    with pytest.raises(embed.GraphFormatError, match="did not reach every vertex"):
+        peel_count_for_outerface(g, 0)
+    with pytest.raises(embed.GraphFormatError, match="did not reach every vertex"):
+        face_peel_counts(g)
 
 
 # ---------------------------------------------------------------------------
