@@ -642,5 +642,6 @@ def choose_outerface(
 ) -> tuple[int, int]:
     """Outerface certifying small peel count: (face, bound on the count)."""
     cert = certify(graph, g=g, root=root)
-    assert cert.outerface is not None and cert.peel_bound is not None
+    if cert.outerface is None or cert.peel_bound is None:
+        raise InvariantError("certify returned no outerface")
     return cert.outerface, cert.peel_bound

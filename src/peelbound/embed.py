@@ -276,7 +276,8 @@ class _Builder:
         slot between ``twin(prev_u)`` and ``at_u``.  Returns the edge id.
         """
         rn = self.rot_next
-        assert rn[prev_u ^ 1] == at_u and rn[prev_v ^ 1] == at_v, "not a corner"
+        if rn[prev_u ^ 1] != at_u or rn[prev_v ^ 1] != at_v:
+            raise InvariantError("not a corner")
         u = self.ev[prev_u >> 1] if prev_u & 1 == 0 else self.eu[prev_u >> 1]
         v = self.ev[prev_v >> 1] if prev_v & 1 == 0 else self.eu[prev_v >> 1]
         e = self._new_edge(u, v)
@@ -289,8 +290,10 @@ class _Builder:
     def add_edge_at_corner_to_isolated(self, prev_u: int, at_u: int, v: int) -> int:
         """Insert edge from a corner to an isolated vertex inside the face."""
         rn = self.rot_next
-        assert rn[prev_u ^ 1] == at_u, "not a corner"
-        assert self.rot_first[v] < 0, "target vertex is not isolated"
+        if rn[prev_u ^ 1] != at_u:
+            raise InvariantError("not a corner")
+        if self.rot_first[v] >= 0:
+            raise InvariantError("target vertex is not isolated")
         u = self.ev[prev_u >> 1] if prev_u & 1 == 0 else self.eu[prev_u >> 1]
         e = self._new_edge(u, v)
         rn[prev_u ^ 1] = 2 * e
@@ -301,7 +304,8 @@ class _Builder:
 
     def add_isolated_pair(self, u: int, v: int) -> int:
         """Edge between two isolated vertices (used when seeding generators)."""
-        assert self.rot_first[u] < 0 and self.rot_first[v] < 0
+        if self.rot_first[u] >= 0 or self.rot_first[v] >= 0:
+            raise InvariantError("pair endpoint is not isolated")
         e = self._new_edge(u, v)
         self.rot_next[2 * e] = 2 * e
         self.rot_next[2 * e + 1] = 2 * e + 1
@@ -597,6 +601,11 @@ def build_plane_graph(
     exactly when the graph is disconnected.  ``flags`` entries
     (simple/connected/triangulated), if given, are checked against reality.
 
+    ``edges`` and ``rotation`` are sequences of rows, or :class:`FlatRows`
+    that already hold them as flat int32 arrays (what
+    :func:`graphio.loads_plane_graph` reads from canonical text).  Row lists
+    are flattened first; from there both forms take the same steps.
+
     Numpy only decides whether the edges and rotation are sound.  When they
     are not, a plain scan in document order raises the error of the first
     defect it meets: the first bad edge, else the first bad rotation slot
@@ -612,7 +621,7 @@ def build_plane_graph(
     if len(rotation) != n:
         raise GraphFormatError(f"rotation has {len(rotation)} rows, expected {n}")
 
-    system = _rotation_system(n, edges, rotation)
+    system = _rotation_system(n, _flat(edges), _flat(rotation))
     if system is None:
         _first_defect(n, edges, rotation)
     b = _Builder(n)
@@ -640,26 +649,66 @@ def _int_array(x: np.ndarray) -> array:
     return out
 
 
+class FlatRows:
+    """Rows of ids held as one flat int32 array and the length of each row.
+
+    :func:`build_plane_graph` takes them in place of row lists and skips the
+    flattening.  Iterating yields the rows as lists of ints again, for the
+    scan that words the first defect of an unsound input.
+    """
+
+    __slots__ = ("ids", "lens")
+
+    def __init__(self, ids: np.ndarray, lens: np.ndarray) -> None:
+        self.ids = ids
+        self.lens = lens
+
+    def __len__(self) -> int:
+        return len(self.lens)
+
+    def __iter__(self):
+        ids = self.ids.tolist()
+        stops = np.cumsum(self.lens).tolist()
+        return (ids[a:b] for a, b in zip([0] + stops, stops))
+
+
+def _flat(rows) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(ids, lens) of ``rows`` as int32, or None if a length or id does not convert."""
+    if isinstance(rows, FlatRows):
+        return rows.ids, rows.lens
+    return _flatten_rows(rows)
+
+
+def _flatten_rows(rows: Sequence[Sequence[int]]) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The list flattener: one ``np.fromiter`` for the lengths, one for the ids."""
+    try:
+        lens = np.fromiter(map(len, rows), np.int32, len(rows))
+        ids = np.fromiter(map(index, chain.from_iterable(rows)), np.int32, int(lens.sum()))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return ids, lens
+
+
 def _rotation_system(
-    n: int, edges: Sequence[Sequence[int]], rotation: Sequence[Sequence[int]]
+    n: int,
+    edges: Optional[tuple[np.ndarray, np.ndarray]],
+    rotation: Optional[tuple[np.ndarray, np.ndarray]],
 ) -> Optional[tuple[np.ndarray, ...]]:
     """(eu, ev, rot_next, rot_first) as int32, or None if the input is unsound.
 
-    Sound means: every edge a pair of vertex ids, every slot an edge id at
-    one of that edge's endpoints, and every dart named by exactly one slot.
-    A slot at eu[e] names dart 2e, one at ev[e] dart 2e + 1; a loop's first
-    slot names 2e and every later one 2e + 1, so a loop listed once or three
-    times leaves a dart named zero times or twice.
+    ``edges`` and ``rotation`` are (ids, lens) pairs from :func:`_flat`, None
+    where the rows did not flatten.  Sound means: every edge a pair of vertex
+    ids, every slot an edge id at one of that edge's endpoints, and every
+    dart named by exactly one slot.  A slot at eu[e] names dart 2e, one at
+    ev[e] dart 2e + 1; a loop's first slot names 2e and every later one
+    2e + 1, so a loop listed once or three times leaves a dart named zero
+    times or twice.
     """
-    m = len(edges)
-    try:
-        if not (np.fromiter(map(len, edges), np.int32, m) == 2).all():
-            return None
-        ends = np.fromiter(map(index, chain.from_iterable(edges)), np.int32, 2 * m)
-        lens = np.fromiter(map(len, rotation), np.int32, n)
-        total = int(lens.sum())
-        slots = np.fromiter(map(index, chain.from_iterable(rotation)), np.int32, total)
-    except (TypeError, ValueError, OverflowError):
+    if edges is None or rotation is None:
+        return None
+    (ends, edge_lens), (slots, lens) = edges, rotation
+    m, total = len(edge_lens), len(slots)
+    if not (edge_lens == 2).all():
         return None
     if not (((0 <= ends) & (ends < n)).all() and ((0 <= slots) & (slots < m)).all()):
         return None
@@ -671,7 +720,7 @@ def _rotation_system(
         return None
     dart = 2 * slots + ~at_u
     loops = np.flatnonzero(u0 == v0)
-    del vert, u0, v0, at_u, slots  # keeps the peak of a large load low
+    del vert, u0, v0, at_u  # keeps the peak of a large load low
     if loops.size:
         first = np.full(2 * m, total)
         np.minimum.at(first, dart[loops], loops)

@@ -491,6 +491,26 @@ def test_certify_end_to_end():
     assert (face, bound) == (cert.outerface, cert.peel_bound)
 
 
+def test_choose_outerface_check_survives_optimize():
+    script = (
+        "from peelbound import center\n"
+        "from peelbound.gen import gen_random_triangulation\n"
+        "certify = center.certify\n"
+        "def faceless(*args, **kwargs):\n"
+        "    cert = certify(*args, **kwargs)\n"
+        "    cert.outerface = None\n"
+        "    return cert\n"
+        "center.certify = faceless\n"
+        "try:\n"
+        "    center.choose_outerface(gen_random_triangulation(20, 1))\n"
+        "except center.InvariantError as exc:\n"
+        "    print(__debug__, type(exc).__name__, exc)\n"
+    )
+    proc = run_under_optimize(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False InvariantError certify returned no outerface\n"
+
+
 def test_certify_diameter_method():
     g = gen_random_triangulation(40, 8)
     cert = certify(g, method="diameter")

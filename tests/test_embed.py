@@ -51,6 +51,7 @@ from peelbound.oracle import (
     verify_certificate,
 )
 from peelbound.peels import augment, choose_root, compute_layers
+from test_peels import run_under_optimize
 
 K3_EDGES = [(0, 1), (1, 2), (2, 0)]
 K3_ROTATION = [[0, 2], [1, 0], [2, 1]]
@@ -411,6 +412,32 @@ def test_one_walk_faces_read_as_one_tuples():
     doc = to_document(g)
     assert "faces" not in doc
     assert list(from_document(json.loads(json.dumps(doc))).face_walks) == list(faces)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        ("b.add_chord(0, bad, 0, at)", "not a corner"),
+        ("b.add_edge_at_corner_to_isolated(0, bad, b.new_vertex())", "not a corner"),
+        ("b.add_edge_at_corner_to_isolated(0, at, 1)", "target vertex is not isolated"),
+        ("b.add_isolated_pair(b.new_vertex(), 2)", "pair endpoint is not isolated"),
+    ],
+    ids=["chord", "corner-to-isolated", "target-not-isolated", "isolated-pair"],
+)
+def test_builder_corner_checks_survive_optimize(call, message):
+    script = (
+        "from peelbound.embed import InvariantError, _Builder, build_plane_graph\n"
+        f"b = _Builder.from_graph(build_plane_graph(3, {K3_EDGES}, {K3_ROTATION}))\n"
+        "at = b.rot_next[1]  # dart 0 enters the corner that dart `at` leaves\n"
+        "bad = at ^ 1\n"
+        "try:\n"
+        f"    {call}\n"
+        "except InvariantError as exc:\n"
+        "    print(__debug__, type(exc).__name__, exc)\n"
+    )
+    proc = run_under_optimize(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"False InvariantError {message}\n"
 
 
 def test_insert_edge_splits_face():

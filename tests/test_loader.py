@@ -4,6 +4,9 @@
 ``helpers`` walks every edge and slot in Python.  On damaged documents both
 must fail the same way (same exception class, same text for every
 structural message), and on intact ones they must build the same graph.
+
+``loads_plane_graph`` reads canonical text without row lists; on any text it
+must give what ``from_document(json.loads(text))`` gives.
 """
 
 import copy
@@ -13,16 +16,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_plane_graph_by_slots, graph_fingerprint, random_nesting
-from peelbound import embed
+from helpers import (
+    build_plane_graph_by_slots,
+    graph_fingerprint,
+    random_nesting,
+    random_plane_map,
+)
+from peelbound import embed, graphio
 from peelbound.embed import (
     GraphFormatError,
     InvariantError,
     build_plane_graph,
     connect_components,
 )
-from peelbound.gen import gen_random_triangulation
-from peelbound.graphio import from_document, loads_plane_graph, to_document
+from peelbound.gen import (
+    gen_lowerbound_H,
+    gen_nested_cycles,
+    gen_prism_grid,
+    gen_random_triangulation,
+)
+from peelbound.graphio import dumps_plane_graph, from_document, loads_plane_graph, to_document
+from test_peels import run_under_optimize
 
 K3_EDGES = [(0, 1), (1, 2), (2, 0)]
 K3_ROTATION = [[0, 2], [1, 0], [2, 1]]
@@ -224,3 +238,195 @@ def test_lone_walk_grouped_alone_before_a_merged_face():
     assert not g.triangulated and not g.connected
     with pytest.raises(GraphFormatError, match="did not span all components"):
         connect_components(g)
+
+
+# ---------------------------------------------------------------------------
+# Canonical text: the row-list-free reader against json.loads
+# ---------------------------------------------------------------------------
+
+FAMILY_DOCUMENTS = [
+    to_document(g)
+    for g in (
+        gen_nested_cycles(3, 2), gen_lowerbound_H(4, 5), gen_prism_grid(1),
+        gen_random_triangulation(7, 1), gen_random_triangulation(40, 3),
+    )
+]
+ODD_IDS = ["1.0", "-1", "01", "2147483648", '"3"', "0", "1e2", "[1]"]
+MARK = 987654321  # stands for an id until the text is written
+
+
+def canonical(doc, ensure_ascii=True):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=ensure_ascii)
+
+
+def load_by_json(text):
+    """What loads_plane_graph did before canonical text had its own reader."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"invalid JSON: {exc}") from exc
+    return from_document(doc)
+
+
+def load_outcome(load, text):
+    try:
+        g = load(text)
+    except Exception as exc:  # the class and text are what is compared
+        return (type(exc).__name__, str(exc))
+    return ("ok", graph_fingerprint(g))
+
+
+@st.composite
+def loader_texts(draw):
+    if draw(st.booleans()):
+        doc = to_document(random_plane_map(
+            draw(st.integers(0, 10**6)), draw(st.integers(0, 12)), draw(st.integers(1, 3))
+        ))
+    else:
+        doc = copy.deepcopy(draw(st.sampled_from(FAMILY_DOCUMENTS)))
+    kind = draw(st.sampled_from([
+        "intact", "whitespace", "line end", "key order", "duplicate key", "odd id",
+        "ragged edge", "no edges", "meta", "n",
+    ]))
+    edges = doc["edges"]
+    rows = [row for row in edges + doc["rotation"] if row]
+    if kind == "odd id" and rows:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = MARK
+        return canonical(doc).replace(str(MARK), draw(st.sampled_from(ODD_IDS)))
+    if kind == "ragged edge" and edges:
+        e = draw(st.integers(0, len(edges) - 1))
+        edges[e] = draw(st.sampled_from([edges[e][:1], edges[e] + [0], []]))
+    elif kind == "no edges":
+        doc["edges"] = []
+    elif kind == "meta":
+        doc["meta"] = {"note": draw(st.sampled_from(["\u00e9", ',"rotation":[[0]]', 'a"b\\']))}
+        return canonical(doc, ensure_ascii=draw(st.booleans()))
+    elif kind == "n":
+        doc["n"] = draw(st.sampled_from([True, doc["n"] + 1, -1, 0, 2.0, "3", None]))
+    elif kind == "key order":
+        keys = list(doc)
+        order = draw(st.permutations(keys))
+        return json.dumps({k: doc[k] for k in order}, separators=(",", ":"))
+    text = canonical(doc)
+    if kind == "whitespace":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from([" ", "\n", "\r\n", "\t"])) + text[at:]
+    if kind == "line end":
+        return text + draw(st.sampled_from(["\n", "\r\n", " \n", "\n\n", "\u3000"]))
+    if kind == "duplicate key":
+        key = draw(st.sampled_from(["edges", "rotation"]))
+        value = draw(st.sampled_from([doc[key], [[0]], []]))
+        extra = f',"{key}":' + json.dumps(value, separators=(",", ":"))
+        at = draw(st.sampled_from(
+            [text.index(',"', 1), text.rindex(',"rotation":'), len(text) - 1]
+        ))
+        return text[:at] + extra + text[at:]
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(loader_texts())
+def test_canonical_reader_matches_json_loads(text):
+    assert load_outcome(loads_plane_graph, text) == load_outcome(load_by_json, text)
+
+
+def test_canonical_reader_refuses_what_json_reads_otherwise():
+    # Read naively, each of these builds a graph where json.loads gives none,
+    # or the reverse: np.fromstring reads 00 as 0 and 4294967297 as 1, and
+    # json.loads keeps only the last of two keys.
+    base = canonical(K3_DOCUMENT)
+    bad_edges = '"edges":[[0,1],[1,2],[2,2]]'
+    rotation = '"rotation":[[0,2],[1,0],[2,1]]'
+    bad_rotation = base.replace(rotation, '"rotation":[[0,2],[1,0],[2,2]]')
+    for text, result in (
+        (base.replace("[[0,1]", "[[00,1]", 1), "GraphFormatError"),
+        (base.replace("[[0,1]", "[[0,4294967297]", 1), "GraphFormatError"),
+        ("{" + bad_edges + "," + base[1:], "ok"),
+        (base.replace(',"format"', "," + bad_edges + ',"format"', 1), "GraphFormatError"),
+        (bad_rotation[:-1] + "," + rotation + "}", "ok"),
+        # the two values joined would read as one sound list of rows
+        (base.replace("[2,0]]", "[2,0]", 1).replace(':[[0,2]', ":[0,2]", 1), "GraphFormatError"),
+    ):
+        got = load_outcome(loads_plane_graph, text)
+        assert got == load_outcome(load_by_json, text)
+        assert got[0] == result
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        (',"format"', ' ,"format"'),
+        (',"format"', '\n,"format"'),
+        ('"n":3', '"n" :3'),
+        ('"format":"plane-graph/1","n":3', '"n":3,"format":"plane-graph/1"'),
+        ('"n":3', '"n":3,"n":3'),
+        ('"n":3', '"meta":{"a":"\u00e9"},"n":3'),
+        ('"n":3', '"meta":{"b":1,"a":2},"n":3'),
+        ('"n":3', '"meta":{"a":"b c"},"n":3'),
+        ("[2,1]]", "[2, 1]]"),
+        ("[2,1]]", "[2,01]]"),
+        ("[2,1]]", "[2,2147483648]]"),
+        ("[2,1]]", "[2,1.0]]"),
+        ("[2,1]]", "[2,-1]]"),
+        ("[2,1]]", '[2,"1"]]'),
+    ],
+)
+def test_fast_path_turns_down_non_canonical_text(old, new):
+    text = canonical(K3_DOCUMENT)
+    assert graphio._canonical_document(text) is not None
+    text = text.replace(old, new, 1)
+    assert graphio._canonical_document(text) is None
+    assert load_outcome(loads_plane_graph, text) == load_outcome(load_by_json, text)
+
+
+def test_fast_path_reads_a_rotation_key_in_a_meta_string():
+    # inside a JSON string the quotes are escaped, so the key search skips it
+    doc = {**K3_DOCUMENT, "meta": {"a": ',"rotation":[[0]]', "rotation": [[0]]}}
+    text = canonical(doc)
+    assert graphio._canonical_document(text) is not None
+    got = load_outcome(loads_plane_graph, text)
+    assert got == load_outcome(load_by_json, text) and got[0] == "ok"
+
+
+def _no_list_flattener(rows):
+    raise AssertionError("canonical text went through the list flattener")
+
+
+ROW_SHAPES = from_document({
+    **to_document(random_plane_map(7, 9, 3)), "meta": {"has": ["lone-vertices", "loops", "faces"]},
+})
+
+
+@pytest.mark.parametrize("end", ["", "\n", "\r\n"], ids=["bare", "newline", "crlf"])
+def test_canonical_text_skips_the_list_flattener(monkeypatch, end):
+    texts = [dumps_plane_graph(g) + end for g in (ROW_SHAPES, gen_nested_cycles(3, 2))]
+    expected = [load_outcome(load_by_json, text) for text in texts]
+    assert all(got[0] == "ok" for got in expected)
+    # an unsound canonical document is worded by the same scan
+    texts.append(canonical({**K3_DOCUMENT, "rotation": [[0, 2], [1, 0], [0]]}) + end)
+    expected.append(("GraphFormatError", "edge 0 listed at non-endpoint 2"))
+    monkeypatch.setattr(embed, "_flatten_rows", _no_list_flattener)
+    assert [load_outcome(loads_plane_graph, text) for text in texts] == expected
+
+
+def test_canonical_reader_under_optimize():
+    script = (
+        "import json\n"
+        "from peelbound import embed\n"
+        "from peelbound.gen import gen_nested_cycles\n"
+        "from peelbound.graphio import dumps_plane_graph, from_document, loads_plane_graph\n"
+        "text = dumps_plane_graph(gen_nested_cycles(3, 2))\n"
+        "expected = from_document(json.loads(text))\n"
+        "embed._flatten_rows = None\n"
+        "g = loads_plane_graph(text + '\\n')\n"
+        "same = all(list(getattr(g, k)) == list(getattr(expected, k))\n"
+        "           for k in ('eu', 'ev', 'rot_next', 'rot_first', 'face_walks'))\n"
+        "try:\n"
+        "    loads_plane_graph(text.replace('[[1,2]', '[[1,9]', 1))\n"
+        "except embed.GraphFormatError as exc:\n"
+        "    print(__debug__, same, exc)\n"
+    )
+    proc = run_under_optimize(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True edge 0 endpoint out of range\n"
