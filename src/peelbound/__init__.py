@@ -4,7 +4,6 @@ from .center import (
     CenterCertificate,
     GTooBigError,
     certify,
-    choose_outerface,
     find_center,
     find_center_diameter,
     spanning_tree_center,
@@ -16,9 +15,7 @@ from .embed import (
     RadialDistance,
     build_plane_graph,
     connect_components,
-    insert_edge_in_face,
     radial_bfs,
-    trace_faces,
     triangulate_preserving_embedding,
     vertex_bfs,
 )

@@ -6,10 +6,6 @@ node to reach a small "switcher" node D, takes a near-central vertex of
 H[V(D)] via a spanning tree, and climbs descending edges back into V(S).
 The certified eccentricity bound is ⌊(n-2)/(2g)⌋ + 2g - 2 for g ≥ 3, two
 more for g = 2, and ⌊n/2⌋ for g = 1, where g is at most the fence-girth.
-
-``detour`` and ``connect_within_node`` implement the test-then-climb path
-search that the bound's analysis rests on; they are exposed so tests can
-check the promised walk lengths, but the selection itself never runs them.
 """
 
 from __future__ import annotations
@@ -17,26 +13,21 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .embed import InvariantError, PlaneGraph
 from .peels import Augmentation, TreeOfPeels, augment, build_tree_of_peels, choose_root, compute_layers
 
 __all__ = [
     "CenterCertificate",
-    "DetourOutcome",
-    "DetourParams",
     "GTooBigError",
     "SeparatorInfo",
     "Stages",
     "ceil_sqrt",
     "certify",
-    "choose_outerface",
     "compute_delta",
     "compute_gstar",
     "compute_theta",
-    "connect_within_node",
-    "detour",
     "find_center",
     "find_center_diameter",
     "spanning_tree_center",
@@ -169,175 +160,6 @@ def spanning_tree_center(h: PlaneGraph, vertices: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Detour method
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DetourParams:
-    node: int
-    s0: int
-    z0: int
-    xi: Callable[[int], int]
-
-
-@dataclass
-class DetourOutcome:
-    success: bool
-    i_star: int
-    s_path: list[int]
-    z_path: list[int]
-    sigma: Optional[list[int]]
-
-    def walk(self) -> list[int]:
-        if not self.success or self.sigma is None:
-            raise ValueError("no walk on a failed detour")
-        back = list(reversed(self.z_path))
-        return self.s_path[:-1] + self.sigma + back[1:]
-
-    @property
-    def length(self) -> int:
-        return len(self.walk()) - 1
-
-
-def _restricted_path(
-    h: PlaneGraph,
-    node_of,
-    allowed: set,
-    src: int,
-    dst: int,
-    cap: int,
-) -> Optional[list[int]]:
-    """Shortest path src→dst of length ≤ cap among vertices whose tree node
-    is in ``allowed``; None if there is none."""
-    if src == dst:
-        return [src]
-    parent = {src: -1}
-    frontier = [src]
-    for _ in range(cap):
-        nxt = []
-        for v in frontier:
-            for d in h.rotation_darts(v):
-                w = h.head(d)
-                if w in parent or node_of[w] not in allowed:
-                    continue
-                parent[w] = v
-                if w == dst:
-                    path = [w]
-                    while path[-1] != src:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return None
-
-
-def detour(aug: Augmentation, tree: TreeOfPeels, params: DetourParams) -> DetourOutcome:
-    """Test-then-climb search for a short s–z walk.
-
-    At index i, test whether s_i and z_i are within ξ(i) hops using only
-    vertices stored at the current node or its ancestors; on failure climb
-    one descending edge from each endpoint and retry at the parent node.
-    Failure is only possible at the root (for sane ξ schedules); a failed
-    test at an interior index asserts the within-node distance bound.
-    """
-    h = aug.H
-    node_of = tree.node_of
-    node = params.node
-    s, z = params.s0, params.z0
-    if node_of[s] != node or node_of[z] != node:
-        raise ValueError("endpoints must be stored at the starting node")
-    allowed = set()
-    x = node
-    while x >= 0:
-        allowed.add(x)
-        x = tree.parent[x]
-    s_path, z_path = [s], [z]
-    i = 0
-    while True:
-        cap = params.xi(i)
-        sigma = (
-            _restricted_path(h, node_of, allowed, s, z, cap) if cap >= 0 else None
-        )
-        if sigma is not None:
-            return DetourOutcome(
-                success=True, i_star=i, s_path=s_path, z_path=z_path, sigma=sigma
-            )
-        if i > 0 and node != 0:
-            assert tree.weight[node] // 2 >= cap + 1, (
-                f"within-node distance bound violated at node {node}: "
-                f"|V|={tree.weight[node]}, cap={cap}"
-            )
-        if node == 0:
-            return DetourOutcome(
-                success=False, i_star=i, s_path=s_path, z_path=z_path, sigma=None
-            )
-        out = aug.out_dart
-        if out[s] < 0 or out[z] < 0:
-            raise ValueError("vertex without outgoing edge; augmentation corrupt")
-        s = h.head(int(out[s]))
-        z = h.head(int(out[z]))
-        allowed.discard(node)
-        node = tree.parent[node]
-        assert node_of[s] == node and node_of[z] == node
-        s_path.append(s)
-        z_path.append(z)
-        i += 1
-
-
-def connect_within_node(
-    aug: Augmentation,
-    tree: TreeOfPeels,
-    node: int,
-    s0: int,
-    t0: int,
-    slack: int = 0,
-) -> list[int]:
-    """Walk in H between two vertices of one node, length ≤ max{2⌈√a⌉-2, 4}.
-
-    ``slack`` relaxes the schedule (and the bound) by a constant; use 2 for
-    graphs whose fence-girth is only 2, where interior nodes may store just
-    two vertices.
-    """
-    min_interior = 2 if slack > 0 else 3
-    for x in tree.interior_nodes():
-        if tree.weight[x] < min_interior:
-            raise ValueError(
-                f"interior node {x} stores {tree.weight[x]} < {min_interior} vertices"
-            )
-    h = aug.H
-    out = aug.out_dart
-    if tree.depth[node] <= 2:
-        # close enough to climb both ends to the root vertex
-        walks = []
-        for v in (s0, t0):
-            path = [v]
-            while path[-1] != aug.root:
-                path.append(h.head(int(out[path[-1]])))
-            walks.append(path)
-        walk = walks[0][:-1] + list(reversed(walks[1]))
-        bound = max(2 * ceil_sqrt(tree.above[node]) - 2, 4) + slack
-        assert len(walk) - 1 <= bound
-        return walk
-
-    a0 = tree.above[node]
-    beta = ceil_sqrt(a0) - 3
-    outcome = detour(
-        aug,
-        tree,
-        DetourParams(node=node, s0=s0, z0=t0, xi=lambda i: 2 * beta + 4 + slack - 2 * i),
-    )
-    assert outcome.success, "connection schedule must succeed before the root"
-    walk = outcome.walk()
-    bound = max(2 * ceil_sqrt(a0) - 2, 4) + slack
-    assert len(walk) - 1 <= bound, f"walk length {len(walk) - 1} exceeds {bound}"
-    return walk
-
-
-# ---------------------------------------------------------------------------
 # Center selection
 # ---------------------------------------------------------------------------
 
@@ -419,7 +241,7 @@ def _climb_to_node(aug: Augmentation, tree: TreeOfPeels, v: int, target: int) ->
     while node_of[v] != target:
         d = int(aug.out_dart[v])
         if d < 0:
-            raise AssertionError("climb passed the root without hitting the target")
+            raise InvariantError("climb passed the root without hitting the target")
         v = aug.H.head(d)
     return v
 
@@ -636,12 +458,3 @@ def certify(
     cert.stages = stages
     return cert
 
-
-def choose_outerface(
-    graph: PlaneGraph, g: Optional[int] = None, root: Optional[int] = None
-) -> tuple[int, int]:
-    """Outerface certifying small peel count: (face, bound on the count)."""
-    cert = certify(graph, g=g, root=root)
-    if cert.outerface is None or cert.peel_bound is None:
-        raise InvariantError("certify returned no outerface")
-    return cert.outerface, cert.peel_bound

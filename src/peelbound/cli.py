@@ -128,6 +128,10 @@ def cmd_center(args: argparse.Namespace) -> int:
     except ValueError as exc:
         _say(f"error: {exc}")
         return EXIT_INPUT
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(cert.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
     _emit(
         {
             "command": "center",
@@ -140,10 +144,6 @@ def cmd_center(args: argparse.Namespace) -> int:
             "seconds": round(sum(cert.stages.values()), 6),
         }
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(cert.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
     _say(
         f"center {cert.center} (case {cert.case}, g={cert.g}): "
         f"eccentricity <= {cert.bound}, peels from face {cert.outerface} <= {cert.peel_bound}"
@@ -276,8 +276,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         _say(f"error: {exc}")
         return EXIT_INPUT
-    prev: Optional[float] = None
     rows = []
+    if args.out and args.append:
+        try:
+            with open(args.out, encoding="utf-8") as fh:
+                rows = json.load(fh)
+        except FileNotFoundError:
+            pass
+        except ValueError:  # not JSON, or not text
+            rows = None
+        if not isinstance(rows, list):
+            _say(f"error: --append needs {args.out} to hold a JSON list of rows")
+            return EXIT_INPUT
+    prev: Optional[float] = None
     for size in sizes:
         try:
             text = dumps_plane_graph(
@@ -328,12 +339,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             + (f", ratio {ratio:.2f})" if ratio is not None else ")")
         )
     if args.out:
-        if args.append:
-            try:
-                with open(args.out, encoding="utf-8") as fh:
-                    rows = json.load(fh) + rows
-            except FileNotFoundError:
-                pass
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=2)
             fh.write("\n")
@@ -426,7 +431,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:  # _load_graph signals input errors this way
         code = exc.code if isinstance(exc.code, int) else EXIT_INPUT
         return code
-    except GraphFormatError as exc:
+    except (GraphFormatError, OSError) as exc:  # OSError: an --out path that cannot be written
         _say(f"error: {exc}")
         return EXIT_INPUT
 

@@ -32,11 +32,9 @@ __all__ = [
     "PlaneGraph",
     "RadialDistance",
     "build_plane_graph",
-    "trace_faces",
     "radial_bfs",
     "vertex_bfs",
     "connect_components",
-    "insert_edge_in_face",
     "triangulate_preserving_embedding",
 ]
 
@@ -111,12 +109,6 @@ class PlaneGraph:
     def rotation_edges(self, v: int) -> list[int]:
         return [d >> 1 for d in self.rotation_darts(v)]
 
-    def degree(self, v: int) -> int:
-        return len(self.rotation_darts(v))
-
-    def edge_endpoints(self, e: int) -> tuple[int, int]:
-        return (self.eu[e], self.ev[e])
-
     # -- walks and faces ---------------------------------------------------
 
     @property
@@ -159,27 +151,6 @@ class PlaneGraph:
     @property
     def face_count(self) -> int:
         return len(self.face_walks)
-
-    def face_darts(self, f: int) -> list[int]:
-        out: list[int] = []
-        for w in self.face_walks[f]:
-            out.extend(self.walk(w))
-        return out
-
-    def face_degree(self, f: int) -> int:
-        return len(self.face_darts(f))
-
-    def face_vertices(self, f: int) -> list[int]:
-        """Distinct vertices on face f, in boundary-walk discovery order."""
-        seen: set[int] = set()
-        out: list[int] = []
-        nd = self.dart_walk_count
-        for w in self.face_walks[f]:
-            for v in self.walk_vertices(w):
-                if v not in seen:
-                    seen.add(v)
-                    out.append(v)
-        return out
 
     def face_of_dart(self, d: int) -> int:
         return self.face_of_walk[self.walk_of_dart[d]]
@@ -487,12 +458,10 @@ def _finish_graph(
     b: _Builder,
     face_grouping: Optional[Sequence[Sequence[int]]] = None,
     meta: Optional[dict] = None,
-    walks: Optional[tuple[np.ndarray, int]] = None,
 ) -> PlaneGraph:
     """Label walks, resolve faces, validate Euler count, freeze the graph.
 
-    ``walks`` is b's labelling as :func:`_label_walks` returns it, when the
-    caller already has one.  Walk order waits until something reads it.
+    Walk order waits until something reads it.
     """
     g = PlaneGraph()
     g.n = b.n
@@ -503,10 +472,10 @@ def _finish_graph(
     g.rot_first = b.rot_first
     g.meta = dict(meta) if meta else {}
 
-    walk_of, n_dart_walks = walks or _label_walks(b.rot_next)
+    walk_of, n_dart_walks = _label_walks(b.rot_next)
     g.walk_of_dart = _int_array(walk_of)
     triangles = (np.bincount(walk_of, minlength=n_dart_walks) == 3).all()
-    del walk_of, walks  # keeps the peak of a large load low
+    del walk_of  # keeps the peak of a large load low
     g._dart_walks = n_dart_walks
     g._walk_order = None
     g._incidence = None
@@ -779,16 +748,6 @@ def _first_defect(
     raise InvariantError("numpy refused edges and a rotation that a scan accepts")
 
 
-def trace_faces(g: PlaneGraph) -> list[list[int]]:
-    """Boundary walks in discovery order (darts; [] rows are lone vertices).
-
-    Walk ids are labelled at build time and the walk order is built on first
-    read; this accessor exists so callers can rely on the numbering contract
-    (ascending smallest dart id, then isolated vertices ascending).
-    """
-    return [g.walk(w) for w in range(g.walk_count)]
-
-
 # ---------------------------------------------------------------------------
 # Radial (vertex-face incidence) BFS
 # ---------------------------------------------------------------------------
@@ -1045,103 +1004,6 @@ def _bit_bfs(steps: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Edge insertion inside a face
-# ---------------------------------------------------------------------------
-
-
-def _find_occurrence(g: PlaneGraph, f: int, v: int) -> Optional[tuple[list[int], int]]:
-    """First boundary occurrence of v on face f: (walk darts, position)."""
-    for w in g.face_walks[f]:
-        darts = g.walk(w)
-        for i, d in enumerate(darts):
-            if g.origin(d) == v:
-                return darts, i
-    return None
-
-
-def insert_edge_in_face(g: PlaneGraph, u: int, v: int, face: int) -> PlaneGraph:
-    """Return a new graph with edge (u, v) drawn inside the given face.
-
-    Both endpoints must lie on the face (boundary walks or isolated vertices
-    grouped into it).  Inserting within one walk splits the face in two;
-    inserting across two walks of the same face merges them into one walk.
-    The face grouping follows the rule of :func:`_finish_splice` (the choice
-    is free geometrically, so a fixed rule keeps the result deterministic).
-    """
-    if not (0 <= face < g.face_count):
-        raise ValueError("face id out of range")
-    b = _Builder.from_graph(g)
-
-    u_iso = g.rot_first[u] < 0 and g.face_of_lone_vertex.get(u) == face
-    v_iso = g.rot_first[v] < 0 and g.face_of_lone_vertex.get(v) == face
-
-    if u_iso and v_iso:
-        if u == v:
-            raise ValueError("cannot add a loop at an isolated vertex")
-        e = b.add_isolated_pair(u, v)
-    elif v_iso or u_iso:
-        if v_iso:
-            a, iso = u, v
-        else:
-            a, iso = v, u
-        occ = _find_occurrence(g, face, a)
-        if occ is None:
-            raise ValueError(f"vertex {a} is not on face {face}")
-        darts, i = occ
-        e = b.add_edge_at_corner_to_isolated(darts[i - 1], darts[i], iso)
-    else:
-        occ_u = _find_occurrence(g, face, u)
-        occ_v = _find_occurrence(g, face, v)
-        if occ_u is None or occ_v is None:
-            raise ValueError(f"edge endpoints not on face {face}")
-        darts_u, i = occ_u
-        darts_v, j = occ_v
-        if darts_u == darts_v and i == j:
-            raise ValueError("cannot add a loop at a single corner")
-        e = b.add_chord(darts_u[i - 1], darts_u[i], darts_v[j - 1], darts_v[j])
-
-    return _finish_splice(g, b, {face: [e]})
-
-
-def _finish_splice(
-    g: PlaneGraph, b: _Builder, touched: dict[int, list[int]]
-) -> PlaneGraph:
-    """Finish builder b (g plus new edges), carrying g's face grouping over.
-
-    ``touched`` maps each face that got edges to their ids; those faces follow
-    the untouched ones, in the given order.  An old walk maps to the new walk
-    of its first dart, a lone vertex to its own walk while still lone, else to
-    the walk of ``rot_first[v]``.  An edge e whose darts end on different walks
-    split its face (at most one per face): the walk of 2e+1 becomes a face of
-    its own right after, and the rest stays with the walk of 2e.
-    """
-    walks = _label_walks(b.rot_next)
-    walk_of = _int_array(walks[0])
-    flat, old_indptr, nd = g.walk_flat, g.walk_indptr, g.dart_walk_count
-    lone = np.flatnonzero(np.frombuffer(b.rot_first, dtype=np.int32) < 0).tolist()
-    lone_id = {v: walks[1] + i for i, v in enumerate(lone)}
-
-    def new_walk(w: int) -> int:
-        if w < nd:
-            return walk_of[flat[old_indptr[w]]]
-        v = g.lone_walk_vertex[w - nd]
-        return lone_id[v] if b.rot_first[v] < 0 else walk_of[b.rot_first[v]]
-
-    grouping = [
-        sorted({new_walk(w) for w in walks})
-        for f, walks in enumerate(g.face_walks)
-        if f not in touched
-    ]
-    for f, edges in touched.items():
-        group = {new_walk(w) for w in g.face_walks[f]}
-        group.update(walk_of[2 * e] for e in edges)  # already in, unless e split
-        cut = [walk_of[2 * e + 1] for e in edges if walk_of[2 * e] != walk_of[2 * e + 1]]
-        grouping.append(sorted(group.difference(cut)))
-        grouping.extend([w] for w in cut)
-    return _finish_graph(b, face_grouping=grouping, meta=g.meta, walks=walks)
-
-
-# ---------------------------------------------------------------------------
 # Connecting a disconnected embedding
 # ---------------------------------------------------------------------------
 
@@ -1157,9 +1019,9 @@ def connect_components(g: PlaneGraph) -> PlaneGraph:
     Corner rule: the edge leaves the base vertex at its first occurrence on
     its current walk, traced from that walk's smallest dart, and enters the
     other walk at the corner before its first dart.  A lone base vertex takes
-    the edge (other, base); two lone vertices get (base, other).  Faces that
-    received an edge move after the untouched ones, in their original order.
-    All edges are spliced into one builder, so the cost is linear when faces
+    the edge (other, base); two lone vertices get (base, other).  The result
+    is connected, so face f is walk f, as in every connected graph.  All
+    edges are spliced into one builder, so the cost is linear when faces
     hold O(1) walks (each edge retraces the base vertex's growing walk).
     """
     if g.connected:
@@ -1188,13 +1050,11 @@ def connect_components(g: PlaneGraph) -> PlaneGraph:
         )
         return walk[i - 1], walk[i]
 
-    touched: dict[int, list[int]] = {}
-    for f, walks in enumerate(g.face_walks):
+    for walks in g.face_walks:
         if len(walks) <= 1:
             continue
         base = g.walk_vertices(walks[0])[0]
         rep = flat[indptr[walks[0]]] if walks[0] < nd else -1  # dart on base's walk
-        first = len(eu)
         for w in walks[1:]:
             other = g.walk_vertices(w)[0]
             cb, co = find(g.component_of[base]), find(g.component_of[other])
@@ -1211,11 +1071,9 @@ def connect_components(g: PlaneGraph) -> PlaneGraph:
                 rep = 2 * b.add_isolated_pair(base, other)
             else:
                 b.add_edge_at_corner_to_isolated(*first_corner(rep, base), other)
-        if len(eu) > first:
-            touched[f] = list(range(first, len(eu)))
     if len(eu) - g.m != g.component_count - 1:
         raise GraphFormatError("face structure did not span all components")
-    return _finish_splice(g, b, touched)
+    return _finish_graph(b, meta=g.meta)
 
 
 # ---------------------------------------------------------------------------

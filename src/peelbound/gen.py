@@ -26,7 +26,6 @@ from .embed import (
     PlaneGraph,
     _Builder,
     _finish_graph,
-    _finish_splice,
     build_plane_graph,
     connect_components,
     triangulate_preserving_embedding,
@@ -241,7 +240,7 @@ def gen_prism_grid(k: int) -> PlaneGraph:
     coordinate zero) is joined to its mirror twin.  The gluing leaves a band
     of quadrangular faces, closed in one pass: each quad's diagonal from its
     walk's first vertex to its third goes into one builder, finished once, so
-    generation is linear in n.
+    generation is linear in n.  Face f is walk f, as in every connected graph.
     Coordinates and copy flags are kept in ``meta`` for assertions;
     n = (3k+1)(3k+2).
     """
@@ -249,12 +248,11 @@ def gen_prism_grid(k: int) -> PlaneGraph:
         raise ValueError("grid parameter must be at least 1")
     band = _prism_band(k)
     b = _Builder.from_graph(band)
-    touched: dict[int, list[int]] = {}
-    for f, (w,) in enumerate(band.face_walks):
+    for w in range(band.dart_walk_count):
         d = band.walk(w)
         if len(d) == 4:  # diagonal from the walk's first vertex to its third
-            touched[f] = [b.add_chord(d[3], d[0], d[1], d[2])]
-    g = _finish_splice(band, b, touched)
+            b.add_chord(d[3], d[0], d[1], d[2])
+    g = _finish_graph(b, meta=band.meta)
     if not (g.triangulated and g.simple):
         raise InvariantError("prism grid is not a simple triangulation")
     return g

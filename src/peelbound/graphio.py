@@ -3,10 +3,11 @@
 The document stores the rotation system as per-vertex lists of *edge ids*
 (a loop id appears twice).  Walk numbering inside ``faces`` refers to the
 deterministic trace order: dart walks by ascending smallest dart id, then
-isolated vertices ascending -- the same order :func:`embed.trace_faces`
-reports.  ``faces`` appears whenever it carries information: always for
-disconnected graphs, and for connected graphs whose face numbering (after
-edge-insertion surgery) departs from walk order.
+isolated vertices ascending -- the walk ids of :class:`embed.PlaneGraph`.
+``faces`` appears whenever it carries information: always for disconnected
+graphs, and for a connected graph only when a document gave it a face
+numbering other than walk order (every connected graph the package builds
+numbers face f as walk f).
 
 :func:`dumps_plane_graph` writes one fixed layout: keys sorted, no spaces.
 :func:`loads_plane_graph` reads the ``edges`` and ``rotation`` values of text

@@ -91,7 +91,7 @@ def choose_root(g: PlaneGraph) -> int:
         faces = [face(walk_of[d]) for d in g.rotation_darts(v) if eu[d >> 1] != ev[d >> 1]]
         if len(set(faces)) == len(faces):
             return v
-    raise AssertionError("every connected graph has a non-cutvertex")
+    raise InvariantError("every connected graph has a non-cutvertex")
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +178,6 @@ class Augmentation:
     layer: np.ndarray
     original_edge_count: int
     out_dart: np.ndarray
-
-    def descends(self, d: int) -> bool:
-        return bool(self.layer[self.H.origin(d)] == self.layer[self.H.head(d)] + 1)
 
 
 def augment(ctx: PeelContext) -> Augmentation:
@@ -320,39 +317,6 @@ class TreeOfPeels:
 
     def interior_nodes(self) -> list[int]:
         return [x for x in range(self.node_count) if self.is_interior(x)]
-
-    def tree_distance(self, a: int, b: int) -> int:
-        da, db = self.depth[a], self.depth[b]
-        dist = 0
-        while da > db:
-            a = self.parent[a]
-            da -= 1
-            dist += 1
-        while db > da:
-            b = self.parent[b]
-            db -= 1
-            dist += 1
-        while a != b:
-            a = self.parent[a]
-            b = self.parent[b]
-            dist += 2
-        return dist
-
-    def is_descendant(self, node: int, ancestor: int) -> bool:
-        while self.depth[node] > self.depth[ancestor]:
-            node = self.parent[node]
-        return node == ancestor
-
-    def to_records(self) -> list[dict]:
-        return [
-            {
-                "node": i,
-                "parent": self.parent[i],
-                "depth": self.depth[i],
-                "stored": list(self.stored[i]),
-            }
-            for i in range(self.node_count)
-        ]
 
 
 def build_tree_of_peels(aug: Augmentation) -> TreeOfPeels:

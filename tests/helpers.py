@@ -1,13 +1,16 @@
-"""Shared graph builders for the test suite."""
+"""Shared graph builders, references and proof-audit helpers for the test suite."""
 
 from __future__ import annotations
 
 import random
 from array import array
+from dataclasses import dataclass
 from operator import index
+from typing import Callable, Optional
 
 import numpy as np
 
+from peelbound.center import ceil_sqrt
 from peelbound.embed import (
     GraphFormatError,
     InvariantError,
@@ -19,9 +22,10 @@ from peelbound.embed import (
     _distinct,
     _finish_graph,
     _grouping,
+    _int_array,
+    _label_walks,
     build_plane_graph,
     connect_components,
-    insert_edge_in_face,
 )
 from peelbound.gen import _prism_band, gen_random_triangulation
 from peelbound.oracle import _adjacency, _UnionFind, bfs_distances
@@ -490,7 +494,8 @@ def connect_by_insertion(g: PlaneGraph) -> PlaneGraph:
     Chains every face's extra walks to its first walk, anchored at each
     walk's first vertex, skipping walks whose component is already joined;
     each edge goes into the first face of the base vertex (rotation order)
-    that also holds the other vertex.  Costs O(m) per edge.
+    that also holds the other vertex, and the connected result is finished
+    again with face f = walk f.  Costs O(m) per edge.
     """
     if g.connected:
         return g
@@ -504,15 +509,16 @@ def connect_by_insertion(g: PlaneGraph) -> PlaneGraph:
             out = insert_edge_in_face(out, base, other, _shared_face(out, base, other))
     if not out.connected:
         raise GraphFormatError("face structure did not span all components")
-    return out
+    return faces_by_walk(out)
 
 
 def prism_by_insertion(k: int) -> PlaneGraph:
     """Reference for ``gen_prism_grid``: one public insertion per quad.
 
     Repeatedly finds the first quadrangular face and draws the diagonal from
-    its walk's first vertex to its third.  Each insertion copies the graph
-    and retraces every walk, so this costs O(n) per quad.
+    its walk's first vertex to its third, then finishes the result again
+    with face f = walk f.  Each insertion copies the graph and retraces
+    every walk, so this costs O(n) per quad.
     """
     g = _prism_band(k)
     while True:
@@ -520,7 +526,7 @@ def prism_by_insertion(k: int) -> PlaneGraph:
             (f for f, (w,) in enumerate(g.face_walks) if len(g.walk(w)) == 4), None
         )
         if quad is None:
-            return g
+            return faces_by_walk(g)
         darts = g.walk(g.face_walks[quad][0])
         g = insert_edge_in_face(g, g.origin(darts[0]), g.origin(darts[2]), quad)
 
@@ -661,7 +667,7 @@ def relabel(g: PlaneGraph, perm: list[int]) -> PlaneGraph:
     """Rename vertex v to perm[v]; edge, dart and walk ids are unchanged."""
     edges = []
     for e in range(g.m):
-        u, v = g.edge_endpoints(e)
+        u, v = edge_endpoints(g, e)
         edges.append((perm[u], perm[v]))
     rotation: list[list[int]] = [[] for _ in range(g.n)]
     for v in range(g.n):
@@ -678,7 +684,7 @@ def thin_random_triangulation(n: int, seed: int, frac: float = 0.35) -> PlaneGra
     rng = random.Random((seed << 8) ^ 0xBEEF)
     adj: list[set[int]] = [set() for _ in range(n)]
     for e in range(tri.m):
-        u, v = tri.edge_endpoints(e)
+        u, v = edge_endpoints(tri, e)
         adj[u].add(v)
         adj[v].add(u)
     alive = [True] * tri.m
@@ -689,7 +695,7 @@ def thin_random_triangulation(n: int, seed: int, frac: float = 0.35) -> PlaneGra
     for e in order:
         if removed >= goal:
             break
-        u, v = tri.edge_endpoints(e)
+        u, v = edge_endpoints(tri, e)
         adj[u].discard(v)
         adj[v].discard(u)
         if _reachable(adj, u, v):
@@ -703,7 +709,7 @@ def thin_random_triangulation(n: int, seed: int, frac: float = 0.35) -> PlaneGra
     for e in range(tri.m):
         if alive[e]:
             new_id[e] = len(edges)
-            edges.append(tri.edge_endpoints(e))
+            edges.append(edge_endpoints(tri, e))
     rotation = [
         [new_id[e] for e in tri.rotation_edges(v) if alive[e]] for v in range(n)
     ]
@@ -741,3 +747,365 @@ def is_bipartite(g: PlaneGraph) -> bool:
                 elif color[w] == color[v]:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Plane-graph accessors the library does not need
+# ---------------------------------------------------------------------------
+
+
+def degree(g: PlaneGraph, v: int) -> int:
+    return len(g.rotation_darts(v))
+
+
+def edge_endpoints(g: PlaneGraph, e: int) -> tuple[int, int]:
+    return (g.eu[e], g.ev[e])
+
+
+def face_darts(g: PlaneGraph, f: int) -> list[int]:
+    out: list[int] = []
+    for w in g.face_walks[f]:
+        out.extend(g.walk(w))
+    return out
+
+
+def face_degree(g: PlaneGraph, f: int) -> int:
+    return len(face_darts(g, f))
+
+
+def face_vertices(g: PlaneGraph, f: int) -> list[int]:
+    """Distinct vertices on face f, in boundary-walk discovery order."""
+    seen: set[int] = set()
+    out: list[int] = []
+    for w in g.face_walks[f]:
+        for v in g.walk_vertices(w):
+            if v not in seen:
+                seen.add(v)
+                out.append(v)
+    return out
+
+
+def trace_faces(g: PlaneGraph) -> list[list[int]]:
+    """Boundary walks in discovery order (darts; [] rows are lone vertices).
+
+    The numbering contract: ascending smallest dart id, then isolated
+    vertices ascending.
+    """
+    return [g.walk(w) for w in range(g.walk_count)]
+
+
+# ---------------------------------------------------------------------------
+# Edge insertion inside a face
+# ---------------------------------------------------------------------------
+
+
+def _find_occurrence(g: PlaneGraph, f: int, v: int) -> Optional[tuple[list[int], int]]:
+    """First boundary occurrence of v on face f: (walk darts, position)."""
+    for w in g.face_walks[f]:
+        darts = g.walk(w)
+        for i, d in enumerate(darts):
+            if g.origin(d) == v:
+                return darts, i
+    return None
+
+
+def insert_edge_in_face(g: PlaneGraph, u: int, v: int, face: int) -> PlaneGraph:
+    """Return a new graph with edge (u, v) drawn inside the given face.
+
+    Both endpoints must lie on the face (boundary walks or isolated vertices
+    grouped into it).  Inserting within one walk splits the face in two;
+    inserting across two walks of the same face merges them into one walk.
+    The face grouping follows the rule of :func:`_finish_splice` (the choice
+    is free geometrically, so a fixed rule keeps the result deterministic).
+    """
+    if not (0 <= face < g.face_count):
+        raise ValueError("face id out of range")
+    b = _Builder.from_graph(g)
+
+    u_iso = g.rot_first[u] < 0 and g.face_of_lone_vertex.get(u) == face
+    v_iso = g.rot_first[v] < 0 and g.face_of_lone_vertex.get(v) == face
+
+    if u_iso and v_iso:
+        if u == v:
+            raise ValueError("cannot add a loop at an isolated vertex")
+        e = b.add_isolated_pair(u, v)
+    elif v_iso or u_iso:
+        if v_iso:
+            a, iso = u, v
+        else:
+            a, iso = v, u
+        occ = _find_occurrence(g, face, a)
+        if occ is None:
+            raise ValueError(f"vertex {a} is not on face {face}")
+        darts, i = occ
+        e = b.add_edge_at_corner_to_isolated(darts[i - 1], darts[i], iso)
+    else:
+        occ_u = _find_occurrence(g, face, u)
+        occ_v = _find_occurrence(g, face, v)
+        if occ_u is None or occ_v is None:
+            raise ValueError(f"edge endpoints not on face {face}")
+        darts_u, i = occ_u
+        darts_v, j = occ_v
+        if darts_u == darts_v and i == j:
+            raise ValueError("cannot add a loop at a single corner")
+        e = b.add_chord(darts_u[i - 1], darts_u[i], darts_v[j - 1], darts_v[j])
+
+    return _finish_splice(g, b, {face: [e]})
+
+
+def _finish_splice(
+    g: PlaneGraph, b: _Builder, touched: dict[int, list[int]]
+) -> PlaneGraph:
+    """Finish builder b (g plus new edges), carrying g's face grouping over.
+
+    ``touched`` maps each face that got edges to their ids; those faces follow
+    the untouched ones, in the given order.  An old walk maps to the new walk
+    of its first dart, a lone vertex to its own walk while still lone, else to
+    the walk of ``rot_first[v]``.  An edge e whose darts end on different walks
+    split its face (at most one per face): the walk of 2e+1 becomes a face of
+    its own right after, and the rest stays with the walk of 2e.
+    """
+    walks = _label_walks(b.rot_next)
+    walk_of = _int_array(walks[0])
+    flat, old_indptr, nd = g.walk_flat, g.walk_indptr, g.dart_walk_count
+    lone = np.flatnonzero(np.frombuffer(b.rot_first, dtype=np.int32) < 0).tolist()
+    lone_id = {v: walks[1] + i for i, v in enumerate(lone)}
+
+    def new_walk(w: int) -> int:
+        if w < nd:
+            return walk_of[flat[old_indptr[w]]]
+        v = g.lone_walk_vertex[w - nd]
+        return lone_id[v] if b.rot_first[v] < 0 else walk_of[b.rot_first[v]]
+
+    grouping = [
+        sorted({new_walk(w) for w in walks})
+        for f, walks in enumerate(g.face_walks)
+        if f not in touched
+    ]
+    for f, edges in touched.items():
+        group = {new_walk(w) for w in g.face_walks[f]}
+        group.update(walk_of[2 * e] for e in edges)  # already in, unless e split
+        cut = [walk_of[2 * e + 1] for e in edges if walk_of[2 * e] != walk_of[2 * e + 1]]
+        grouping.append(sorted(group.difference(cut)))
+        grouping.extend([w] for w in cut)
+    return _finish_graph(b, face_grouping=grouping, meta=g.meta)
+
+
+def faces_by_walk(g: PlaneGraph) -> PlaneGraph:
+    """g finished again without a grouping: face f is walk f (g connected)."""
+    return _finish_graph(_Builder.from_graph(g), meta=g.meta)
+
+
+# ---------------------------------------------------------------------------
+# Tree of peels and augmentation accessors the library does not need
+# ---------------------------------------------------------------------------
+
+
+def tree_distance(tree: TreeOfPeels, a: int, b: int) -> int:
+    da, db = tree.depth[a], tree.depth[b]
+    dist = 0
+    while da > db:
+        a = tree.parent[a]
+        da -= 1
+        dist += 1
+    while db > da:
+        b = tree.parent[b]
+        db -= 1
+        dist += 1
+    while a != b:
+        a = tree.parent[a]
+        b = tree.parent[b]
+        dist += 2
+    return dist
+
+
+def is_descendant(tree: TreeOfPeels, node: int, ancestor: int) -> bool:
+    while tree.depth[node] > tree.depth[ancestor]:
+        node = tree.parent[node]
+    return node == ancestor
+
+
+def to_records(tree: TreeOfPeels) -> list[dict]:
+    return [
+        {
+            "node": i,
+            "parent": tree.parent[i],
+            "depth": tree.depth[i],
+            "stored": list(tree.stored[i]),
+        }
+        for i in range(tree.node_count)
+    ]
+
+
+def descends(aug: Augmentation, d: int) -> bool:
+    return bool(aug.layer[aug.H.origin(d)] == aug.layer[aug.H.head(d)] + 1)
+
+
+# ---------------------------------------------------------------------------
+# Detour method: the test-then-climb path search the bound's analysis rests
+# on.  The selection never runs it; tests check the promised walk lengths.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class DetourParams:
+    node: int
+    s0: int
+    z0: int
+    xi: Callable[[int], int]
+
+
+@dataclass
+class DetourOutcome:
+    success: bool
+    i_star: int
+    s_path: list[int]
+    z_path: list[int]
+    sigma: Optional[list[int]]
+
+    def walk(self) -> list[int]:
+        if not self.success or self.sigma is None:
+            raise ValueError("no walk on a failed detour")
+        back = list(reversed(self.z_path))
+        return self.s_path[:-1] + self.sigma + back[1:]
+
+    @property
+    def length(self) -> int:
+        return len(self.walk()) - 1
+
+
+def _restricted_path(
+    h: PlaneGraph,
+    node_of,
+    allowed: set,
+    src: int,
+    dst: int,
+    cap: int,
+) -> Optional[list[int]]:
+    """Shortest path src→dst of length ≤ cap among vertices whose tree node
+    is in ``allowed``; None if there is none."""
+    if src == dst:
+        return [src]
+    parent = {src: -1}
+    frontier = [src]
+    for _ in range(cap):
+        nxt = []
+        for v in frontier:
+            for d in h.rotation_darts(v):
+                w = h.head(d)
+                if w in parent or node_of[w] not in allowed:
+                    continue
+                parent[w] = v
+                if w == dst:
+                    path = [w]
+                    while path[-1] != src:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    return path
+                nxt.append(w)
+        if not nxt:
+            break
+        frontier = nxt
+    return None
+
+
+def detour(aug: Augmentation, tree: TreeOfPeels, params: DetourParams) -> DetourOutcome:
+    """Test-then-climb search for a short s–z walk.
+
+    At index i, test whether s_i and z_i are within ξ(i) hops using only
+    vertices stored at the current node or its ancestors; on failure climb
+    one descending edge from each endpoint and retry at the parent node.
+    Failure is only possible at the root (for sane ξ schedules); a failed
+    test at an interior index asserts the within-node distance bound.
+    """
+    h = aug.H
+    node_of = tree.node_of
+    node = params.node
+    s, z = params.s0, params.z0
+    if node_of[s] != node or node_of[z] != node:
+        raise ValueError("endpoints must be stored at the starting node")
+    allowed = set()
+    x = node
+    while x >= 0:
+        allowed.add(x)
+        x = tree.parent[x]
+    s_path, z_path = [s], [z]
+    i = 0
+    while True:
+        cap = params.xi(i)
+        sigma = (
+            _restricted_path(h, node_of, allowed, s, z, cap) if cap >= 0 else None
+        )
+        if sigma is not None:
+            return DetourOutcome(
+                success=True, i_star=i, s_path=s_path, z_path=z_path, sigma=sigma
+            )
+        if i > 0 and node != 0:
+            assert tree.weight[node] // 2 >= cap + 1, (
+                f"within-node distance bound violated at node {node}: "
+                f"|V|={tree.weight[node]}, cap={cap}"
+            )
+        if node == 0:
+            return DetourOutcome(
+                success=False, i_star=i, s_path=s_path, z_path=z_path, sigma=None
+            )
+        out = aug.out_dart
+        if out[s] < 0 or out[z] < 0:
+            raise ValueError("vertex without outgoing edge; augmentation corrupt")
+        s = h.head(int(out[s]))
+        z = h.head(int(out[z]))
+        allowed.discard(node)
+        node = tree.parent[node]
+        assert node_of[s] == node and node_of[z] == node
+        s_path.append(s)
+        z_path.append(z)
+        i += 1
+
+
+def connect_within_node(
+    aug: Augmentation,
+    tree: TreeOfPeels,
+    node: int,
+    s0: int,
+    t0: int,
+    slack: int = 0,
+) -> list[int]:
+    """Walk in H between two vertices of one node, length ≤ max{2⌈√a⌉-2, 4}.
+
+    ``slack`` relaxes the schedule (and the bound) by a constant; use 2 for
+    graphs whose fence-girth is only 2, where interior nodes may store just
+    two vertices.
+    """
+    min_interior = 2 if slack > 0 else 3
+    for x in tree.interior_nodes():
+        if tree.weight[x] < min_interior:
+            raise ValueError(
+                f"interior node {x} stores {tree.weight[x]} < {min_interior} vertices"
+            )
+    h = aug.H
+    out = aug.out_dart
+    if tree.depth[node] <= 2:
+        # close enough to climb both ends to the root vertex
+        walks = []
+        for v in (s0, t0):
+            path = [v]
+            while path[-1] != aug.root:
+                path.append(h.head(int(out[path[-1]])))
+            walks.append(path)
+        walk = walks[0][:-1] + list(reversed(walks[1]))
+        bound = max(2 * ceil_sqrt(tree.above[node]) - 2, 4) + slack
+        assert len(walk) - 1 <= bound
+        return walk
+
+    a0 = tree.above[node]
+    beta = ceil_sqrt(a0) - 3
+    outcome = detour(
+        aug,
+        tree,
+        DetourParams(node=node, s0=s0, z0=t0, xi=lambda i: 2 * beta + 4 + slack - 2 * i),
+    )
+    assert outcome.success, "connection schedule must succeed before the root"
+    walk = outcome.walk()
+    bound = max(2 * ceil_sqrt(a0) - 2, 4) + slack
+    assert len(walk) - 1 <= bound, f"walk length {len(walk) - 1} exceeds {bound}"
+    return walk

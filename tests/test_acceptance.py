@@ -19,18 +19,20 @@ import pytest
 
 from conftest import record_criterion
 from helpers import (
+    connect_within_node,
+    edge_endpoints,
     is_bipartite,
     peel_numbers_by_union_find,
     radial_bfs_by_rounds,
     ring_chain,
     thin_random_triangulation,
+    tree_distance,
     tree_of_peels_by_walks,
 )
 from peelbound.center import (
     ceil_sqrt,
     compute_delta,
     compute_gstar,
-    connect_within_node,
     find_center,
     find_center_diameter,
     tree_separator,
@@ -325,7 +327,7 @@ def test_criterion_08_structural_suite(pipelines):
         # nodeSize (2): edges stay within a node or cross to the parent
         node_of = tree.node_of
         for e in range(h.m):
-            u, v = h.edge_endpoints(e)
+            u, v = edge_endpoints(h, e)
             a, b = node_of[u], node_of[v]
             if a != b and tree.parent[a] != b and tree.parent[b] != a:
                 failures.append(f"{name}: edge {e} joins unrelated nodes {a},{b}")
@@ -363,7 +365,7 @@ def test_criterion_08_structural_suite(pipelines):
         if pipe.gval is not None and g.n >= 3:
             delta = compute_delta(g.n, pipe.gval)
             S = tree_separator(tree).node
-            worst = max(tree.tree_distance(S, z) for z in range(tree.node_count))
+            worst = max(tree_distance(tree, S, z) for z in range(tree.node_count))
             if worst > delta:
                 failures.append(f"{name}: d_T(S,.) = {worst} > delta {delta}")
 

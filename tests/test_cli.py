@@ -513,3 +513,28 @@ def test_bench_bad_parameters_exit_one(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv,content",
+    [
+        (("generate", "random", "--n", "20", "--out", "{missing}"), None),
+        (("center", "{graph}", "--out", "{missing}"), None),
+        (("bench", "random", "--n", "20", "--out", "{missing}"), None),
+        (("bench", "random", "--n", "20", "--out", "{rows}", "--append"), '{"rows": []}'),
+        (("bench", "random", "--n", "20", "--out", "{rows}", "--append"), "not json ["),
+    ],
+    ids=["generate-out", "center-out", "bench-out", "append-object", "append-text"],
+)
+def test_unwritable_outputs_exit_one(capsys, tmp_path, argv, content):
+    graph = write_graph(capsys, tmp_path, "random", "--n", "20")
+    rows = tmp_path / "rows.json"
+    if content is not None:
+        rows.write_text(content, encoding="utf-8")
+    paths = {"graph": graph, "missing": str(tmp_path / "no-such-dir" / "x.json"), "rows": str(rows)}
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.splitlines()[-1]]
+    assert "Traceback" not in err
+    if content is not None:
+        assert rows.read_text(encoding="utf-8") == content  # left as it was

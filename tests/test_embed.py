@@ -1,10 +1,12 @@
 """Builder validation, face tracing, radial BFS, and embedding surgery."""
 
+import ast
 import hashlib
 import json
 import random
 from array import array
 from collections.abc import Sequence
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,13 +17,19 @@ from hypothesis import strategies as st
 from helpers import (
     components_by_bfs,
     connect_by_insertion,
+    degree,
+    edge_endpoints,
+    face_degree,
+    face_vertices,
     graph_fingerprint,
+    insert_edge_in_face,
     radial_bfs_by_rounds,
     random_nesting,
     random_plane_map,
     relabel,
     ring_chain,
     thin_random_triangulation,
+    trace_faces,
     trace_walks_by_loop,
 )
 from peelbound import embed
@@ -30,9 +38,7 @@ from peelbound.embed import (
     GraphFormatError,
     build_plane_graph,
     connect_components,
-    insert_edge_in_face,
     radial_bfs,
-    trace_faces,
     triangulate_preserving_embedding,
     vertex_bfs,
 )
@@ -90,7 +96,7 @@ def test_k4_walks_and_flags():
     assert trace_faces(g) == [[0, 8, 5], [1, 2, 7], [3, 4, 11], [6, 10, 9]]
     assert g.face_count == 4
     assert g.triangulated
-    assert sorted(g.degree(v) for v in range(4)) == [3, 3, 3, 3]
+    assert sorted(degree(g, v) for v in range(4)) == [3, 3, 3, 3]
 
 
 def test_octahedron_structure():
@@ -98,7 +104,7 @@ def test_octahedron_structure():
     assert g.n == 6 and g.m == 12 and g.face_count == 8
     assert g.simple and g.triangulated
     assert g.walk(0) == [0, 8, 3]
-    assert sorted(g.face_vertices(0)) == [0, 1, 2]
+    assert sorted(face_vertices(g, 0)) == [0, 1, 2]
 
 
 def test_walk_consecutive_darts_chain():
@@ -113,14 +119,14 @@ def test_rotation_darts_origin():
     g = octahedron()
     for v in range(g.n):
         assert all(g.origin(d) == v for d in g.rotation_darts(v))
-        assert len(g.rotation_darts(v)) == g.degree(v)
+        assert len(g.rotation_darts(v)) == degree(g, v)
 
 
 def test_loop_rotation():
     g = build_plane_graph(1, [(0, 0)], [[0, 0]])
     assert g.n == 1 and g.m == 1 and g.face_count == 2
     assert not g.simple
-    assert g.degree(0) == 2
+    assert degree(g, 0) == 2
 
 
 def test_flags_are_checked():
@@ -414,6 +420,21 @@ def test_one_walk_faces_read_as_one_tuples():
     assert list(from_document(json.loads(json.dumps(doc))).face_walks) == list(faces)
 
 
+def test_package_checks_survive_optimize():
+    # `python -O` strips assert statements; every invariant raises InvariantError
+    found = []
+    for path in sorted(Path(embed.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(node, ast.Assert) or (
+                isinstance(exc, ast.Name) and exc.id == "AssertionError"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 @pytest.mark.parametrize(
     "call,message",
     [
@@ -445,10 +466,10 @@ def test_insert_edge_splits_face():
         4, [(0, 1), (1, 2), (2, 3), (3, 0)], [[0, 3], [1, 0], [2, 1], [3, 2]]
     )
     assert square.face_count == 2
-    f = next(f for f in range(2) if square.face_degree(f) == 4)
+    f = next(f for f in range(2) if face_degree(square, f) == 4)
     g = insert_edge_in_face(square, 0, 2, f)
     assert g.m == 5 and g.face_count == 3
-    assert sorted(g.face_degree(x) for x in range(3)) == [3, 3, 4]
+    assert sorted(face_degree(g, x) for x in range(3)) == [3, 3, 4]
     assert g.simple
 
 
@@ -456,7 +477,7 @@ def test_insert_edge_rejects_outsiders():
     g = octahedron()
     # vertex 5 is antipodal to 0: never on a shared face
     f = g.first_face_of_vertex(0)
-    assert 5 not in g.face_vertices(f)
+    assert 5 not in face_vertices(g, f)
     with pytest.raises((ValueError, GraphFormatError)):
         insert_edge_in_face(g, 0, 5, f)
 
@@ -510,7 +531,7 @@ def test_insert_edge_face_grouping(case):
     # module used before the shared splice helper
     for g, u, v, f, expected in _insert_cases()[case]:
         out = insert_edge_in_face(g, u, v, f)
-        assert out.m == g.m + 1 and sorted(out.edge_endpoints(g.m)) == sorted((u, v))
+        assert out.m == g.m + 1 and sorted(edge_endpoints(out, g.m)) == sorted((u, v))
         assert list(out.face_walks) == expected, (case, u, v, f)
 
 
@@ -521,7 +542,7 @@ def _insert_corpus():
     graphs.append(_prism_band(1))
     for g in graphs:
         for f in range(g.face_count):
-            verts = g.face_vertices(f)
+            verts = face_vertices(g, f)
             for u in verts:
                 for v in verts:
                     yield g, u, v, f
@@ -660,7 +681,7 @@ def test_triangulate_preserving_embedding():
     assert t.m == 3 * t.n - 6
     # original edges keep their ids
     for e in range(c.m):
-        assert t.edge_endpoints(e) == c.edge_endpoints(e)
+        assert edge_endpoints(t, e) == edge_endpoints(c, e)
 
 
 def test_triangulate_requires_simple_connected():

@@ -2,8 +2,15 @@
 
 import pytest
 
-from helpers import graph_fingerprint, is_bipartite, prism_by_insertion
-from peelbound import embed
+from helpers import (
+    degree,
+    face_degree,
+    face_vertices,
+    graph_fingerprint,
+    is_bipartite,
+    prism_by_insertion,
+)
+from peelbound import embed, gen
 from peelbound.embed import connect_components
 from peelbound.gen import (
     _prism_band,
@@ -36,8 +43,8 @@ def test_nested_cycles_nesting():
     assert g.face_of_lone_vertex[0] == 0
     assert g.face_of_lone_vertex[10] == 3
     # annular faces are bounded by consecutive rings
-    assert sorted(g.face_vertices(1)) == [1, 2, 3, 4, 5, 6]
-    assert sorted(g.face_vertices(2)) == [4, 5, 6, 7, 8, 9]
+    assert sorted(face_vertices(g, 1)) == [1, 2, 3, 4, 5, 6]
+    assert sorted(face_vertices(g, 2)) == [4, 5, 6, 7, 8, 9]
 
 
 def test_nested_cycles_meta():
@@ -100,7 +107,7 @@ def test_lowerbound_h_domain(g, k):
 def test_lowerbound_h_subdivision_degrees():
     # subdivision vertices keep degree 2; original corners keep degree 3
     h = gen_lowerbound_H(7, 3)
-    degs = sorted(h.degree(v) for v in range(h.n))
+    degs = sorted(degree(h, v) for v in range(h.n))
     assert set(degs) <= {2, 3}
 
 
@@ -111,9 +118,9 @@ def test_lowerbound_h_subdivision_degrees():
 
 def test_prism_band_quad_census():
     band = _prism_band(1)
-    quads = [f for f in range(band.face_count) if band.face_degree(f) == 4]
+    quads = [f for f in range(band.face_count) if face_degree(band, f) == 4]
     assert len(quads) == 9  # 3s quadrangular faces along the rim, s = 3k
-    assert all(band.face_degree(f) in (3, 4) for f in range(band.face_count))
+    assert all(face_degree(band, f) in (3, 4) for f in range(band.face_count))
 
 
 def test_prism_grid_shape():
@@ -163,6 +170,7 @@ def test_prism_grid_finishes_twice(monkeypatch):
         return finish(*args, **kwargs)
 
     monkeypatch.setattr(embed, "_finish_graph", counted_finish)
+    monkeypatch.setattr(gen, "_finish_graph", counted_finish)
     g = gen_prism_grid(4)
     assert g.triangulated and len(calls) == 2
 
@@ -188,7 +196,7 @@ def test_random_triangulation_deterministic():
 def test_random_triangulation_growth():
     k4 = gen_random_triangulation(4, 0)
     assert (k4.n, k4.m, k4.face_count) == (4, 6, 4)
-    assert sorted(k4.degree(v) for v in range(4)) == [3, 3, 3, 3]
+    assert sorted(degree(k4, v) for v in range(4)) == [3, 3, 3, 3]
     big = gen_random_triangulation(500, 9)
     assert big.m == 3 * big.n - 6
     assert big.triangulated and big.simple
@@ -216,7 +224,6 @@ def test_triangulation_postconditions_survive_optimize():
         "    return run\n"
         "k4 = gen.gen_random_triangulation(4, 0)\n"
         "embed._finish_graph = gen._finish_graph = spoiled(embed._finish_graph)\n"
-        "gen._finish_splice = spoiled(gen._finish_splice)\n"
         "for make in (lambda: gen.gen_random_triangulation(9, 1), lambda: gen.gen_prism_grid(1),\n"
         "             lambda: embed.triangulate_preserving_embedding(k4)):\n"
         "    try:\n"

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from peelbound.embed import GraphFormatError, build_plane_graph
+from helpers import edge_endpoints, random_plane_map
+from peelbound.embed import GraphFormatError, build_plane_graph, connect_components
 from peelbound.gen import (
     gen_lowerbound_H,
     gen_nested_cycles,
@@ -29,7 +30,7 @@ def k3():
 def same_graph(a, b):
     if (a.n, a.m, a.face_count) != (b.n, b.m, b.face_count):
         return False
-    if any(a.edge_endpoints(e) != b.edge_endpoints(e) for e in range(a.m)):
+    if any(edge_endpoints(a, e) != edge_endpoints(b, e) for e in range(a.m)):
         return False
     if any(a.rotation_edges(v) != b.rotation_edges(v) for v in range(a.n)):
         return False
@@ -71,6 +72,23 @@ def test_connected_document_omits_faces():
     doc = to_document(k3())
     assert "faces" not in doc
     assert "meta" not in doc
+
+
+def _built_connected():
+    for k in (1, 2, 3):
+        yield f"prism-{k}", gen_prism_grid(k)
+    for g, k in ((1, 3), (3, 1), (4, 5)):
+        yield f"nested-{g}-{k}", connect_components(gen_nested_cycles(g, k))
+    for seed in range(8):
+        for parts in (2, 3):
+            yield f"map-{seed}-{parts}", connect_components(random_plane_map(seed, 12, parts))
+
+
+@pytest.mark.parametrize("graph", [pytest.param(g, id=name) for name, g in _built_connected()])
+def test_built_connected_graphs_number_faces_by_walk(graph):
+    assert graph.connected
+    assert list(graph.face_of_walk) == list(range(graph.walk_count))
+    assert "faces" not in to_document(graph)
 
 
 def test_canonical_text_is_compact_and_sorted():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     eccentricities_by_bfs,
+    face_darts,
     layer_numbers_by_union_find,
     peel_numbers_by_union_find,
     random_plane_map,
@@ -117,16 +118,23 @@ def test_deletion_layers_frozen():
 def test_deletion_peels_frozen():
     assert peel_numbers_by_deletion(octahedron(), 0) == [1, 1, 1, 2, 2, 2]
     c33 = connected_nested(3, 3)
-    assert [peel_count_by_deletion(c33, f) for f in range(c33.face_count)] == [4, 3, 3, 4]
+    assert [peel_count_by_deletion(c33, f) for f in range(c33.face_count)] == [3, 4, 3, 4]
+    assert [face_darts(c33, f) for f in range(c33.face_count)] == [
+        [0, 2, 4, 20, 7, 11, 9, 21],
+        [1, 5, 3, 18, 19],
+        [6, 8, 10, 22, 13, 17, 15, 23],
+        [12, 14, 16, 24, 25],
+    ]
 
 
 def test_fse_bruteforce_nested43():
     res = fse_outerplanarity_bruteforce(gen_nested_cycles(4, 3))
     assert res.value == 3
-    assert res.face == 1
-    assert res.per_face == [4, 3, 3, 4]
+    assert res.face == 0
+    assert res.per_face == [3, 4, 3, 4]
+    assert face_darts(connected_nested(4, 3), res.face) == [0, 2, 4, 6, 26, 9, 15, 13, 11, 27]
     value, face = res  # tuple-unpacking compatibility
-    assert (value, face) == (3, 1)
+    assert (value, face) == (3, 0)
 
 
 def test_fse_value_is_min_over_faces():

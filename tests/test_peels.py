@@ -23,11 +23,16 @@ import peelbound
 from helpers import (
     articulation_flags,
     augment_by_face_loop,
+    descends,
+    edge_endpoints,
+    is_descendant,
     random_nesting,
     random_plane_map,
     relabel,
     ring_chain,
     thin_random_triangulation,
+    to_records,
+    tree_distance,
     tree_of_peels_by_walks,
 )
 from peelbound import embed, peels
@@ -84,7 +89,7 @@ def test_choose_root_avoids_cutvertices():
     # removal keeps the rest connected
     adj = {v: set() for v in keep}
     for e in range(g.m):
-        u, w = g.edge_endpoints(e)
+        u, w = edge_endpoints(g, e)
         if u != root and w != root:
             adj[u].add(w)
             adj[w].add(u)
@@ -113,7 +118,7 @@ def test_choose_root_is_lowest_noncut(g):
         rest = [u for u in range(g.n) if u != v]
         adj = {u: set() for u in rest}
         for e in range(g.m):
-            a, b = g.edge_endpoints(e)
+            a, b = edge_endpoints(g, e)
             if a != v and b != v:
                 adj[a].add(b)
                 adj[b].add(a)
@@ -232,7 +237,7 @@ def test_layers_match_deletion_oracle(g):
 def test_layers_smooth_on_edges(g):
     ctx = compute_layers(g, choose_root(g))
     for e in range(g.m):
-        u, v = g.edge_endpoints(e)
+        u, v = edge_endpoints(g, e)
         assert abs(int(ctx.layer[u]) - int(ctx.layer[v])) <= 1
 
 
@@ -295,7 +300,7 @@ def test_augmentation_invariants(g):
     assert h.m >= g.m
     assert h.n - h.m + h.face_count == 2
     for e in range(g.m):
-        assert h.edge_endpoints(e) == g.edge_endpoints(e)
+        assert edge_endpoints(h, e) == edge_endpoints(g, e)
 
     # layer numbers survive augmentation
     rd = radial_bfs(h, source_vertex=root)
@@ -303,7 +308,7 @@ def test_augmentation_invariants(g):
 
     # every added edge descends exactly one layer
     for e in range(aug.original_edge_count, h.m):
-        u, v = h.edge_endpoints(e)
+        u, v = edge_endpoints(h, e)
         assert abs(int(aug.layer[u]) - int(aug.layer[v])) == 1
 
 
@@ -321,7 +326,7 @@ def test_out_darts_descend(g):
         assert d >= 0
         assert h.origin(d) == v
         assert aug.layer[h.head(d)] == aug.layer[v] - 1
-        assert aug.descends(d)
+        assert descends(aug, d)
         # minimal such dart at v
         for d2 in h.rotation_darts(v):
             if d2 < d:
@@ -557,10 +562,10 @@ def test_tree_frozen_ring_chain():
     assert [sorted(s) for s in tree.stored] == [
         [0], [1, 2, 3], [4, 5, 6], [7, 8, 9], [10],
     ]
-    assert tree.tree_distance(0, 4) == 4
-    assert tree.tree_distance(2, 2) == 0
-    assert tree.is_descendant(4, 1) and not tree.is_descendant(1, 4)
-    recs = tree.to_records()
+    assert tree_distance(tree, 0, 4) == 4
+    assert tree_distance(tree, 2, 2) == 0
+    assert is_descendant(tree, 4, 1) and not is_descendant(tree, 1, 4)
+    recs = to_records(tree)
     assert recs[0] == {"node": 0, "parent": -1, "depth": 0, "stored": [0]}
 
 
