@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
 import sys
 from typing import Optional
 
-from .center import GTooBigError, Stages, certify
+from .center import CenterCertificate, GTooBigError, Stages, certify
 from .embed import GraphFormatError, PlaneGraph, connect_components
 from .gen import (
     gen_lowerbound_H,
@@ -269,6 +271,41 @@ def _parse_sizes(raw: Optional[str], flag: str) -> list[int]:
     return sizes
 
 
+BENCH_RUNS = 3
+"""Runs per size of ``peelbound bench``; each stage reports its median."""
+
+
+def _check_writable(path: str) -> None:
+    """Raise OSError now if path cannot be written; leave no trace either way.
+
+    An existing file is opened for writing without truncation; a missing
+    one is created and removed again.
+    """
+    try:
+        os.close(os.open(path, os.O_WRONLY))
+    except FileNotFoundError:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        os.remove(path)
+
+
+def _bench_run(text: str) -> tuple[Stages, float, CenterCertificate, bool]:
+    """One pass over a size: (stage seconds, verify seconds, certificate, verified)."""
+    stages = Stages()
+    graph = loads_plane_graph(text)
+    stages.lap("load")
+    if not graph.connected:
+        graph = connect_components(graph)
+    stages.lap("connect")
+    cert = certify(graph)
+    stages.update(cert.stages)
+    # verify reads a fresh copy, so it builds its own view like `peelbound verify`
+    fresh = loads_plane_graph(text)
+    verify = Stages()
+    report = verify_certificate(cert.to_dict(), fresh)
+    verify.lap("verify")
+    return stages, verify["verify"], cert, report.ok
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     key = "n" if args.family == "random" else "k"
     try:
@@ -277,6 +314,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         _say(f"error: {exc}")
         return EXIT_INPUT
     rows = []
+    if args.out:
+        _check_writable(args.out)  # before any size is generated
     if args.out and args.append:
         try:
             with open(args.out, encoding="utf-8") as fh:
@@ -297,44 +336,37 @@ def cmd_bench(args: argparse.Namespace) -> int:
         except ValueError as exc:
             _say(f"error: {exc}")
             return EXIT_INPUT
-        stages = Stages()
-        graph = loads_plane_graph(text)
-        stages.lap("load")
-        if not graph.connected:
-            graph = connect_components(graph)
-        stages.lap("connect")
-        cert = certify(graph)
-        stages.update(cert.stages)
-        # verify reads a fresh copy, so it builds its own view like `peelbound verify`
-        fresh = loads_plane_graph(text)
-        verify = Stages()
-        report = verify_certificate(cert.to_dict(), fresh)
-        verify.lap("verify")
-        if not report.ok:
-            _say(f"error: bench {args.family} {size}: the certificate failed verification")
-            return EXIT_VERIFY
-        stage_s = {name: round(sec, 6) for name, sec in stages.items()}
+        runs = []
+        for _ in range(BENCH_RUNS):
+            stages, verify_s, cert, ok = _bench_run(text)
+            if not ok:
+                _say(f"error: bench {args.family} {size}: the certificate failed verification")
+                return EXIT_VERIFY
+            runs.append((stages, verify_s))
+        stage_s = {
+            name: round(statistics.median(st[name] for st, _ in runs), 6) for name in runs[0][0]
+        }
         seconds = round(sum(stage_s.values()), 6)
-        per_vertex = seconds / graph.n
+        per_vertex = seconds / cert.n
         ratio = None if prev is None else per_vertex / prev
         prev = per_vertex
         row = {
             "command": "bench",
             "family": args.family,
             "param": size,
-            "n": graph.n,
+            "n": cert.n,
             "bound": int(cert.bound),
             "case": cert.case,
             "stages": stage_s,
             "seconds": seconds,
-            "verify": round(verify["verify"], 6),
+            "verify": round(statistics.median(v for _, v in runs), 6),
             "per_vertex": round(per_vertex, 9),
             "ratio": None if ratio is None else round(ratio, 3),
         }
         rows.append(row)
         _emit(row)
         _say(
-            f"bench {args.family} {size}: n={graph.n} {seconds:.3f}s "
+            f"bench {args.family} {size}: n={cert.n} {seconds:.3f}s "
             f"({per_vertex * 1e6:.2f} us/vertex"
             + (f", ratio {ratio:.2f})" if ratio is not None else ")")
         )

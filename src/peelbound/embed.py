@@ -1050,13 +1050,16 @@ def connect_components(g: PlaneGraph) -> PlaneGraph:
         )
         return walk[i - 1], walk[i]
 
+    def first_vertex(w: int) -> int:  # of walk w, read off its first dart
+        return g.origin(flat[indptr[w]]) if w < nd else g.lone_walk_vertex[w - nd]
+
     for walks in g.face_walks:
         if len(walks) <= 1:
             continue
-        base = g.walk_vertices(walks[0])[0]
+        base = first_vertex(walks[0])
         rep = flat[indptr[walks[0]]] if walks[0] < nd else -1  # dart on base's walk
         for w in walks[1:]:
-            other = g.walk_vertices(w)[0]
+            other = first_vertex(w)
             cb, co = find(g.component_of[base]), find(g.component_of[other])
             if cb == co:
                 continue

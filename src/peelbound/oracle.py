@@ -9,6 +9,15 @@ from plain breadth-first search on adjacency lists,
 and fence-girth comes from exhaustive simple-cycle enumeration plus a
 Jordan-side test.  Costs are desk-scale by design.
 
+One outerface's rounds (:func:`_deletion_rounds`) cost O(n + m + F) in
+plain Python.  The fse search runs the same rounds for every outerface at
+once, one bit per face in uint64 rows (:func:`_deletion_counts`): a block
+of ``embed._BIT_BLOCK`` faces costs one O(n + m) numpy step per flood
+pass, with as many passes per round as the flood needs, in place of one
+Python run per face.  Its arrays come from g's dart arrays, not from the
+incidence view the radial cross-check reads, and the tests hold it to
+:func:`_deletion_rounds` face by face.
+
 Three exceptions read the pipeline's numpy searches on g's cached
 incidence view, and the tests hold each to a pure-Python route:
 
@@ -26,18 +35,20 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
-from . import peels
+import numpy as np
+
+from . import embed, peels
 from .center import Stages
 from .embed import (
     InvariantError,
     PlaneGraph,
     _bit_bfs,
     _cached_incidence,
+    _source_flags,
     connect_components,
     triangulate_preserving_embedding,
     vertex_bfs,
@@ -254,6 +265,113 @@ def layer_numbers_by_deletion(g: PlaneGraph, root: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+class _FaceBitTables(NamedTuple):
+    """What :func:`_deletion_counts` reads of a plane graph, as numpy arrays."""
+
+    face_count: int
+    vf_indptr: np.ndarray  # vertex v's faces are vf_faces[vf_indptr[v]:vf_indptr[v + 1]]
+    vf_faces: np.ndarray  # the face of each dart leaving v; a lone vertex: its host face
+    ends: np.ndarray  # (eu, ev): row k, column e is end k of edge e
+    sides: np.ndarray  # row k, column e is face_of_dart(2e + k)
+
+
+def _face_bit_tables(g: PlaneGraph) -> _FaceBitTables:
+    """Read g into the arrays of :func:`_deletion_counts`.
+
+    The reads of :func:`_deletion_tables` (the faces beside the two darts
+    of each edge, each vertex's faces with a lone vertex on its host face),
+    taken straight from g's dart arrays; repeats stay in.  Nothing here
+    reads g's incidence view, so the radial cross-check does not share it.
+    """
+    eu = np.frombuffer(g.eu, dtype=np.int32)
+    ev = np.frombuffer(g.ev, dtype=np.int32)
+    lone = np.frombuffer(g.lone_walk_vertex, dtype=np.int32)
+    face_of_walk = np.frombuffer(g.face_of_walk, dtype=np.int32)
+    face_of_dart = face_of_walk[np.frombuffer(g.walk_of_dart, dtype=np.int32)]
+    verts = np.concatenate([np.stack([eu, ev], axis=1).ravel(), lone])
+    faces = np.concatenate([face_of_dart, face_of_walk[g.dart_walk_count :]])
+    vf_indptr = np.zeros(g.n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(verts, minlength=g.n), out=vf_indptr[1:])
+    return _FaceBitTables(
+        g.face_count,
+        vf_indptr,
+        faces[np.argsort(verts, kind="stable")],
+        np.stack([eu, ev]),
+        face_of_dart.reshape(-1, 2).T,
+    )
+
+
+def _or_rows(entries: np.ndarray, indptr: np.ndarray, filled: np.ndarray) -> np.ndarray:
+    """Row r: the OR of entries[indptr[r]:indptr[r + 1]], 0 where that is empty.
+
+    ``filled`` lists the non-empty rows.
+    """
+    if len(filled) == len(indptr) - 1:
+        return np.bitwise_or.reduceat(entries, indptr[:-1], axis=0)
+    out = np.zeros((len(indptr) - 1, entries.shape[1]), dtype=np.uint64)
+    if len(filled):
+        out[filled] = np.bitwise_or.reduceat(entries, indptr[filled], axis=0)
+    return out
+
+
+def _deletion_counts(t: _FaceBitTables) -> list[int]:
+    """Peel count of every outerface, by the literal rounds of :func:`_deletion_rounds`.
+
+    All outerfaces run at once, one bit per source (the multi-source
+    traversal of Then et al., PVLDB 8(4), 2014, as in ``embed._bit_bfs``):
+    sources go in blocks of ``embed._BIT_BLOCK``, and a block keeps a row of
+    uint64 words per face for its outer region, per face for the faces that
+    joined it since the last round began, and per vertex for deleted.  A
+    round deletes every live vertex on a freshly joined face, then every
+    edge with a deleted end, and closes the outer region under the two faces
+    beside a deleted edge until nothing changes.  A source's count is the
+    last round that deleted something; a source whose round deletes nothing
+    while vertices are still live raises :class:`InvariantError`.
+    """
+    F, vf_indptr, vf_faces, (eu, ev), sides = t
+    vf_filled = np.flatnonzero(np.diff(vf_indptr))
+    # the faces beside each edge, one entry per side: (edge, the face across)
+    near = sides.ravel()
+    order = np.argsort(near, kind="stable")
+    m = sides.shape[1]
+    fe_edge = order % m
+    fe_far = sides[::-1].ravel()[order]
+    fe_indptr = np.zeros(F + 1, dtype=np.intp)
+    np.cumsum(np.bincount(near, minlength=F), out=fe_indptr[1:])
+    fe_filled = np.flatnonzero(np.diff(fe_indptr))
+    counts = np.zeros(F, dtype=np.int64)
+    block = embed._BIT_BLOCK
+    for first in range(0, F, block):
+        count = min(block, F - first)
+        j = np.arange(count)
+        fresh = np.zeros((F, -(-count // 64)), dtype=np.uint64)
+        fresh[first + j, j >> 6] = np.left_shift(np.uint64(1), (j & 63).astype(np.uint64))
+        outer = fresh.copy()
+        deleted = np.zeros((len(vf_indptr) - 1, fresh.shape[1]), dtype=np.uint64)
+        rnd = 0
+        while True:
+            rnd += 1
+            hit = _or_rows(fresh.take(vf_faces, axis=0), vf_indptr, vf_filled) & ~deleted
+            if not hit.any():
+                break
+            deleted |= hit
+            hit_any = np.bitwise_or.reduce(hit, axis=0)
+            counts[first : first + count][_source_flags(hit_any, count)] = rnd
+            gone = (deleted.take(eu, axis=0) | deleted.take(ev, axis=0)).take(fe_edge, axis=0)
+            fresh = np.zeros_like(outer)
+            front = outer
+            while True:
+                joined = _or_rows(gone & front.take(fe_far, axis=0), fe_indptr, fe_filled) & ~outer
+                if not joined.any():
+                    break
+                outer |= joined
+                fresh |= joined
+                front = joined
+        if not _source_flags(np.bitwise_and.reduce(deleted, axis=0), count).all():
+            raise InvariantError("outer region lost all boundary vertices: corrupt embedding")
+    return counts.tolist()
+
+
 @dataclass
 class FseBruteResult:
     value: int
@@ -268,28 +386,17 @@ def fse_outerplanarity_bruteforce(g: PlaneGraph, threads: int = 1) -> FseBruteRe
     """Minimum peel count over all outerfaces, by literal deletion.
 
     Disconnected graphs are connected first (inside their shared faces),
-    which never increases the count of any face.  All faces share one set
-    of deletion tables, so each face costs O(n + m + F) and the whole
-    search O(F (n + m + F)).  On every graph the per-face counts are then
-    recomputed by one bit-parallel radial BFS from all faces
-    (:func:`peels.face_peel_counts`, on g's one incidence view), and the
-    first face where the two disagree raises :class:`InvariantError`, also
-    under ``-O``.  ``threads`` fans the deletion rounds over a pool;
-    results are collected in face order, so the answer does not depend on
-    the thread count.
+    which never increases the count of any face.  Every face's deletion
+    rounds run at once, one bit per face (:func:`_deletion_counts`).  On
+    every graph the per-face counts are then recomputed by one bit-parallel
+    radial BFS from all faces (:func:`peels.face_peel_counts`, on g's one
+    incidence view), and the first face where the two disagree raises
+    :class:`InvariantError`, also under ``-O``.  ``threads`` is accepted and
+    ignored.
     """
     if not g.connected:
         g = connect_components(g)
-    tables = _deletion_tables(g)
-
-    def count_face(f: int) -> int:
-        return max(_deletion_rounds(tables, f), default=0)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(count_face, range(g.face_count)))
-    else:
-        counts = [count_face(f) for f in range(g.face_count)]
+    counts = _deletion_counts(_face_bit_tables(g))
     radial = peels.face_peel_counts(g)
     for f, (c, r) in enumerate(zip(counts, radial)):
         if c != r:
@@ -502,10 +609,11 @@ def verify_certificate(cert, target: PlaneGraph) -> VerifyReport:
     BFS from it (:func:`embed.vertex_bfs`, checked against this module's
     :func:`bfs_distances` in the tests); the peel count of the chosen
     outerface is rechecked in the original graph (connected first if it is
-    not).  On a triangulation H is that graph, so all three searches read
-    one incidence view.  A field that is present but not an integer (a
-    float, a string, a bool) raises ValueError; the size and center-range
-    checks run before the rebuild, which keeps the vertex count.
+    not).  On a triangulation H is that graph, so the rebuild is skipped
+    and both searches read one incidence view.  A field that is present
+    but not an integer (a float, a string, a bool) raises ValueError; the
+    size and center-range checks run before the rebuild, which keeps the
+    vertex count.
     """
     for key in _INT_FIELDS:
         value = _cert_get(cert, key)
@@ -533,11 +641,11 @@ def verify_certificate(cert, target: PlaneGraph) -> VerifyReport:
     original = target
     if not target.connected:
         original = connect_components(target)
-    root = peels.choose_root(original)
-    ctx = peels.compute_layers(original, root)
-    aug = peels.augment(ctx)
+    h = original
+    if not original.triangulated:  # augment adds no edge to a triangulation
+        h = peels.augment(peels.compute_layers(original, peels.choose_root(original))).H
 
-    dist = vertex_bfs(aug.H, s)
+    dist = vertex_bfs(h, s)
     if (dist < 0).any():
         raise ValueError("eccentricity undefined: graph is disconnected")
     ecc = int(dist.max())

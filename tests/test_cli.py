@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import peelbound
+from peelbound import cli
 from helpers import eccentricities_by_bfs
 from peelbound.cli import main
 from peelbound.gen import gen_prism_grid
@@ -534,7 +535,46 @@ def test_unwritable_outputs_exit_one(capsys, tmp_path, argv, content):
     paths = {"graph": graph, "missing": str(tmp_path / "no-such-dir" / "x.json"), "rows": str(rows)}
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 1
-    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.splitlines()[-1]]
+    # the error comes first: no progress line, so no size was run
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
     if content is not None:
         assert rows.read_text(encoding="utf-8") == content  # left as it was
+
+
+def test_bench_out_checked_before_the_first_size(capsys, monkeypatch, tmp_path):
+    built = []
+    monkeypatch.setattr("peelbound.cli._build_family", lambda *a: built.append(a))
+    code, out, err = run(capsys, "bench", "random", "--n", "20", "--out", str(tmp_path))
+    assert (code, out, built) == (1, "", [])
+    assert err.startswith("error:") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("existing", [None, "[]\n"], ids=["new", "existing"])
+def test_bench_out_untouched_when_the_run_fails(capsys, monkeypatch, tmp_path, existing):
+    monkeypatch.setattr("peelbound.cli.verify_certificate", lambda cert, g: VerifyReport(ok=False))
+    rows = tmp_path / "rows.json"
+    if existing is not None:
+        rows.write_text(existing, encoding="utf-8")
+    code, _, _ = run(capsys, "bench", "random", "--n", "20", "--out", str(rows))
+    assert code == 3
+    assert sorted(tmp_path.iterdir()) == ([rows] if existing is not None else [])
+    if existing is not None:
+        assert rows.read_text(encoding="utf-8") == existing
+
+
+def test_bench_stages_are_medians_of_three_runs(capsys, monkeypatch):
+    laps = iter(range(1, 100))
+    real = cli._bench_run
+
+    def run_once(text):  # stage seconds 1, 2, 3 ... in call order; verify 1, 2, 3
+        stages, verify_s, cert, ok = real(text)
+        k = next(laps)
+        return {name: k for name in stages}, k, cert, ok
+
+    monkeypatch.setattr(cli, "_bench_run", run_once)
+    code, out, _ = run(capsys, "bench", "random", "--n", "20")
+    assert code == 0 and cli.BENCH_RUNS == 3
+    (row,) = stdout_records(out)
+    assert set(row["stages"].values()) == {2} and row["verify"] == 2
+    assert next(laps) == 4  # three runs for the one size

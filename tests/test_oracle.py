@@ -3,6 +3,7 @@
 import math
 import unittest
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,14 +152,112 @@ def test_fse_threads_agree():
     assert seq.per_face == par.per_face and seq.face == par.face
 
 
-def test_fse_bruteforce_builds_deletion_tables_once(monkeypatch):
+def test_fse_bruteforce_builds_bit_tables_once(monkeypatch):
+    # every face from one set of arrays, none through the per-face tables
     g = gen_random_triangulation(200, 5)
-    calls = []
-    build = oracle._deletion_tables
-    monkeypatch.setattr(oracle, "_deletion_tables", lambda h: calls.append(h) or build(h))
+    calls, per_face = [], []
+    build = oracle._face_bit_tables
+    monkeypatch.setattr(oracle, "_face_bit_tables", lambda h: calls.append(h) or build(h))
+    monkeypatch.setattr(oracle, "_deletion_tables", per_face.append)
     fse_outerplanarity_bruteforce(g)
     assert g.face_count == 396
-    assert calls == [g]
+    assert calls == [g] and per_face == []
+
+
+def all_faces_counts(g):
+    return oracle._deletion_counts(oracle._face_bit_tables(g))
+
+
+def single_face_counts(g):
+    t = oracle._deletion_tables(g)
+    return [max(oracle._deletion_rounds(t, f), default=0) for f in range(g.face_count)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=3),
+)
+def test_all_faces_deletion_matches_single_face_rounds(seed, steps, components):
+    # loops, parallel edges, lone vertices and n = 1; maps of 2-3
+    # components in their connected form, then as drawn
+    g = random_plane_map(seed, steps, components)
+    for h in ([connect_components(g)] if components > 1 else []) + [g]:
+        counts = all_faces_counts(h)
+        assert counts == single_face_counts(h)
+        assert counts == [max(peel_numbers_by_union_find(h, f)) for f in range(h.face_count)]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        gen_lowerbound_H(4, 11),
+        gen_lowerbound_H(9, 5),
+        connected_nested(4, 9),
+        connected_nested(1, 3),  # loops
+        connected_nested(2, 3),  # parallel edges
+        gen_prism_grid(2),
+        build_plane_graph(1, [], [[]]),
+        build_plane_graph(2, [(0, 1)], [[0], [0]]),
+        build_plane_graph(1, [(0, 0)], [[0, 0]]),
+        build_plane_graph(2, [(0, 1), (0, 1), (0, 1)], [[0, 1, 2], [2, 1, 0]]),
+    ],
+    ids=[
+        "H-4-11", "H-9-5", "nested-4-9", "loops", "digons", "prism-2", "K1", "K2", "loop", "3-bond"
+    ],
+)
+def test_all_faces_deletion_on_families(g):
+    counts = all_faces_counts(g)
+    assert counts == single_face_counts(g)
+    assert counts == [max(peel_numbers_by_union_find(g, f)) for f in range(g.face_count)]
+
+
+def test_all_faces_deletion_runs_two_blocks():
+    g = gen_random_triangulation(600, 2)
+    assert g.face_count == 1196 > embed._BIT_BLOCK  # a full block and a partial one
+    assert all_faces_counts(g) == single_face_counts(g) == face_peel_counts(g)
+
+
+@pytest.mark.parametrize("block", [64, 128])
+def test_all_faces_deletion_blocks_meet_at_the_seam(monkeypatch, block):
+    g = thin_random_triangulation(300, 4)  # merged faces: rows of several darts
+    want = single_face_counts(g)
+    monkeypatch.setattr(embed, "_BIT_BLOCK", block)
+    assert g.face_count > 2 * block
+    assert all_faces_counts(g) == want
+
+
+def test_all_faces_deletion_reads_no_incidence_view(monkeypatch):
+    def refuse(g):
+        raise AssertionError("the incidence view was read")
+
+    monkeypatch.setattr(embed, "_incidence", refuse)
+    monkeypatch.setattr(embed, "_cached_incidence", refuse)
+    monkeypatch.setattr(oracle, "_cached_incidence", refuse)
+    g = gen_random_triangulation(60, 8)
+    assert g._incidence is None
+    assert all_faces_counts(g) == single_face_counts(g)
+    assert g._incidence is None
+
+
+@pytest.mark.parametrize("forge", ["vertex-on-no-face", "no-face-floods"])
+def test_all_faces_lost_outer_region_raises_invariant_error(monkeypatch, forge):
+    build = oracle._face_bit_tables
+
+    def forged(g):
+        t = build(g)
+        if forge == "vertex-on-no-face":  # vertex 5 lists no face
+            start, stop = t.vf_indptr[5], t.vf_indptr[6]
+            keep = np.r_[0:start, stop : len(t.vf_faces)]
+            indptr = t.vf_indptr.copy()
+            indptr[6:] -= stop - start
+            return t._replace(vf_indptr=indptr, vf_faces=t.vf_faces[keep])
+        return t._replace(sides=np.zeros_like(t.sides))  # every edge between faces 0 and 0
+
+    monkeypatch.setattr(oracle, "_face_bit_tables", forged)
+    with pytest.raises(InvariantError, match="outer region lost all boundary vertices"):
+        fse_outerplanarity_bruteforce(octahedron())
 
 
 @settings(max_examples=100, deadline=None)
@@ -198,11 +297,12 @@ def test_lost_outer_region_survives_optimize():
         "from peelbound import oracle\n"
         "from peelbound.embed import InvariantError\n"
         "from peelbound.gen import gen_random_triangulation\n"
-        "build = oracle._deletion_tables\n"
+        "build = oracle._face_bit_tables\n"
         "def forged(g):\n"
         "    t = build(g)\n"
-        "    return t._replace(face_verts=[[v for v in vs if v] for vs in t.face_verts])\n"
-        "oracle._deletion_tables = forged\n"
+        "    cut = t.vf_indptr[1]\n"
+        "    return t._replace(vf_indptr=(t.vf_indptr - cut).clip(0), vf_faces=t.vf_faces[cut:])\n"
+        "oracle._face_bit_tables = forged\n"
         "try:\n"
         "    oracle.fse_outerplanarity_bruteforce(gen_random_triangulation(12, 3))\n"
         "except InvariantError as exc:\n"
