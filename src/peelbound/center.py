@@ -15,13 +15,22 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .embed import InvariantError, PlaneGraph
-from .peels import Augmentation, TreeOfPeels, augment, build_tree_of_peels, choose_root, compute_layers
+from .peels import (
+    Augmentation,
+    TreeOfPeels,
+    _tree_sums,
+    augment,
+    build_tree_of_peels,
+    choose_root,
+    compute_layers,
+)
 
 __all__ = [
     "CenterCertificate",
     "GTooBigError",
-    "SeparatorInfo",
     "Stages",
     "ceil_sqrt",
     "certify",
@@ -69,9 +78,9 @@ def compute_gstar(tree: TreeOfPeels, n: int) -> Optional[int]:
     at depth ≤ 1 and the decomposition is trivially 2-outerplanar.
     """
     interior = tree.interior_nodes()
-    if not interior:
+    if not interior.size:
         return None
-    gstar = min(tree.weight[x] for x in interior)
+    gstar = int(tree.weight[interior].min())
     g = min(gstar, math.isqrt(max(n - 2, 0)) // 2)
     return max(g, 1)
 
@@ -81,36 +90,15 @@ def compute_gstar(tree: TreeOfPeels, n: int) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SeparatorInfo:
-    node: int
-    weight: int
-    above: int
-    subtree_weight: int
-
-
-def tree_separator(tree: TreeOfPeels) -> SeparatorInfo:
+def tree_separator(tree: TreeOfPeels) -> int:
     """Node whose removal leaves only components of weight ≤ n/2.
 
-    Descend from the root into the (unique) child whose subtree is heavier
-    than n/2; the first node without such a child is the separator.
+    A node is heavy when its subtree weighs more than n/2.  Heavy nodes form
+    a path down from the root (no node has two heavy children), and ids grow
+    with depth, so the deepest heavy node, the separator, has the largest id.
     """
-    total = tree.subtree_weight[0]
-    cur = 0
-    while True:
-        heavy = -1
-        for c in tree.children[cur]:
-            if 2 * tree.subtree_weight[c] > total:
-                heavy = c
-                break
-        if heavy < 0:
-            return SeparatorInfo(
-                node=cur,
-                weight=tree.weight[cur],
-                above=tree.above[cur],
-                subtree_weight=tree.subtree_weight[cur],
-            )
-        cur = heavy
+    sub = tree.subtree_weight
+    return int(np.flatnonzero(sub > sub[0] // 2)[-1])  # 2·sub > n, without overflow
 
 
 def spanning_tree_center(h: PlaneGraph, vertices: Sequence[int]) -> int:
@@ -223,17 +211,11 @@ class CenterCertificate:
         return d
 
 
-def _subtree_flags(tree: TreeOfPeels, top: int) -> list[bool]:
-    """Membership in the subtree of ``top`` (one ascending pass; parents
-    always carry smaller ids than their children)."""
-    k = tree.node_count
-    flags = [False] * k
-    flags[top] = True
-    for x in range(top + 1, k):
-        p = tree.parent[x]
-        if p >= 0 and flags[p]:
-            flags[x] = True
-    return flags
+def _subtree_mask(tree: TreeOfPeels, top: int) -> np.ndarray:
+    """Membership in the subtree of ``top``: the nodes with ``top`` on their root path."""
+    mark = np.zeros(tree.node_count, dtype=np.int32)
+    mark[top] = 1
+    return _tree_sums(np.frombuffer(tree.parent, dtype=np.int32), mark)[0] > 0
 
 
 def _climb_to_node(aug: Augmentation, tree: TreeOfPeels, v: int, target: int) -> int:
@@ -257,7 +239,7 @@ def find_center(
     """
     n = aug.G.n
     if g is None:
-        if tree.interior_nodes():
+        if tree.interior_nodes().size:
             raise ValueError("sentinel g only valid for trees without interior nodes")
         return CenterCertificate(
             center=aug.root, bound=1, g=None, case="tree-depth-2", n=n, root=aug.root
@@ -269,11 +251,13 @@ def find_center(
     if g < 1:
         raise ValueError("g must be >= 1")
     if g >= 3:
-        for x in tree.interior_nodes():
-            if tree.weight[x] < g:
-                raise GTooBigError(
-                    f"interior node {x} stores only {tree.weight[x]} < g={g} vertices"
-                )
+        interior = tree.interior_nodes()
+        small = interior[tree.weight[interior] < g]
+        if small.size:
+            x = int(small[0])
+            raise GTooBigError(
+                f"interior node {x} stores only {tree.weight[x]} < g={g} vertices"
+            )
 
     delta = compute_delta(n, g)
 
@@ -283,27 +267,22 @@ def find_center(
             center=s, bound=n // 2, g=1, case="g≤2", n=n, delta=delta, root=aug.root
         )
 
-    sep = tree_separator(tree)
-    S = sep.node
-    a_S = sep.above
-    size_S = sep.weight
+    S = tree_separator(tree)
+    a_S = int(tree.above[S])
+    size_S = int(tree.weight[S])
     theta = compute_theta(n, a_S, g)
 
     # census of deep nodes (descendants of S at tree-distance ≥ θ)
-    in_sub = _subtree_flags(tree, S)
-    deep_nodes = [
-        x
-        for x in range(tree.node_count)
-        if in_sub[x] and tree.depth[x] - tree.depth[S] >= theta
-    ]
-    deep_vertices = sum(tree.weight[x] for x in deep_nodes)
+    depth = np.frombuffer(tree.depth, dtype=np.int32)
+    deep_nodes = np.flatnonzero(_subtree_mask(tree, S) & (depth - depth[S] >= theta))
+    deep_vertices = int(tree.weight[deep_nodes].sum())
 
     D = S
     took_deep_branch = False
     # The walk towards a deep node needs one to exist; with a huge separator
     # the census threshold 4g-|V(S)|+1 is vacuous, so require that too.
-    if size_S >= 4 * g - 2 and deep_nodes and deep_vertices >= 4 * g - size_S + 1:
-        z_node = deep_nodes[0]  # smallest id
+    if size_S >= 4 * g - 2 and deep_nodes.size and deep_vertices >= 4 * g - size_S + 1:
+        z_node = int(deep_nodes[0])  # smallest id
         path = [z_node]
         while path[-1] != S:
             path.append(tree.parent[path[-1]])
@@ -316,7 +295,7 @@ def find_center(
         if not took_deep_branch:
             raise InvariantError("no small ancestor found on the way to a deep node")
 
-    s_D = spanning_tree_center(aug.H, tree.stored[D])
+    s_D = spanning_tree_center(aug.H, tree.stored(D))
     s = _climb_to_node(aug, tree, s_D, S)
 
     if g == 2:
@@ -349,25 +328,26 @@ def find_center(
     )
 
 
-def _tree_bfs(tree: TreeOfPeels, start: int) -> tuple[list[int], list[int]]:
-    k = tree.node_count
-    dist = [-1] * k
-    par = [-1] * k
-    dist[start] = 0
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        nbrs = list(tree.children[x])
-        if tree.parent[x] >= 0:
-            nbrs.append(tree.parent[x])
-        for y in nbrs:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                par[y] = x
-                queue.append(y)
-    return dist, par
+def _diameter_middle(tree: TreeOfPeels) -> tuple[int, int]:
+    """(diam, S): the tree's diameter and the node ⌈diam/2⌉ steps from its end u.
+
+    u, the deepest node of least id, ends a longest path.  A node's distance
+    to u is depth[u] + depth - 2·depth[lca], where the lca is its deepest
+    ancestor on u's root path.  Every node is at most depth[u] deep, so the
+    u side of a longest path is at least half of it, and S is u's ancestor
+    at depth depth[u] - ⌈diam/2⌉.
+    """
+    parent = np.frombuffer(tree.parent, dtype=np.int32)
+    depth = np.frombuffer(tree.depth, dtype=np.int32)
+    u = int(depth.argmax())
+    mark = np.zeros(len(parent), dtype=np.int32)
+    mark[u] = 1
+    on_path = (_tree_sums(parent, mark)[1] > 0).astype(np.int32)  # ancestors of u
+    lca_depth = _tree_sums(parent, on_path)[0] - 1
+    dist = int(depth[u]) + depth - 2 * lca_depth
+    diam = int(dist.max())
+    half = -(-diam // 2)
+    return diam, int(np.flatnonzero(on_path & (depth == depth[u] - half))[0])
 
 
 def find_center_diameter(aug: Augmentation, tree: TreeOfPeels) -> CenterCertificate:
@@ -382,25 +362,14 @@ def find_center_diameter(aug: Augmentation, tree: TreeOfPeels) -> CenterCertific
     if not aug.G.simple:
         raise ValueError("diameter-based selection needs a simple graph")
 
-    dist0, _ = _tree_bfs(tree, 0)
-    u = dist0.index(max(dist0))
-    dist_u, par_u = _tree_bfs(tree, u)
-    diam = max(dist_u)
-    v = dist_u.index(diam)
-
+    diam, S = _diameter_middle(tree)
     if diam <= 1:
         return CenterCertificate(
             center=aug.root, bound=1, g=None, case="diameter", n=n, root=aug.root
         )
 
-    path = [v]
-    while path[-1] != u:
-        path.append(par_u[path[-1]])
-    path.reverse()  # u .. v
-    half = -(-diam // 2)
-    S = path[half]
-    s = tree.stored[S][0]
-    bound = half + 2 * ceil_sqrt(n - 4) - 2
+    s = tree.stored_flat[tree.stored_indptr[S]]  # the lead vertex
+    bound = -(-diam // 2) + 2 * ceil_sqrt(n - 4) - 2
     return CenterCertificate(
         center=s,
         bound=bound,
@@ -426,7 +395,7 @@ def certify(
     """Run the full pipeline on a connected plane graph and pick an outerface.
 
     ``g`` defaults to the tree-derived effective parameter; ``method`` is
-    "girth" (the main selection) or "diameter".  The certificate carries the
+    "girth" (the main selection) or "diameter", which takes no ``g``.  The certificate carries the
     chosen outerface (first face at the center in rotation order) and its
     peel bound (eccentricity bound + 1).  Its ``stages`` record the seconds
     of ``root``, ``layers``, ``augment``, ``tree`` and ``center``, in that
@@ -434,6 +403,8 @@ def certify(
     """
     if not graph.connected:
         raise ValueError("pipeline requires a connected graph")
+    if method == "diameter" and g is not None:
+        raise ValueError("g applies to the girth method only, not to method 'diameter'")
     stages = Stages()
     if root is None:
         root = choose_root(graph)

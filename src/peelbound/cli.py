@@ -408,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_center = sub.add_parser("center", help="pick a center and certify its bound")
     p_center.add_argument("graph", help="graph file ('-' for stdin)")
     p_center.add_argument(
-        "--g", default="auto", help="girth parameter, or 'auto' (default)"
+        "--g", default="auto", help="girth parameter, or 'auto' (default); girth mode only"
     )
     p_center.add_argument(
         "--mode", choices=("girth", "diameter"), default="girth", help="bound flavor"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import collections.abc
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from operator import index
@@ -74,7 +75,6 @@ class PlaneGraph:
         "lone_walk_vertex",
         "face_walks",
         "face_of_walk",
-        "face_of_lone_vertex",
         "component_of",
         "component_count",
         "simple",
@@ -157,8 +157,9 @@ class PlaneGraph:
 
     def faces_of_vertex(self, v: int) -> list[int]:
         """Distinct incident faces in rotation order (isolated: its host face)."""
-        if self.rot_first[v] < 0:
-            return [self.face_of_lone_vertex[v]]
+        if self.rot_first[v] < 0:  # lone walks follow the dart walks, by vertex
+            w = self._dart_walks + bisect_left(self.lone_walk_vertex, v)
+            return [self.face_of_walk[w]]
         seen: set[int] = set()
         out: list[int] = []
         for d in self.rotation_darts(v):
@@ -521,7 +522,6 @@ def _finish_graph(
 
     g.face_walks = face_walks
     g.face_of_walk = _int_array(face_of_walk)
-    g.face_of_lone_vertex = dict(zip(g.lone_walk_vertex, g.face_of_walk[n_dart_walks:]))
 
     # Sphere check: n - m + f = 1 + c covers every component at once.
     if g.n > 0 and g.n - g.m + len(face_walks) != 1 + ncomp:

@@ -295,28 +295,65 @@ class TreeOfPeels:
 
     Node 0 is the root (stores only the graph root).  The other node ids
     increase with depth and, within a depth, with the node's smallest
-    descending dart id.  A node's stored list starts with that dart's origin,
-    followed by the node's other vertices in ascending order.
+    descending dart id, so parents precede children.  Everything is flat
+    int32: node x stores ``stored_flat[stored_indptr[x]:stored_indptr[x + 1]]``,
+    its lead vertex (that dart's origin) first and the rest ascending.
+    ``weight`` (stored count), ``above`` (vertices at strict ancestors) and
+    ``subtree_weight`` are derived from those arrays on construction.
     """
 
-    parent: list[int]
-    depth: list[int]
-    stored: list[list[int]]
+    parent: array  # -1 at node 0
+    depth: array
     node_of: array  # per-vertex node id
-    children: list[list[int]] = field(default_factory=list)
-    weight: list[int] = field(default_factory=list)
-    above: list[int] = field(default_factory=list)       # vertices at strict ancestors
-    subtree_weight: list[int] = field(default_factory=list)
+    stored_indptr: array
+    stored_flat: array
+    weight: np.ndarray = field(init=False)
+    above: np.ndarray = field(init=False)
+    subtree_weight: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.weight = np.diff(np.frombuffer(self.stored_indptr, dtype=np.int32))
+        path, sub = _tree_sums(np.frombuffer(self.parent, dtype=np.int32), self.weight)
+        self.above = (path - self.weight).astype(np.int32)
+        self.subtree_weight = sub.astype(np.int32)
 
     @property
     def node_count(self) -> int:
         return len(self.parent)
 
-    def is_interior(self, node: int) -> bool:
-        return self.parent[node] >= 0 and bool(self.children[node])
+    def stored(self, x: int) -> list[int]:
+        """Node x's vertices, lead vertex first."""
+        return self.stored_flat[self.stored_indptr[x] : self.stored_indptr[x + 1]].tolist()
 
-    def interior_nodes(self) -> list[int]:
-        return [x for x in range(self.node_count) if self.is_interior(x)]
+    def interior_nodes(self) -> np.ndarray:
+        """Ids of the nodes with a parent and a child, ascending."""
+        parent = np.frombuffer(self.parent, dtype=np.int32)
+        has_child = np.zeros(len(parent), dtype=bool)
+        has_child[parent[1:]] = True
+        has_child[0] = False
+        return np.flatnonzero(has_child)
+
+
+def _tree_sums(parent: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of ``values`` over every node's root path and over its subtree (int64).
+
+    Both include the node itself; ``parent`` is -1 at node 0 only.  Pointer
+    doubling (Wyllie, "The complexity of parallel computations", Cornell TR
+    79-387, 1979): before round j, ``up[x]`` is x's ancestor 2^j levels up
+    (node k, a sentinel of value 0, when there is none), ``path[x]`` sums x
+    and its 2^j - 1 nearest ancestors, and ``sub[x]`` x's descendants fewer
+    than 2^j levels down.  O(k log depth), with no step per level.
+    """
+    k = len(parent)
+    up = np.append(parent, k)
+    up[0] = k
+    path = np.append(values, 0).astype(np.int64)
+    sub = path.copy()
+    while (up[:k] < k).any():
+        sub += np.bincount(up[:k], weights=sub[:k], minlength=k + 1).astype(np.int64)
+        path += path[up]
+        up = up[up]
+    return path[:k], sub[:k]
 
 
 def build_tree_of_peels(aug: Augmentation) -> TreeOfPeels:
@@ -384,30 +421,12 @@ def build_tree_of_peels(aug: Augmentation) -> TreeOfPeels:
     rest = np.ones(n, dtype=bool)
     rest[lead] = False
     seq = np.r_[lead, np.flatnonzero(rest)]
-    flat = seq[np.argsort(node_of[seq], kind="stable")].tolist()
-    bounds = np.r_[0, np.cumsum(np.bincount(node_of, minlength=len(lead)))].tolist()
-    stored = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
-    tree = TreeOfPeels(
-        parent=parent.tolist(),
-        depth=depth.tolist(),
-        stored=stored,
+    indptr = np.zeros(len(lead) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(node_of, minlength=len(lead)), out=indptr[1:])
+    return TreeOfPeels(
+        parent=_int_array(parent),
+        depth=_int_array(depth),
         node_of=_int_array(node_of),
+        stored_indptr=_int_array(indptr),
+        stored_flat=_int_array(seq[np.argsort(node_of[seq], kind="stable")]),
     )
-    _finish_tree(tree)
-    return tree
-
-
-def _finish_tree(tree: TreeOfPeels) -> None:
-    k = tree.node_count
-    tree.children = [[] for _ in range(k)]
-    for x in range(1, k):
-        tree.children[tree.parent[x]].append(x)
-    tree.weight = [len(s) for s in tree.stored]
-    tree.above = [0] * k
-    for x in range(1, k):  # parents precede children by construction
-        p = tree.parent[x]
-        tree.above[x] = tree.above[p] + tree.weight[p]
-    tree.subtree_weight = list(tree.weight)
-    for x in range(k - 1, 0, -1):
-        tree.subtree_weight[tree.parent[x]] += tree.subtree_weight[x]

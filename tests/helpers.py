@@ -29,7 +29,7 @@ from peelbound.embed import (
 )
 from peelbound.gen import _prism_band, gen_random_triangulation
 from peelbound.oracle import _adjacency, _UnionFind, bfs_distances
-from peelbound.peels import Augmentation, PeelContext, TreeOfPeels, _finish_tree
+from peelbound.peels import Augmentation, PeelContext, TreeOfPeels
 
 
 def graph_fingerprint(g: PlaneGraph) -> list:
@@ -454,9 +454,14 @@ def tree_of_peels_by_walks(aug: Augmentation) -> TreeOfPeels:
                 break
         stored.append(verts)
 
-    tree = TreeOfPeels(parent=parent, depth=depth, stored=stored, node_of=node_of)
-    _finish_tree(tree)
-    assert sum(tree.weight) == h.n, "stored sets must partition the vertices"
+    tree = TreeOfPeels(
+        parent=_int_array(parent),
+        depth=_int_array(depth),
+        node_of=node_of,
+        stored_indptr=_int_array(np.cumsum([0] + [len(s) for s in stored])),
+        stored_flat=_int_array([v for s in stored for v in s]),
+    )
+    assert tree.weight.sum() == h.n, "stored sets must partition the vertices"
     return tree
 
 
@@ -822,8 +827,8 @@ def insert_edge_in_face(g: PlaneGraph, u: int, v: int, face: int) -> PlaneGraph:
         raise ValueError("face id out of range")
     b = _Builder.from_graph(g)
 
-    u_iso = g.rot_first[u] < 0 and g.face_of_lone_vertex.get(u) == face
-    v_iso = g.rot_first[v] < 0 and g.face_of_lone_vertex.get(v) == face
+    u_iso = g.rot_first[u] < 0 and g.faces_of_vertex(u) == [face]
+    v_iso = g.rot_first[v] < 0 and g.faces_of_vertex(v) == [face]
 
     if u_iso and v_iso:
         if u == v:
@@ -931,10 +936,80 @@ def to_records(tree: TreeOfPeels) -> list[dict]:
             "node": i,
             "parent": tree.parent[i],
             "depth": tree.depth[i],
-            "stored": list(tree.stored[i]),
+            "stored": tree.stored(i),
         }
         for i in range(tree.node_count)
     ]
+
+
+def children_of(tree: TreeOfPeels) -> list[list[int]]:
+    """Each node's children in ascending id order, derived from ``parent``."""
+    children: list[list[int]] = [[] for _ in range(tree.node_count)]
+    for x in range(1, tree.node_count):
+        children[tree.parent[x]].append(x)
+    return children
+
+
+# List references for the array readers of ``peelbound.center``: one Python
+# step per node or tree edge, as the library read the tree before it was flat.
+
+
+def separator_by_heavy_child(tree: TreeOfPeels) -> int:
+    """Descend from the root into the child heavier than n/2 while there is one."""
+    children = children_of(tree)
+    total = tree.subtree_weight[0]
+    cur = 0
+    while True:
+        heavy = [c for c in children[cur] if 2 * tree.subtree_weight[c] > total]
+        if not heavy:
+            return cur
+        cur = heavy[0]
+
+
+def subtree_flags(tree: TreeOfPeels, top: int) -> list[bool]:
+    """Membership in the subtree of ``top``, one ascending pass over the ids."""
+    flags = [False] * tree.node_count
+    flags[top] = True
+    for x in range(top + 1, tree.node_count):
+        p = tree.parent[x]
+        if p >= 0 and flags[p]:
+            flags[x] = True
+    return flags
+
+
+def interior_by_children(tree: TreeOfPeels) -> list[int]:
+    children = children_of(tree)
+    return [x for x in range(tree.node_count) if tree.parent[x] >= 0 and children[x]]
+
+
+def tree_bfs(tree: TreeOfPeels, start: int) -> tuple[list[int], list[int]]:
+    """BFS distances and BFS parents over the tree's edges, from ``start``."""
+    children = children_of(tree)
+    dist = [-1] * tree.node_count
+    par = [-1] * tree.node_count
+    dist[start] = 0
+    queue = [start]
+    for x in queue:
+        nbrs = children[x] + ([tree.parent[x]] if tree.parent[x] >= 0 else [])
+        for y in nbrs:
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                par[y] = x
+                queue.append(y)
+    return dist, par
+
+
+def diameter_middle_by_bfs(tree: TreeOfPeels) -> tuple[int, int]:
+    """(diam, S) by two tree BFSs: S is ⌈diam/2⌉ steps from u on the u–v path."""
+    dist0, _ = tree_bfs(tree, 0)
+    u = dist0.index(max(dist0))
+    dist_u, par_u = tree_bfs(tree, u)
+    diam = max(dist_u)
+    path = [dist_u.index(diam)]
+    while path[-1] != u:
+        path.append(par_u[path[-1]])
+    path.reverse()  # u .. v
+    return diam, path[-(-diam // 2)]
 
 
 def descends(aug: Augmentation, d: int) -> bool:

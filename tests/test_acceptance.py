@@ -19,6 +19,7 @@ import pytest
 
 from conftest import record_criterion
 from helpers import (
+    children_of,
     connect_within_node,
     edge_endpoints,
     is_bipartite,
@@ -321,8 +322,9 @@ def test_criterion_08_structural_suite(pipelines):
         h = aug.H
 
         # nodeSize (1): the root keeps a single child
-        if tree.node_count >= 2 and len(tree.children[0]) != 1:
-            failures.append(f"{name}: root has {len(tree.children[0])} children")
+        root_children = children_of(tree)[0]
+        if tree.node_count >= 2 and len(root_children) != 1:
+            failures.append(f"{name}: root has {len(root_children)} children")
 
         # nodeSize (2): edges stay within a node or cross to the parent
         node_of = tree.node_of
@@ -364,7 +366,7 @@ def test_criterion_08_structural_suite(pipelines):
         # distT: every node is within delta of the separator
         if pipe.gval is not None and g.n >= 3:
             delta = compute_delta(g.n, pipe.gval)
-            S = tree_separator(tree).node
+            S = tree_separator(tree)
             worst = max(tree_distance(tree, S, z) for z in range(tree.node_count))
             if worst > delta:
                 failures.append(f"{name}: d_T(S,.) = {worst} > delta {delta}")
@@ -374,7 +376,7 @@ def test_criterion_08_structural_suite(pipelines):
             deep = [x for x in range(tree.node_count) if tree.weight[x] >= 2]
             if deep:
                 node = max(deep, key=lambda x: tree.depth[x])
-                stored = sorted(tree.stored[node])
+                stored = sorted(tree.stored(node))
                 walk = connect_within_node(aug, tree, node, stored[0], stored[-1])
                 connect_runs += 1
                 limit = max(2 * ceil_sqrt(tree.above[node]) - 2, 4)
@@ -444,9 +446,13 @@ def test_criterion_10_linearity():
 def test_tree_matches_walk_reference_on_corpus(pipelines):
     for pipe in pipelines.values():
         tree, ref = pipe.tree, tree_of_peels_by_walks(pipe.aug)
-        assert (tree.parent, tree.depth, tree.node_of) == (ref.parent, ref.depth, ref.node_of)
-        assert [s[0] for s in tree.stored] == [s[0] for s in ref.stored]
-        assert [set(s) for s in tree.stored] == [set(s) for s in ref.stored]
+        assert (list(tree.parent), list(tree.depth), tree.node_of) == (
+            list(ref.parent), list(ref.depth), ref.node_of
+        )
+        stored = [tree.stored(x) for x in range(tree.node_count)]
+        ref_stored = [ref.stored(x) for x in range(ref.node_count)]
+        assert [s[0] for s in stored] == [s[0] for s in ref_stored]
+        assert [set(s) for s in stored] == [set(s) for s in ref_stored]
 
 
 def test_radial_bfs_matches_rounds_on_corpus(corpus):

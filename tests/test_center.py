@@ -1,19 +1,29 @@
 """Center selection: arithmetic helpers, separator, detour, dispatch cases."""
 
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     DetourParams,
+    children_of,
     connect_within_node,
     detour,
+    diameter_middle_by_bfs,
+    interior_by_children,
+    random_nesting,
     ring_chain,
+    separator_by_heavy_child,
+    subtree_flags,
     thin_random_triangulation,
 )
 from peelbound.center import (
+    _diameter_middle,
+    _subtree_mask,
     CenterCertificate,
     GTooBigError,
     ceil_sqrt,
@@ -27,7 +37,12 @@ from peelbound.center import (
     tree_separator,
 )
 from peelbound.embed import InvariantError, build_plane_graph
-from peelbound.gen import gen_nested_cycles, gen_random_triangulation
+from peelbound.gen import (
+    gen_lowerbound_H,
+    gen_nested_cycles,
+    gen_prism_grid,
+    gen_random_triangulation,
+)
 from peelbound.embed import connect_components
 from peelbound.oracle import (
     bfs_distances,
@@ -37,7 +52,7 @@ from peelbound.oracle import (
     verify_certificate,
 )
 from peelbound.peels import augment, build_tree_of_peels, choose_root, compute_layers
-from test_peels import run_under_optimize
+from test_peels import plane_graphs, run_under_optimize
 
 
 def pipeline(g, root=None):
@@ -123,8 +138,8 @@ def test_gstar_frozen():
 
 def test_separator_frozen():
     _, tree = pipeline(ring_chain([3, 3, 3, 10, 3]), root=0)
-    sep = tree_separator(tree)
-    assert (sep.node, sep.weight, sep.above, sep.subtree_weight) == (4, 10, 10, 14)
+    S = tree_separator(tree)
+    assert (S, tree.weight[S], tree.above[S], tree.subtree_weight[S]) == (4, 10, 10, 14)
 
 
 @settings(max_examples=20, deadline=None)
@@ -132,11 +147,11 @@ def test_separator_frozen():
 def test_separator_splits_in_half(n, seed):
     g = thin_random_triangulation(n, seed)
     _, tree = pipeline(g)
-    sep = tree_separator(tree)
+    S = tree_separator(tree)
     # removing the separator node leaves only light pieces
-    for c in tree.children[sep.node]:
+    for c in children_of(tree)[S]:
         assert 2 * tree.subtree_weight[c] <= n
-    assert 2 * (n - sep.subtree_weight) <= n
+    assert 2 * (n - tree.subtree_weight[S]) <= n
 
 
 @settings(max_examples=20, deadline=None)
@@ -160,8 +175,8 @@ def test_spanning_tree_center_on_node_sets():
     g = ring_chain([5, 5, 5])
     aug, tree = pipeline(g, root=0)
     for x in range(tree.node_count):
-        c = spanning_tree_center(aug.H, tree.stored[x])
-        assert c in tree.stored[x]
+        c = spanning_tree_center(aug.H, tree.stored(x))
+        assert c in tree.stored(x)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +187,7 @@ def test_spanning_tree_center_on_node_sets():
 def test_detour_identity():
     g = ring_chain([3, 3, 3])
     aug, tree = pipeline(g, root=0)
-    v = tree.stored[3][0]
+    v = tree.stored(3)[0]
     out = detour(aug, tree, DetourParams(node=3, s0=v, z0=v, xi=lambda i: 0))
     assert out.success and out.i_star == 0
     assert out.sigma == [v] and out.walk() == [v]
@@ -182,7 +197,7 @@ def test_detour_identity():
 def test_detour_adjacent():
     g = ring_chain([3, 3, 3])
     aug, tree = pipeline(g, root=0)
-    a, b = sorted(tree.stored[1])[:2]  # ring vertices, adjacent on the 3-cycle
+    a, b = sorted(tree.stored(1))[:2]  # ring vertices, adjacent on the 3-cycle
     out = detour(aug, tree, DetourParams(node=1, s0=a, z0=b, xi=lambda i: 2))
     assert out.success and out.i_star == 0
     assert out.length == 1
@@ -192,7 +207,7 @@ def test_detour_adjacent():
 def test_detour_negative_schedule_fails_at_root():
     g = ring_chain([3, 3, 3])
     aug, tree = pipeline(g, root=0)
-    a, b = sorted(tree.stored[2])[:2]
+    a, b = sorted(tree.stored(2))[:2]
     out = detour(aug, tree, DetourParams(node=2, s0=a, z0=b, xi=lambda i: -1))
     assert not out.success
     assert out.i_star == 2  # two climbs brought both endpoints to the root node
@@ -216,7 +231,7 @@ def test_detour_walk_is_a_real_walk():
         (x for x in range(tree.node_count) if tree.weight[x] >= 2),
         key=lambda x: tree.depth[x],
     )
-    a, b = sorted(tree.stored[node])[:2]
+    a, b = sorted(tree.stored(node))[:2]
     out = detour(aug, tree, DetourParams(node=node, s0=a, z0=b, xi=lambda i: max(4 - 2 * i, -1)))
     assert out.success
     walk = out.walk()
@@ -234,7 +249,7 @@ def test_detour_walk_is_a_real_walk():
 def test_connect_within_node_shallow():
     g = ring_chain([3, 3, 3])
     aug, tree = pipeline(g, root=0)
-    a, b = sorted(tree.stored[2])[:2]
+    a, b = sorted(tree.stored(2))[:2]
     walk = connect_within_node(aug, tree, 2, a, b)
     assert walk[0] == a and walk[-1] == b
     assert len(walk) - 1 <= 4
@@ -249,7 +264,7 @@ def test_connect_within_node_bound(depth, width):
         (x for x in range(tree.node_count) if tree.weight[x] >= 2),
         key=lambda x: tree.depth[x],
     )
-    stored = sorted(tree.stored[node])
+    stored = sorted(tree.stored(node))
     walk = connect_within_node(aug, tree, node, stored[0], stored[-1])
     a0 = tree.above[node]
     assert len(walk) - 1 <= max(2 * ceil_sqrt(a0) - 2, 4)
@@ -347,7 +362,7 @@ def forged_deep_tree():
     """The deep-with-D chain with every node forged to store 2g = 6 vertices:
     no node on the way from the separator to a deep node is small."""
     aug, tree = pipeline(ring_chain([3, 3, 3, 10, 3, 3, 3, 3, 3, 3]), root=0)
-    tree.weight = [max(w, 6) for w in tree.weight]
+    np.maximum(tree.weight, 6, out=tree.weight)
     return aug, tree
 
 
@@ -411,26 +426,7 @@ def test_diameter_selection_bound():
 
 
 def diameter_of_tree(tree):
-    def far(start):
-        dist = {start: 0}
-        order = [start]
-        qi = 0
-        while qi < len(order):
-            x = order[qi]
-            qi += 1
-            nbrs = list(tree.children[x])
-            if tree.parent[x] >= 0:
-                nbrs.append(tree.parent[x])
-            for y in nbrs:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    order.append(y)
-        end = max(dist, key=dist.get)
-        return end, dist[end]
-
-    u, _ = far(0)
-    _, d = far(u)
-    return d
+    return diameter_middle_by_bfs(tree)[0]
 
 
 def test_diameter_selection_preconditions():
@@ -455,6 +451,65 @@ def test_diameter_selection_vs_graph_diameter(n, seed):
     check_cert(aug, cert)
     # the tree diameter never exceeds the graph diameter
     assert diameter_of_tree(tree) <= diameter_exact(g)
+
+
+# ---------------------------------------------------------------------------
+# Array readers against the list references
+# ---------------------------------------------------------------------------
+
+
+def assert_readers_match_lists(tree):
+    assert tree_separator(tree) == separator_by_heavy_child(tree)
+    assert _diameter_middle(tree) == diameter_middle_by_bfs(tree)
+    assert tree.interior_nodes().tolist() == interior_by_children(tree)
+    k = tree.node_count
+    tops = range(k) if k <= 40 else sorted({0, 1, k // 2, k - 1, tree_separator(tree)})
+    for top in tops:
+        assert _subtree_mask(tree, top).tolist() == subtree_flags(tree, top)
+
+
+@settings(max_examples=40, deadline=None)
+@given(plane_graphs())
+def test_array_readers_match_lists(g):
+    for root in sorted({choose_root(g), g.n - 1}):
+        assert_readers_match_lists(pipeline(g, root=root)[1])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ring_chain([3, 3, 3, 10, 3, 3, 3, 3, 3, 3]),
+        lambda: ring_chain([3, 5, 2, 7, 1, 4]),
+        lambda: ring_chain([4] * 40),
+        lambda: gen_lowerbound_H(3, 11),
+        lambda: gen_lowerbound_H(4, 301),
+        lambda: gen_lowerbound_H(8, 21),
+        lambda: connect_components(gen_nested_cycles(5, 20)),
+        lambda: connect_components(random_nesting(7, 15)),
+        lambda: gen_prism_grid(3),
+        lambda: gen_prism_grid(6),
+        lambda: build_plane_graph(1, [], [[]]),
+    ],
+    ids=[
+        "deep-with-D", "ragged-chain", "chain-40", "H-3-11", "H-4-301", "H-8-21",
+        "nested-5-20", "random-nesting", "prism-3", "prism-6", "K1",
+    ],
+)
+def test_array_readers_match_lists_on_families(make):
+    g = make()
+    for root in sorted({choose_root(g), 0, g.n - 1}):
+        assert_readers_match_lists(pipeline(g, root=root)[1])
+
+
+def test_tree_numbers_are_python_ints():
+    # tree size, depth and g* go into JSON records as they are
+    for g in (wheel14(), ring_chain([3] * 12), gen_random_triangulation(200, 3)):
+        _, tree = pipeline(g)
+        gstar = compute_gstar(tree, g.n)
+        assert type(tree.node_count) is int and type(max(tree.depth)) is int
+        assert gstar is None or type(gstar) is int
+        json.dumps([tree.node_count, max(tree.depth), gstar])
+    assert compute_gstar(pipeline(wheel14())[1], 14) is None
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +558,13 @@ def test_certify_rejects_bad_input():
         certify(gen_nested_cycles(3, 2))
     with pytest.raises(ValueError):
         certify(gen_random_triangulation(20, 0), method="nonsense")
+
+
+@pytest.mark.parametrize("g", [1, 3])
+def test_certify_rejects_g_in_diameter_mode(g):
+    # the diameter selection has no girth parameter; a given g must not be dropped
+    with pytest.raises(ValueError, match="girth method only"):
+        certify(gen_random_triangulation(40, 8), g=g, method="diameter")
 
 
 def test_certify_explicit_root_and_g():

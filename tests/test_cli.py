@@ -145,6 +145,14 @@ def test_center_diameter_mode(capsys, tmp_path):
     assert record["certificate"]["case"] == "diameter"
 
 
+def test_center_diameter_mode_rejects_g(capsys, tmp_path):
+    path = write_graph(capsys, tmp_path, "random", "--n", "40", "--seed", "1")
+    code, out, err = run(capsys, "center", path, "--mode", "diameter", "--g", "3")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "girth method only" in err
+
+
 def test_center_bad_g_value(capsys, tmp_path):
     path = write_graph(capsys, tmp_path, "random", "--n", "20", "--seed", "0")
     code, _, err = run(capsys, "center", path, "--g", "many")

@@ -197,8 +197,28 @@ def test_face_grouping_validation():
 def test_isolated_vertices_get_walks():
     g = build_plane_graph(4, K3_EDGES, K3_ROTATION + [[]], faces=[[0], [1, 2]])
     assert g.walk_count == 3
-    assert g.face_of_lone_vertex == {3: 1}
+    assert list(g.lone_walk_vertex) == [3] and g.faces_of_vertex(3) == [1]
     assert g.walk_vertices(2) == [3]
+
+
+def test_lone_vertex_faces_follow_the_grouping():
+    # a lone vertex's face is the face whose group holds its walk
+    graphs = [gen_nested_cycles(g, k) for g in (1, 2, 3, 5) for k in range(1, 6)]
+    graphs += [random_nesting(seed, seed % 16) for seed in range(60)]
+    lone_seen = 0
+    for g in graphs:
+        nd = g.dart_walk_count
+        host = {
+            g.lone_walk_vertex[w - nd]: f
+            for f, walks in enumerate(g.face_walks)
+            for w in walks
+            if w >= nd
+        }
+        assert sorted(host) == [v for v in range(g.n) if g.rot_first[v] < 0]
+        for v, f in host.items():
+            assert g.faces_of_vertex(v) == [f]
+        lone_seen += len(host)
+    assert lone_seen > 100
 
 
 def test_radial_bfs_octahedron():

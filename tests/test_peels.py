@@ -23,6 +23,7 @@ import peelbound
 from helpers import (
     articulation_flags,
     augment_by_face_loop,
+    children_of,
     descends,
     edge_endpoints,
     is_descendant,
@@ -499,9 +500,9 @@ def expected_tree_nodes(g, layer):
 def tree_nodes(tree):
     nodes = []
     for x in range(tree.node_count):
-        stored = frozenset(tree.stored[x])
+        stored = frozenset(tree.stored(x))
         p = tree.parent[x]
-        nodes.append((stored, None if p < 0 else frozenset(tree.stored[p])))
+        nodes.append((stored, None if p < 0 else frozenset(tree.stored(p))))
     return sorted(nodes, key=lambda p: sorted(p[0]))
 
 
@@ -524,21 +525,22 @@ def test_tree_bookkeeping(g):
     # stored sets partition the vertices; node_of agrees
     seen = set()
     for x in range(tree.node_count):
-        for v in tree.stored[x]:
+        for v in tree.stored(x):
             assert v not in seen
             seen.add(v)
             assert tree.node_of[v] == x
     assert len(seen) == n
     assert sum(tree.weight) == n
-    assert tree.stored[0] == [aug.root]
+    assert tree.stored(0) == [aug.root]
 
+    children = children_of(tree)
     for x in range(1, tree.node_count):
         p = tree.parent[x]
         assert 0 <= p < x
         assert tree.depth[x] == tree.depth[p] + 1
-        assert x in tree.children[p]
+        assert x in children[p]
         # depth equals the layer of every stored vertex
-        for v in tree.stored[x]:
+        for v in tree.stored(x):
             assert aug.layer[v] == tree.depth[x]
 
     for x in range(tree.node_count):
@@ -549,7 +551,7 @@ def test_tree_bookkeeping(g):
             y = tree.parent[y]
         assert tree.above[x] == expect_above
         sub = tree.weight[x] + sum(
-            tree.subtree_weight[c] for c in tree.children[x]
+            tree.subtree_weight[c] for c in children[x]
         )
         assert tree.subtree_weight[x] == sub
 
@@ -558,8 +560,8 @@ def test_tree_frozen_ring_chain():
     g = ring_chain([3, 3, 3])
     aug, tree = pipeline(g, root=0)
     assert tree.node_count == 5
-    assert tree.parent == [-1, 0, 1, 2, 3]
-    assert [sorted(s) for s in tree.stored] == [
+    assert list(tree.parent) == [-1, 0, 1, 2, 3]
+    assert [sorted(tree.stored(x)) for x in range(tree.node_count)] == [
         [0], [1, 2, 3], [4, 5, 6], [7, 8, 9], [10],
     ]
     assert tree_distance(tree, 0, 4) == 4
@@ -571,13 +573,15 @@ def test_tree_frozen_ring_chain():
 
 def assert_tree_matches_walks(aug):
     tree, ref = build_tree_of_peels(aug), tree_of_peels_by_walks(aug)
-    assert tree.parent == ref.parent
-    assert tree.depth == ref.depth
+    assert list(tree.parent) == list(ref.parent)
+    assert list(tree.depth) == list(ref.depth)
     assert tree.node_of == ref.node_of
-    assert [s[0] for s in tree.stored] == [s[0] for s in ref.stored]
-    assert [set(s) for s in tree.stored] == [set(s) for s in ref.stored]
-    assert (tree.children, tree.above, tree.subtree_weight) == (
-        ref.children, ref.above, ref.subtree_weight
+    stored = [tree.stored(x) for x in range(tree.node_count)]
+    ref_stored = [ref.stored(x) for x in range(ref.node_count)]
+    assert [s[0] for s in stored] == [s[0] for s in ref_stored]
+    assert [set(s) for s in stored] == [set(s) for s in ref_stored]
+    assert (list(tree.above), list(tree.subtree_weight)) == (
+        list(ref.above), list(ref.subtree_weight)
     )
 
 
