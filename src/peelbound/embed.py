@@ -12,12 +12,12 @@ Disconnected graphs need extra data: a face of the sphere may be bounded by
 several closed walks (and may contain isolated vertices), and the grouping of
 walks into faces is genuinely geometric information, so it is part of the
 input.  Connected graphs have exactly one walk per face and the grouping is
-implied.
+implied.  A graph holds its grouping once, as ``face_of_walk``: which walks
+bound a face is kept, the order in which a document listed them is not.
 """
 
 from __future__ import annotations
 
-import collections.abc
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -73,8 +73,8 @@ class PlaneGraph:
         "_walk_order",
         "_incidence",
         "lone_walk_vertex",
-        "face_walks",
         "face_of_walk",
+        "face_count",
         "component_of",
         "component_count",
         "simple",
@@ -89,6 +89,7 @@ class PlaneGraph:
     # -- dart helpers ------------------------------------------------------
 
     def origin(self, d: int) -> int:
+        """Dart 2e runs eu[e] -> ev[e], dart 2e + 1 runs back."""
         return self.ev[d >> 1] if d & 1 else self.eu[d >> 1]
 
     def head(self, d: int) -> int:
@@ -148,10 +149,6 @@ class PlaneGraph:
             return [self.lone_walk_vertex[w - nd]]
         return [self.origin(d) for d in self.walk(w)]
 
-    @property
-    def face_count(self) -> int:
-        return len(self.face_walks)
-
     def face_of_dart(self, d: int) -> int:
         return self.face_of_walk[self.walk_of_dart[d]]
 
@@ -179,29 +176,6 @@ class PlaneGraph:
         )
 
 
-class _OneWalkFaces(collections.abc.Sequence):
-    """Face grouping of a connected graph, read-only: face f is walk f alone.
-
-    Reads as the list ``[(0,), (1,), ...]`` would, without a tuple per face.
-    """
-
-    __slots__ = ("_count",)
-
-    def __init__(self, count: int) -> None:
-        self._count = count
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, f):
-        if isinstance(f, slice):
-            return [(w,) for w in range(self._count)[f]]
-        return (range(self._count)[f],)
-
-    def __iter__(self):
-        return zip(range(self._count))
-
-
 # ---------------------------------------------------------------------------
 # Builder (internal): growable rotation system with O(1) corner splices
 # ---------------------------------------------------------------------------
@@ -209,6 +183,8 @@ class _OneWalkFaces(collections.abc.Sequence):
 
 class _Builder:
     """Mutable rotation system used by generators and edge-insertion ops."""
+
+    origin = PlaneGraph.origin  # one definition of the dart layout for both classes
 
     def __init__(self, n: int):
         self.n = n
@@ -250,9 +226,7 @@ class _Builder:
         rn = self.rot_next
         if rn[prev_u ^ 1] != at_u or rn[prev_v ^ 1] != at_v:
             raise InvariantError("not a corner")
-        u = self.ev[prev_u >> 1] if prev_u & 1 == 0 else self.eu[prev_u >> 1]
-        v = self.ev[prev_v >> 1] if prev_v & 1 == 0 else self.eu[prev_v >> 1]
-        e = self._new_edge(u, v)
+        e = self._new_edge(self.origin(at_u), self.origin(at_v))
         rn[prev_u ^ 1] = 2 * e
         rn[2 * e] = at_u
         rn[prev_v ^ 1] = 2 * e + 1
@@ -266,8 +240,7 @@ class _Builder:
             raise InvariantError("not a corner")
         if self.rot_first[v] >= 0:
             raise InvariantError("target vertex is not isolated")
-        u = self.ev[prev_u >> 1] if prev_u & 1 == 0 else self.eu[prev_u >> 1]
-        e = self._new_edge(u, v)
+        e = self._new_edge(self.origin(at_u), v)
         rn[prev_u ^ 1] = 2 * e
         rn[2 * e] = at_u
         rn[2 * e + 1] = 2 * e + 1
@@ -490,44 +463,19 @@ def _finish_graph(
     g.connected = ncomp <= 1
 
     n_walks = n_dart_walks + len(g.lone_walk_vertex)
-
-    if face_grouping is None:
-        if not g.connected and g.n > 0:
-            raise GraphFormatError(
-                "disconnected graph requires an explicit face grouping"
-            )
-        face_walks = _OneWalkFaces(n_walks)
-        face_of_walk = np.arange(n_walks, dtype=np.int32)
+    if face_grouping is not None:
+        face_of_walk, g.face_count = _face_of_walk(face_grouping, n_walks)
+    elif g.connected or g.n == 0:
+        face_of_walk, g.face_count = np.arange(n_walks, dtype=np.int32), n_walks
     else:
-        seen = array("i", [0] * n_walks)
-        face_walks = []
-        for group in face_grouping:
-            group = tuple(int(w) for w in group)
-            if not group:
-                raise GraphFormatError("empty face in grouping")
-            for w in group:
-                if not (0 <= w < n_walks):
-                    raise GraphFormatError(f"face grouping references walk {w}")
-                if seen[w]:
-                    raise GraphFormatError(f"walk {w} grouped twice")
-                seen[w] = 1
-            face_walks.append(group)
-        if any(s == 0 for s in seen):
-            raise GraphFormatError("face grouping does not cover all walks")
-        # the groups partition the walks, so this writes every entry once
-        listed = np.fromiter(chain.from_iterable(face_walks), np.int64, n_walks)
-        sizes = np.fromiter(map(len, face_walks), np.int64, len(face_walks))
-        face_of_walk = np.empty(n_walks, dtype=np.int32)
-        face_of_walk[listed] = np.repeat(np.arange(len(face_walks), dtype=np.int32), sizes)
-
-    g.face_walks = face_walks
+        raise GraphFormatError("disconnected graph requires an explicit face grouping")
     g.face_of_walk = _int_array(face_of_walk)
 
     # Sphere check: n - m + f = 1 + c covers every component at once.
-    if g.n > 0 and g.n - g.m + len(face_walks) != 1 + ncomp:
+    if g.n > 0 and g.n - g.m + g.face_count != 1 + ncomp:
         raise GraphFormatError(
             "rotation system / face grouping is not spherical: "
-            f"n={g.n} m={g.m} f={len(face_walks)} components={ncomp}"
+            f"n={g.n} m={g.m} f={g.face_count} components={ncomp}"
         )
 
     # Simplicity: no loops, no parallel edges.
@@ -541,12 +489,46 @@ def _finish_graph(
     del pair
     # One face per walk (groups partition the walks), every walk a triangle.
     g.triangulated = bool(
-        g.m > 0
-        and not g.lone_walk_vertex
-        and len(face_walks) == n_walks
-        and triangles
+        g.m > 0 and not g.lone_walk_vertex and g.face_count == n_walks and triangles
     )
     return g
+
+
+def _face_of_walk(faces: Sequence[Sequence[int]], n_walks: int) -> tuple[np.ndarray, int]:
+    """(face_of_walk, face count) of a grouping: one row of walk ids per face.
+
+    The checks run in this order, each naming its first offending walk in
+    document order: an empty face, a walk out of range, a walk grouped
+    twice, walks left out.  A row or id that is not an integer raises
+    ``len``'s or ``operator.index``'s TypeError first.
+    """
+    flat = _flat(faces)
+    if flat is None:  # raise that TypeError, or keep ids past int32 as Python ints
+        lens = np.fromiter(map(len, faces), np.int64, len(faces))
+        flat = np.fromiter(map(index, chain.from_iterable(faces)), object, int(lens.sum())), lens
+    ids, lens = flat
+    if not lens.all():
+        raise GraphFormatError("empty face in grouping")
+    out = (ids < 0) | (ids >= n_walks)
+    if out.any():
+        raise GraphFormatError(f"face grouping references walk {ids[out.argmax()]}")
+    order = np.argsort(ids, kind="stable")
+    again = order[1:][ids[order[1:]] == ids[order[:-1]]]  # every listing after a walk's first
+    if again.size:
+        raise GraphFormatError(f"walk {ids[again.min()]} grouped twice")
+    if len(ids) < n_walks:
+        raise GraphFormatError("face grouping does not cover all walks")
+    face_of_walk = np.empty(n_walks, dtype=np.int32)
+    face_of_walk[ids] = np.repeat(np.arange(len(lens), dtype=np.int32), lens)
+    return face_of_walk, len(lens)
+
+
+def _face_rows(g: PlaneGraph) -> list[list[int]]:
+    """The walks of each face, ascending, face after face."""
+    face_of_walk = np.frombuffer(g.face_of_walk, dtype=np.int32)
+    walks = np.argsort(face_of_walk, kind="stable").tolist()
+    stops = np.cumsum(np.bincount(face_of_walk, minlength=g.face_count)).tolist()
+    return [walks[a:b] for a, b in zip([0] + stops, stops)]
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +548,10 @@ def build_plane_graph(
 
     ``rotation[v]`` lists incident edge ids in slot order; a loop's id appears
     twice, its first slot taking dart 2e and its second 2e + 1.  ``faces``
-    groups walk ids (in trace discovery order) into faces and is required
-    exactly when the graph is disconnected.  ``flags`` entries
+    groups walk ids (in trace discovery order) into faces, one row per face,
+    and is required exactly when the graph is disconnected; it is checked
+    in numpy (:func:`_face_of_walk`) and kept only as ``face_of_walk``.
+    ``flags`` entries
     (simple/connected/triangulated), if given, are checked against reality.
 
     ``edges`` and ``rotation`` are sequences of rows, or :class:`FlatRows`
@@ -1011,23 +995,24 @@ def _bit_bfs(steps: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray
 def connect_components(g: PlaneGraph) -> PlaneGraph:
     """Add edges inside shared faces until the graph is connected.
 
-    Every face's boundary walks get chained to the face's first walk (one new
-    edge per extra walk, anchored at each walk's first vertex), which adds no
-    cycles and therefore leaves every fence of the original graph intact.  A
-    walk whose component is already joined gets no edge.
+    Every face's boundary walks get chained to the face's smallest walk (one
+    new edge per extra walk, anchored at each walk's first vertex), which
+    adds no cycles and therefore leaves every fence of the original graph
+    intact.  A walk whose component is already joined gets no edge.
 
     Corner rule: the edge leaves the base vertex at its first occurrence on
     its current walk, traced from that walk's smallest dart, and enters the
-    other walk at the corner before its first dart.  A lone base vertex takes
-    the edge (other, base); two lone vertices get (base, other).  The result
-    is connected, so face f is walk f, as in every connected graph.  All
-    edges are spliced into one builder, so the cost is linear when faces
-    hold O(1) walks (each edge retraces the base vertex's growing walk).
+    other walk at the corner before its first dart.  Dart walks come before
+    lone walks, so a lone base vertex shares its face with lone vertices
+    only; two lone vertices get (base, other).  The result is connected, so
+    face f is walk f, as in every connected graph.  All edges are spliced
+    into one builder, so the cost is linear when faces hold O(1) walks (each
+    edge retraces the base vertex's growing walk).
     """
     if g.connected:
         return g
     b = _Builder.from_graph(g)
-    rn, eu, ev = b.rot_next, b.eu, b.ev
+    rn = b.rot_next
     flat, indptr, nd = g.walk_flat, g.walk_indptr, g.dart_walk_count
     parent = list(range(g.component_count))
 
@@ -1045,17 +1030,13 @@ def connect_components(g: PlaneGraph) -> PlaneGraph:
             d = rn[d ^ 1]
         s = walk.index(min(walk))
         walk = walk[s:] + walk[:s]
-        i = next(
-            i for i, d in enumerate(walk) if (ev[d >> 1] if d & 1 else eu[d >> 1]) == v
-        )
+        i = next(i for i, d in enumerate(walk) if b.origin(d) == v)
         return walk[i - 1], walk[i]
 
     def first_vertex(w: int) -> int:  # of walk w, read off its first dart
         return g.origin(flat[indptr[w]]) if w < nd else g.lone_walk_vertex[w - nd]
 
-    for walks in g.face_walks:
-        if len(walks) <= 1:
-            continue
+    for walks in _face_rows(g):
         base = first_vertex(walks[0])
         rep = flat[indptr[walks[0]]] if walks[0] < nd else -1  # dart on base's walk
         for w in walks[1:]:
@@ -1065,16 +1046,12 @@ def connect_components(g: PlaneGraph) -> PlaneGraph:
                 continue
             parent[co] = cb
             if w < nd:
-                prev_o, at_o = flat[indptr[w + 1] - 1], flat[indptr[w]]
-                if rep < 0:
-                    rep = 2 * b.add_edge_at_corner_to_isolated(prev_o, at_o, base)
-                else:
-                    b.add_chord(*first_corner(rep, base), prev_o, at_o)
+                b.add_chord(*first_corner(rep, base), flat[indptr[w + 1] - 1], flat[indptr[w]])
             elif rep < 0:
                 rep = 2 * b.add_isolated_pair(base, other)
             else:
                 b.add_edge_at_corner_to_isolated(*first_corner(rep, base), other)
-    if len(eu) - g.m != g.component_count - 1:
+    if len(b.eu) - g.m != g.component_count - 1:
         raise GraphFormatError("face structure did not span all components")
     return _finish_graph(b, meta=g.meta)
 
@@ -1106,9 +1083,6 @@ def triangulate_preserving_embedding(g: PlaneGraph) -> PlaneGraph:
         u, v = g.eu[e], g.ev[e]
         adj.add((u, v) if u < v else (v, u))
 
-    def origin(d: int) -> int:
-        return b.ev[d >> 1] if d & 1 else b.eu[d >> 1]
-
     pending: list[list[int]] = [g.walk(w) for w in range(g.dart_walk_count)]
     while pending:
         walk = pending.pop()
@@ -1119,7 +1093,7 @@ def triangulate_preserving_embedding(g: PlaneGraph) -> PlaneGraph:
             raise RuntimeError("cannot triangulate a bridge face of length 2")
         if t < 3:
             raise InvariantError(f"triangulation met a face walk of {t} dart(s)")
-        verts = [origin(d) for d in walk]
+        verts = [b.origin(d) for d in walk]
         cut = None
         for p in range(t):
             q = (p + 2) % t

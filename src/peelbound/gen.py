@@ -21,6 +21,8 @@ import random
 from array import array
 from typing import Optional
 
+import numpy as np
+
 from .embed import (
     InvariantError,
     PlaneGraph,
@@ -316,15 +318,14 @@ def _prism_band(k: int) -> PlaneGraph:
         "rad_at_least": 2 * k,
     }
     g = build_plane_graph(2 * per, edges, rotation, meta=meta)
-    lengths = sorted(
-        len(g.walk(group[0])) for group in g.face_walks
-    )
+    lengths = np.diff(g.walk_indptr)  # g is connected: face f is walk f
+    quads = np.count_nonzero(lengths == 4)
     # Exactly one quadrangular face per rim edge of one copy; the rest are
     # the grid triangles.
-    if not (lengths.count(4) == 3 * s and lengths[-1] == 4 and lengths[0] == 3):
+    if not (quads == 3 * s and lengths.max() == 4 and lengths.min() == 3):
         raise InvariantError(
-            f"prism band has {lengths.count(4)} quadrangles and faces of {lengths[0]}"
-            f"..{lengths[-1]} darts, expected {3 * s} quadrangles among triangles"
+            f"prism band has {quads} quadrangles and faces of {lengths.min()}"
+            f"..{lengths.max()} darts, expected {3 * s} quadrangles among triangles"
         )
     return g
 
@@ -377,8 +378,7 @@ def gen_random_triangulation(n: int, seed: int) -> PlaneGraph:
         vnew = b.new_vertex()
         spokes = []
         for d in tri:
-            org = b.ev[d >> 1] if d & 1 else b.eu[d >> 1]
-            spokes.append(2 * b._new_edge(org, vnew))
+            spokes.append(2 * b._new_edge(b.origin(d), vnew))
         for t in range(3):
             slot = tri[t - 1] ^ 1  # corner at the origin of tri[t]
             if rn[slot] != tri[t]:

@@ -7,7 +7,8 @@ isolated vertices ascending -- the walk ids of :class:`embed.PlaneGraph`.
 ``faces`` appears whenever it carries information: always for disconnected
 graphs, and for a connected graph only when a document gave it a face
 numbering other than walk order (every connected graph the package builds
-numbers face f as walk f).
+numbers face f as walk f).  It lists each face's walks in ascending order,
+whatever order the document that built the graph used.
 
 :func:`dumps_plane_graph` writes one fixed layout: keys sorted, no spaces.
 :func:`loads_plane_graph` reads the ``edges`` and ``rotation`` values of text
@@ -26,7 +27,7 @@ from typing import IO, Optional, Union
 
 import numpy as np
 
-from .embed import FlatRows, GraphFormatError, PlaneGraph, build_plane_graph
+from .embed import FlatRows, GraphFormatError, PlaneGraph, _face_rows, build_plane_graph
 
 __all__ = [
     "dump_plane_graph",
@@ -52,9 +53,9 @@ def to_document(g: PlaneGraph) -> dict:
             "triangulated": g.triangulated,
         },
     }
-    grouping = [list(group) for group in g.face_walks]
-    if not all(grp == [i] for i, grp in enumerate(grouping)):
-        doc["faces"] = grouping
+    face_of_walk = np.frombuffer(g.face_of_walk, dtype=np.int32)
+    if not np.array_equal(face_of_walk, np.arange(len(face_of_walk))):
+        doc["faces"] = _face_rows(g)
     if g.meta:
         doc["meta"] = g.meta
     return doc

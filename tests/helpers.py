@@ -36,10 +36,28 @@ def graph_fingerprint(g: PlaneGraph) -> list:
     """Every stored array, the face grouping, meta and the three flags."""
     return [
         list(g.eu), list(g.ev), list(g.rot_next), list(g.rot_first),
-        [list(grp) for grp in g.face_walks], list(g.walk_flat),
+        [list(grp) for grp in face_walks(g)], list(g.walk_flat),
         list(g.walk_indptr), list(g.lone_walk_vertex), g.meta,
         g.simple, g.connected, g.triangulated,
     ]
+
+
+def check_grouping_by_loops(faces, n_walks: int) -> None:
+    """Reference for the grouping checks of ``_finish_graph``: one Python loop
+    per check, in its order, each raising at its first offender."""
+    rows = [[index(w) for w in row] for row in faces]
+    if [] in rows:
+        raise GraphFormatError("empty face in grouping")
+    for w in (w for row in rows for w in row):
+        if not 0 <= w < n_walks:
+            raise GraphFormatError(f"face grouping references walk {w}")
+    seen: set[int] = set()
+    for w in (w for row in rows for w in row):
+        if w in seen:
+            raise GraphFormatError(f"walk {w} grouped twice")
+        seen.add(w)
+    if len(seen) < n_walks:
+        raise GraphFormatError("face grouping does not cover all walks")
 
 
 def trace_walks_by_loop(rot_next, m2: int) -> tuple[array, array, array]:
@@ -71,7 +89,9 @@ def build_plane_graph_by_slots(n, edges, rotation, faces=None, flags=None, meta=
     """Reference for ``build_plane_graph``: one Python step per edge and slot.
 
     Raises at the first bad edge, else at the first bad rotation slot, else at
-    the first edge missing a slot; face and flag checks are the library's.
+    the first edge missing a slot, else at the first defect of the grouping
+    (:func:`check_grouping_by_loops`); the Euler and flag checks are the
+    library's.
     """
     if n < 0:
         raise GraphFormatError("negative vertex count")
@@ -127,6 +147,9 @@ def build_plane_graph_by_slots(n, edges, rotation, faces=None, flags=None, meta=
         if not ok:
             raise GraphFormatError(f"edge {e} missing from some rotation")
 
+    if faces is not None:
+        lone = sum(1 for v in range(n) if b.rot_first[v] < 0)
+        check_grouping_by_loops(faces, _label_walks(b.rot_next)[1] + lone)
     g = _finish_graph(b, face_grouping=faces, meta=meta)
     computed = {"simple": g.simple, "connected": g.connected, "triangulated": g.triangulated}
     for key, val in (flags or {}).items():
@@ -496,7 +519,7 @@ def ring_chain(sizes: list[int], connected: bool = True) -> PlaneGraph:
 def connect_by_insertion(g: PlaneGraph) -> PlaneGraph:
     """Reference for ``connect_components``: one public insertion per edge.
 
-    Chains every face's extra walks to its first walk, anchored at each
+    Chains every face's extra walks to its smallest walk, anchored at each
     walk's first vertex, skipping walks whose component is already joined;
     each edge goes into the first face of the base vertex (rotation order)
     that also holds the other vertex, and the connected result is finished
@@ -505,7 +528,7 @@ def connect_by_insertion(g: PlaneGraph) -> PlaneGraph:
     if g.connected:
         return g
     anchors: list[tuple[int, int]] = []
-    for walks in g.face_walks:
+    for walks in face_walks(g):
         base = g.walk_vertices(walks[0])[0]
         anchors.extend((base, g.walk_vertices(w)[0]) for w in walks[1:])
     out = g
@@ -527,12 +550,11 @@ def prism_by_insertion(k: int) -> PlaneGraph:
     """
     g = _prism_band(k)
     while True:
-        quad = next(
-            (f for f, (w,) in enumerate(g.face_walks) if len(g.walk(w)) == 4), None
-        )
+        faces = face_walks(g)
+        quad = next((f for f, (w,) in enumerate(faces) if len(g.walk(w)) == 4), None)
         if quad is None:
             return faces_by_walk(g)
-        darts = g.walk(g.face_walks[quad][0])
+        darts = g.walk(faces[quad][0])
         g = insert_edge_in_face(g, g.origin(darts[0]), g.origin(darts[2]), quad)
 
 
@@ -677,7 +699,7 @@ def relabel(g: PlaneGraph, perm: list[int]) -> PlaneGraph:
     rotation: list[list[int]] = [[] for _ in range(g.n)]
     for v in range(g.n):
         rotation[perm[v]] = g.rotation_edges(v)
-    faces = None if g.connected else [list(grp) for grp in g.face_walks]
+    faces = None if g.connected else [list(grp) for grp in face_walks(g)]
     meta = dict(g.meta) if g.meta else None
     return build_plane_graph(g.n, edges, rotation, faces=faces, meta=meta)
 
@@ -767,9 +789,17 @@ def edge_endpoints(g: PlaneGraph, e: int) -> tuple[int, int]:
     return (g.eu[e], g.ev[e])
 
 
+def face_walks(g: PlaneGraph) -> list[tuple[int, ...]]:
+    """The walks of each face, ascending, read off ``face_of_walk``."""
+    rows: list[list[int]] = [[] for _ in range(g.face_count)]
+    for w, f in enumerate(g.face_of_walk):
+        rows[f].append(w)
+    return [tuple(row) for row in rows]
+
+
 def face_darts(g: PlaneGraph, f: int) -> list[int]:
     out: list[int] = []
-    for w in g.face_walks[f]:
+    for w in face_walks(g)[f]:
         out.extend(g.walk(w))
     return out
 
@@ -782,7 +812,7 @@ def face_vertices(g: PlaneGraph, f: int) -> list[int]:
     """Distinct vertices on face f, in boundary-walk discovery order."""
     seen: set[int] = set()
     out: list[int] = []
-    for w in g.face_walks[f]:
+    for w in face_walks(g)[f]:
         for v in g.walk_vertices(w):
             if v not in seen:
                 seen.add(v)
@@ -806,7 +836,7 @@ def trace_faces(g: PlaneGraph) -> list[list[int]]:
 
 def _find_occurrence(g: PlaneGraph, f: int, v: int) -> Optional[tuple[list[int], int]]:
     """First boundary occurrence of v on face f: (walk darts, position)."""
-    for w in g.face_walks[f]:
+    for w in face_walks(g)[f]:
         darts = g.walk(w)
         for i, d in enumerate(darts):
             if g.origin(d) == v:
@@ -882,13 +912,14 @@ def _finish_splice(
         v = g.lone_walk_vertex[w - nd]
         return lone_id[v] if b.rot_first[v] < 0 else walk_of[b.rot_first[v]]
 
+    old = face_walks(g)
     grouping = [
         sorted({new_walk(w) for w in walks})
-        for f, walks in enumerate(g.face_walks)
+        for f, walks in enumerate(old)
         if f not in touched
     ]
     for f, edges in touched.items():
-        group = {new_walk(w) for w in g.face_walks[f]}
+        group = {new_walk(w) for w in old[f]}
         group.update(walk_of[2 * e] for e in edges)  # already in, unless e split
         cut = [walk_of[2 * e + 1] for e in edges if walk_of[2 * e] != walk_of[2 * e + 1]]
         grouping.append(sorted(group.difference(cut)))

@@ -13,8 +13,8 @@ import peelbound
 from peelbound import cli
 from helpers import eccentricities_by_bfs
 from peelbound.cli import main
-from peelbound.gen import gen_prism_grid
-from peelbound.graphio import loads_plane_graph
+from peelbound.gen import gen_nested_cycles, gen_prism_grid
+from peelbound.graphio import loads_plane_graph, to_document
 from peelbound.oracle import VerifyReport
 
 
@@ -22,6 +22,9 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+NESTED = to_document(gen_nested_cycles(3, 1))
 
 
 def stdout_records(out):
@@ -206,15 +209,19 @@ def test_center_rejects_mistyped_documents(capsys, tmp_path, patch):
 
 
 # Each of these was read as a triangle: int() truncated 2.7 to 2, "2" to 2
-# and 3.9 to 3.
+# and 3.9 to 3.  The last three were read as nested (3, 1), whose faces are
+# [[1, 2], [0, 3]]: int() truncated 1.9 to walk 1, "1" to 1 and 2.0 to 2.
 @pytest.mark.parametrize(
     "patch",
     [
         {"edges": [[0, 1], [1, 2.7], [2, 0]]},
         {"rotation": [[0, "2"], [1, 0], [2, 1]]},
         {"n": 3.9},
+        {**NESTED, "faces": [[1.9, 2], [0, 3]]},
+        {**NESTED, "faces": [["1", 2], [0, 3]]},
+        {**NESTED, "faces": [[1, 2.0], [0, 3]]},
     ],
-    ids=["float-endpoint", "string-slot", "float-n"],
+    ids=["float-endpoint", "string-slot", "float-n", "float-walk", "string-walk", "float-2-walk"],
 )
 def test_center_rejects_non_integer_ids(capsys, tmp_path, patch):
     doc = {

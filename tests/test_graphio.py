@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from helpers import edge_endpoints, random_plane_map
+from helpers import edge_endpoints, face_walks, random_plane_map
 from peelbound.embed import GraphFormatError, build_plane_graph, connect_components
 from peelbound.gen import (
     gen_lowerbound_H,
@@ -34,7 +34,7 @@ def same_graph(a, b):
         return False
     if any(a.rotation_edges(v) != b.rotation_edges(v) for v in range(a.n)):
         return False
-    return [tuple(w) for w in a.face_walks] == [tuple(w) for w in b.face_walks]
+    return face_walks(a) == face_walks(b)
 
 
 @pytest.mark.parametrize(

@@ -105,6 +105,8 @@ def damaged_documents(draw):
                 target.extend([len(edges) - 1] * draw(st.integers(1, 3)))
         elif kind == "faces":
             faces = doc.setdefault("faces", [[w] for w in range(3)])
+            walks = sum(len(row) for row in faces if isinstance(row, list))  # while intact
+            value = draw(st.sampled_from([value, walks - 1, walks]))
             f = draw(st.integers(0, len(faces)))
             if f == len(faces):
                 faces.append([])
@@ -389,10 +391,6 @@ def test_fast_path_reads_a_rotation_key_in_a_meta_string():
     assert got == load_outcome(load_by_json, text) and got[0] == "ok"
 
 
-def _no_list_flattener(rows):
-    raise AssertionError("canonical text went through the list flattener")
-
-
 ROW_SHAPES = from_document({
     **to_document(random_plane_map(7, 9, 3)), "meta": {"has": ["lone-vertices", "loops", "faces"]},
 })
@@ -400,14 +398,18 @@ ROW_SHAPES = from_document({
 
 @pytest.mark.parametrize("end", ["", "\n", "\r\n"], ids=["bare", "newline", "crlf"])
 def test_canonical_text_skips_the_list_flattener(monkeypatch, end):
-    texts = [dumps_plane_graph(g) + end for g in (ROW_SHAPES, gen_nested_cycles(3, 2))]
+    graphs = (ROW_SHAPES, gen_nested_cycles(3, 2))
+    texts = [dumps_plane_graph(g) + end for g in graphs]
     expected = [load_outcome(load_by_json, text) for text in texts]
     assert all(got[0] == "ok" for got in expected)
     # an unsound canonical document is worded by the same scan
     texts.append(canonical({**K3_DOCUMENT, "rotation": [[0, 2], [1, 0], [0]]}) + end)
     expected.append(("GraphFormatError", "edge 0 listed at non-endpoint 2"))
-    monkeypatch.setattr(embed, "_flatten_rows", _no_list_flattener)
+    flatten, flattened = embed._flatten_rows, []
+    monkeypatch.setattr(embed, "_flatten_rows", lambda rows: flattened.append(rows) or flatten(rows))
     assert [load_outcome(loads_plane_graph, text) for text in texts] == expected
+    # json.loads reads the faces, so only they go through the list flattener
+    assert flattened == [to_document(g)["faces"] for g in graphs]
 
 
 def test_canonical_reader_under_optimize():
@@ -418,10 +420,12 @@ def test_canonical_reader_under_optimize():
         "from peelbound.graphio import dumps_plane_graph, from_document, loads_plane_graph\n"
         "text = dumps_plane_graph(gen_nested_cycles(3, 2))\n"
         "expected = from_document(json.loads(text))\n"
-        "embed._flatten_rows = None\n"
+        "flatten, flattened = embed._flatten_rows, []\n"
+        "embed._flatten_rows = lambda rows: flattened.append(rows) or flatten(rows)\n"
         "g = loads_plane_graph(text + '\\n')\n"
         "same = all(list(getattr(g, k)) == list(getattr(expected, k))\n"
-        "           for k in ('eu', 'ev', 'rot_next', 'rot_first', 'face_walks'))\n"
+        "           for k in ('eu', 'ev', 'rot_next', 'rot_first', 'face_of_walk'))\n"
+        "same = same and flattened == [json.loads(text)['faces']]\n"
         "try:\n"
         "    loads_plane_graph(text.replace('[[1,2]', '[[1,9]', 1))\n"
         "except embed.GraphFormatError as exc:\n"
@@ -430,3 +434,75 @@ def test_canonical_reader_under_optimize():
     proc = run_under_optimize(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False True edge 0 endpoint out of range\n"
+
+
+# ---------------------------------------------------------------------------
+# Face groupings: the same checks and words on every route
+# ---------------------------------------------------------------------------
+
+NESTED = to_document(gen_nested_cycles(3, 1))  # walks 0-3, faces [[1, 2], [0, 3]]
+
+
+def loader_routes(doc):
+    """Canonical text, which the numpy reader takes, and spaced text, which it refuses."""
+    texts = canonical(doc), json.dumps(doc)
+    assert graphio._canonical_document(texts[0]) is not None
+    assert graphio._canonical_document(texts[1]) is None
+    return texts
+
+
+def test_true_still_reads_as_walk_one():
+    expected = graph_fingerprint(from_document(NESTED))
+    for text in loader_routes({**NESTED, "faces": [[True, 2], [0, 3]]}):
+        assert graph_fingerprint(loads_plane_graph(text)) == expected
+
+
+NO_LEN = "object of type 'int' has no len()"
+NOT_INT = "'{}' object cannot be interpreted as an integer"
+
+
+@pytest.mark.parametrize(
+    "faces,message",
+    [
+        ([[1, 2], [], [0, 3]], "empty face in grouping"),
+        ([[1, 2], [0, -1]], "face grouping references walk -1"),
+        ([[1, 2], [0, 3, 4]], "face grouping references walk 4"),
+        ([[1, 2, 1], [0, 3]], "walk 1 grouped twice"),
+        ([[1, 2], [0]], "face grouping does not cover all walks"),
+        ([[1, 2], 3], "malformed document: " + NO_LEN),
+        ([[1, 2], {"0": 3}], "malformed document: JSON object in 'faces'"),
+        # each of these was read as walk 1 or 2: int() truncated 1.9, parsed
+        # "1" and took 2.0, where edges and rotation refused the same values
+        ([[1.9, 2], [0, 3]], "malformed document: " + NOT_INT.format("float")),
+        ([["1", 2], [0, 3]], "malformed document: " + NOT_INT.format("str")),
+        ([[1, 2.0], [0, 3]], "malformed document: " + NOT_INT.format("float")),
+        # two defects: a type error comes first, then the checks run in the
+        # order empty face, range, repeat, cover, and each names its first
+        # offender in document order
+        ([[1, 9], []], "empty face in grouping"),
+        ([[1, 1, 2], [0, 7]], "face grouping references walk 7"),
+        ([[1, 5], [0, -2]], "face grouping references walk 5"),
+        ([[2, 1, 2], [0, 1, 3]], "walk 2 grouped twice"),
+        ([[1, 2], [0, 0]], "walk 0 grouped twice"),
+        ([[1, 2], [0, 2**40]], "face grouping references walk 1099511627776"),
+        ([[1, 2], [0], 3], "malformed document: " + NO_LEN),
+    ],
+    ids=[
+        "empty", "minus-one", "past-end", "repeat", "missing", "scalar-row", "object",
+        "float-walk", "string-walk", "float-2-walk",
+        "empty-after-range", "range-after-repeat", "range-twice", "two-repeats",
+        "repeat-and-missing", "past-int32", "scalar-and-missing",
+    ],
+)
+def test_grouping_defects_read_the_same_on_every_route(faces, message):
+    doc = {**NESTED, "faces": faces}
+    for text in loader_routes(doc):
+        with pytest.raises(GraphFormatError) as exc:
+            loads_plane_graph(text)
+        assert str(exc.value) == message
+    # the builder words the same defects; a type error is its own TypeError
+    # (a JSON object never reaches it from a document)
+    if "JSON object" not in message:
+        with pytest.raises((GraphFormatError, TypeError)) as exc:
+            build_plane_graph(doc["n"], doc["edges"], doc["rotation"], faces=faces)
+        assert str(exc.value) == message.removeprefix("malformed document: ")
