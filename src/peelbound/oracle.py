@@ -1,7 +1,7 @@
 """Brute-force ground truth for peel decompositions and related invariants.
 
 Everything here is deliberately definition-shaped and independent of the
-fast pipeline: peel numbers come from literally deleting outer-face vertices
+fast pipeline: peel counts come from literally deleting outer-face vertices
 round by round (each deleted edge joins its two faces, and a face that so
 reaches the outer region floods its joined neighbours into it; the next
 round peels the vertices on the faces that just joined), distances come
@@ -9,14 +9,14 @@ from plain breadth-first search on adjacency lists,
 and fence-girth comes from exhaustive simple-cycle enumeration plus a
 Jordan-side test.  Costs are desk-scale by design.
 
-One outerface's rounds (:func:`_deletion_rounds`) cost O(n + m + F) in
-plain Python.  The fse search runs the same rounds for every outerface at
-once, one bit per face in uint64 rows (:func:`_deletion_counts`): a block
-of ``embed._BIT_BLOCK`` faces costs one O(n + m) numpy step per flood
-pass, with as many passes per round as the flood needs, in place of one
-Python run per face.  Its arrays come from g's dart arrays, not from the
-incidence view the radial cross-check reads, and the tests hold it to
-:func:`_deletion_rounds` face by face.
+The literal deletion has one route, :func:`_deletion_counts`: it runs the
+rounds for every outerface at once, one bit per face in uint64 rows, and
+a block of ``embed._BIT_BLOCK`` faces costs one O(n + m) numpy step per
+flood pass, with as many passes per round as the flood needs.  Its arrays
+(:func:`_face_bit_tables`, which the fence side test reads too) come from
+g's dart arrays, not from the incidence view the radial cross-check
+reads.  The tests hold it face by face to a union-find deletion that
+rescans every face each round (``tests/helpers.py``).
 
 Three exceptions read the pipeline's numpy searches on g's cached
 incidence view, and the tests hold each to a pure-Python route:
@@ -67,9 +67,6 @@ __all__ = [
     "fse_outerplanarity_bruteforce",
     "full_oracle_report",
     "girth_bruteforce",
-    "layer_numbers_by_deletion",
-    "peel_count_by_deletion",
-    "peel_numbers_by_deletion",
     "radius_exact",
     "simple_bound_check",
     "verify_certificate",
@@ -148,125 +145,12 @@ def diameter_exact(g: PlaneGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Peel numbers by literal deletion
-# ---------------------------------------------------------------------------
-
-
-class _DeletionTables(NamedTuple):
-    """What the deletion oracles read of a plane graph, built once per graph."""
-
-    edges_at: list[list[int]]  # rotation_edges(v) of each vertex
-    sides: list[tuple[int, int]]  # (face_of_dart(2e), face_of_dart(2e + 1)) of each edge
-    face_verts: list[list[int]]  # vertices on each face: the inverse of faces_of_vertex
-    first_face: list[int]  # faces_of_vertex(v)[0] of each vertex
-
-
-def _deletion_tables(g: PlaneGraph) -> _DeletionTables:
-    """Read g once into the tables every outerface of g shares."""
-    face_of = [g.face_of_dart(d) for d in range(2 * g.m)]
-    face_verts: list[list[int]] = [[] for _ in range(g.face_count)]
-    first_face = []
-    for v in range(g.n):
-        faces = g.faces_of_vertex(v)  # a lone vertex: its host face
-        first_face.append(faces[0])
-        for f in faces:
-            face_verts[f].append(v)
-    return _DeletionTables(
-        [g.rotation_edges(v) for v in range(g.n)],
-        list(zip(face_of[0::2], face_of[1::2])),
-        face_verts,
-        first_face,
-    )
-
-
-def _deletion_rounds(t: _DeletionTables, outer_face: int, root: Optional[int] = None) -> list[int]:
-    """Peel round (1-based) of every vertex for outer_face; -1 for a pre-deleted root.
-
-    Each round deletes every live vertex on the outer region, and with it
-    its edges.  A deleted edge joins the two faces on its sides: when exactly
-    one of them is outer, the other's component under deleted edges floods
-    into the outer region.  A live vertex on a face that was outer before a
-    round is deleted in that round, so the next round takes the live
-    vertices on the faces that joined during this one.  Every face floods
-    once and every edge is deleted from each end once, so one outerface
-    costs O(n + m + F) on top of the shared tables.
-    """
-    edges_at, sides, face_verts, _ = t
-    peel = [0] * len(edges_at)
-    outer = [False] * len(face_verts)
-    across: list[list[int]] = [[] for _ in face_verts]  # over deleted edges, while not outer
-    outer[outer_face] = True
-    fresh = [outer_face]  # faces that joined the outer region since the last round began
-    sel = []
-    if root is not None:
-        peel[root] = -1
-        sel = [root]
-    rnd = 0
-    while True:
-        for v in sel:
-            for e in edges_at[v]:  # an edge met again from its other end changes nothing
-                a, b = sides[e]
-                if outer[a] == outer[b]:
-                    if not outer[a]:
-                        across[a].append(b)
-                        across[b].append(a)
-                    continue
-                f = b if outer[a] else a
-                outer[f] = True
-                stack = [f]
-                while stack:
-                    f = stack.pop()
-                    fresh.append(f)
-                    for h in across[f]:
-                        if not outer[h]:
-                            outer[h] = True
-                            stack.append(h)
-        rnd += 1
-        sel = []
-        for f in fresh:
-            for v in face_verts[f]:
-                if not peel[v]:
-                    peel[v] = rnd
-                    sel.append(v)
-        if not sel:
-            if 0 in peel:
-                raise InvariantError("outer region lost all boundary vertices: corrupt embedding")
-            return peel
-        fresh = []
-
-
-def peel_numbers_by_deletion(g: PlaneGraph, outer_face: int) -> list[int]:
-    """Peel index (1-based) of every vertex for the given outerface."""
-    if not (0 <= outer_face < g.face_count):
-        raise ValueError("outer face out of range")
-    return _deletion_rounds(_deletion_tables(g), outer_face)
-
-
-def peel_count_by_deletion(g: PlaneGraph, outer_face: int) -> int:
-    peel = peel_numbers_by_deletion(g, outer_face)
-    return max(peel) if peel else 0
-
-
-def layer_numbers_by_deletion(g: PlaneGraph, root: int) -> list[int]:
-    """Layer index of every vertex: 0 for the root, then deletion rounds.
-
-    Deleting the root merges all faces around it into one region, so the
-    choice of face incident to the root is immaterial.
-    """
-    if not (0 <= root < g.n):
-        raise ValueError("root out of range")
-    t = _deletion_tables(g)
-    peel = _deletion_rounds(t, t.first_face[root], root)
-    return [0 if p == -1 else p for p in peel]
-
-
-# ---------------------------------------------------------------------------
-# fse-outerplanarity by exhaustion over outerfaces
+# fse-outerplanarity by literal deletion from every outerface
 # ---------------------------------------------------------------------------
 
 
 class _FaceBitTables(NamedTuple):
-    """What :func:`_deletion_counts` reads of a plane graph, as numpy arrays."""
+    """The one per-graph table of the oracle's deletion and fence searches."""
 
     face_count: int
     vf_indptr: np.ndarray  # vertex v's faces are vf_faces[vf_indptr[v]:vf_indptr[v + 1]]
@@ -276,12 +160,12 @@ class _FaceBitTables(NamedTuple):
 
 
 def _face_bit_tables(g: PlaneGraph) -> _FaceBitTables:
-    """Read g into the arrays of :func:`_deletion_counts`.
+    """Read g into the arrays of :func:`_deletion_counts` and :func:`_is_fence`.
 
-    The reads of :func:`_deletion_tables` (the faces beside the two darts
-    of each edge, each vertex's faces with a lone vertex on its host face),
-    taken straight from g's dart arrays; repeats stay in.  Nothing here
-    reads g's incidence view, so the radial cross-check does not share it.
+    The faces beside the two darts of each edge, and each vertex's faces
+    with a lone vertex on its host face, taken straight from g's dart
+    arrays; repeats stay in.  Nothing here reads g's incidence view, so the
+    radial cross-check does not share it.
     """
     eu = np.frombuffer(g.eu, dtype=np.int32)
     ev = np.frombuffer(g.ev, dtype=np.int32)
@@ -315,7 +199,7 @@ def _or_rows(entries: np.ndarray, indptr: np.ndarray, filled: np.ndarray) -> np.
 
 
 def _deletion_counts(t: _FaceBitTables) -> list[int]:
-    """Peel count of every outerface, by the literal rounds of :func:`_deletion_rounds`.
+    """Peel count of every outerface: the oracle's one literal-deletion route.
 
     All outerfaces run at once, one bit per source (the multi-source
     traversal of Then et al., PVLDB 8(4), 2014, as in ``embed._bit_bfs``):
@@ -326,7 +210,8 @@ def _deletion_counts(t: _FaceBitTables) -> list[int]:
     edge with a deleted end, and closes the outer region under the two faces
     beside a deleted edge until nothing changes.  A source's count is the
     last round that deleted something; a source whose round deletes nothing
-    while vertices are still live raises :class:`InvariantError`.
+    while vertices are still live raises :class:`InvariantError`.  The tests
+    hold it face by face to a union-find deletion in ``tests/helpers.py``.
     """
     F, vf_indptr, vf_faces, (eu, ev), sides = t
     vf_filled = np.flatnonzero(np.diff(vf_indptr))
@@ -472,21 +357,28 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _is_fence(g: PlaneGraph, t: _DeletionTables, cycle: Sequence[int]) -> bool:
-    """True when vertices exist strictly on both sides of the cycle."""
+def _is_fence(
+    g: PlaneGraph, sides: list[list[int]], first_face: list[int], cycle: Sequence[int]
+) -> bool:
+    """True when vertices exist strictly on both sides of the cycle.
+
+    ``sides[k][e]`` is the face of dart 2e + k and ``first_face[v]`` is one
+    face of v.  The faces of a vertex off the cycle all join across its
+    edges, so any one of them tells its side.
+    """
     cyc_edges = {d >> 1 for d in cycle}
     cyc_verts = {g.origin(d) for d in cycle}
     uf = _UnionFind(g.face_count)
-    for e, (a, b) in enumerate(t.sides):
+    for e, (a, b) in enumerate(zip(*sides)):
         if e not in cyc_edges:
             uf.union(a, b)
     d0 = cycle[0]
-    left = uf.find(t.sides[d0 >> 1][d0 & 1])
-    right = uf.find(t.sides[d0 >> 1][(d0 & 1) ^ 1])
+    left = uf.find(sides[d0 & 1][d0 >> 1])
+    right = uf.find(sides[(d0 & 1) ^ 1][d0 >> 1])
     if left == right:
         return False
     seen_left = seen_right = False
-    for v, f in enumerate(t.first_face):
+    for v, f in enumerate(first_face):
         if v in cyc_verts:
             continue
         side = uf.find(f)
@@ -513,10 +405,12 @@ def fence_girth_bruteforce(
     if max_len is None:
         max_len = g.n  # a simple cycle repeats no vertex
     remaining = [budget]
-    tables = _deletion_tables(g)
+    t = _face_bit_tables(g)
+    sides = t.sides.tolist()
+    first_face = t.vf_faces[t.vf_indptr[:-1]].tolist()
     for L in range(1, max_len + 1):
         for cycle in _simple_cycles_of_length(g, L, remaining):
-            if _is_fence(g, tables, cycle):
+            if _is_fence(g, sides, first_face, cycle):
                 return L
     return math.inf
 
@@ -569,7 +463,7 @@ def simple_bound_check(g: PlaneGraph) -> SimpleBoundReport:
     center, rad_t = radius_exact(t)
     bound = min(1 + rad_g, (g.n + 26) // 6)
     face = g.first_face_of_vertex(center)
-    realized = peel_count_by_deletion(g, face)
+    realized = _deletion_counts(_face_bit_tables(g))[face]
     if realized > bound:
         raise InvariantError(f"realized peel count {realized} exceeds certified bound {bound}")
     return SimpleBoundReport(bound, face, realized, center, rad_g, rad_t)

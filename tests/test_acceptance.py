@@ -46,13 +46,14 @@ from peelbound.gen import (
     gen_random_triangulation,
 )
 from peelbound.oracle import (
+    _deletion_counts,
+    _face_bit_tables,
     all_eccentricities,
     diameter_exact,
     eccentricity,
     fence_girth_bruteforce,
     fse_outerplanarity_bruteforce,
     girth_bruteforce,
-    peel_count_by_deletion,
     radius_exact,
     simple_bound_check,
 )
@@ -402,9 +403,10 @@ def test_criterion_09_peel_count_routes(pipelines):
         if g.n > 200:
             continue
         graphs += 1
+        counts = _deletion_counts(_face_bit_tables(g))
         for f in range(g.face_count):
             faces += 1
-            direct = peel_count_by_deletion(g, f)
+            direct = counts[f]
             radial = peel_count_for_outerface(g, f)
             if direct != radial:
                 failures.append(

@@ -23,6 +23,7 @@ from helpers import (
     face_walks,
     graph_fingerprint,
     insert_edge_in_face,
+    peel_numbers_by_union_find,
     radial_bfs_by_rounds,
     random_nesting,
     random_plane_map,
@@ -53,7 +54,6 @@ from peelbound.graphio import from_document, to_document
 from peelbound.oracle import (
     bfs_distances,
     fse_outerplanarity_bruteforce,
-    peel_numbers_by_deletion,
     verify_certificate,
 )
 from peelbound.peels import augment, choose_root, compute_layers
@@ -248,7 +248,7 @@ def test_radial_bfs_crosses_components():
             g = gen_nested_cycles(girth, k)
             for f in range(g.face_count):
                 rd = radial_bfs(g, source_face=f)
-                assert rd.vertex_peels().tolist() == peel_numbers_by_deletion(g, f)
+                assert rd.vertex_peels().tolist() == peel_numbers_by_union_find(g, f)
             faces += g.face_count
     assert faces == 56
 

@@ -34,9 +34,6 @@ from peelbound.oracle import (
     fse_outerplanarity_bruteforce,
     full_oracle_report,
     girth_bruteforce,
-    layer_numbers_by_deletion,
-    peel_count_by_deletion,
-    peel_numbers_by_deletion,
     radius_exact,
     simple_bound_check,
     verify_certificate,
@@ -111,15 +108,23 @@ def connected_nested(g, k):
     return connect_components(gen_nested_cycles(g, k))
 
 
+def all_faces_counts(g):
+    return oracle._deletion_counts(oracle._face_bit_tables(g))
+
+
+def union_find_count(g, f):
+    return max(peel_numbers_by_union_find(g, f), default=0)
+
+
 def test_deletion_layers_frozen():
     c33 = connected_nested(3, 3)
-    assert layer_numbers_by_deletion(c33, 10) == [4, 3, 3, 3, 2, 2, 2, 1, 1, 1, 0]
+    assert layer_numbers_by_union_find(c33, 10) == [4, 3, 3, 3, 2, 2, 2, 1, 1, 1, 0]
 
 
 def test_deletion_peels_frozen():
-    assert peel_numbers_by_deletion(octahedron(), 0) == [1, 1, 1, 2, 2, 2]
+    assert peel_numbers_by_union_find(octahedron(), 0) == [1, 1, 1, 2, 2, 2]
     c33 = connected_nested(3, 3)
-    assert [peel_count_by_deletion(c33, f) for f in range(c33.face_count)] == [3, 4, 3, 4]
+    assert all_faces_counts(c33) == [3, 4, 3, 4]
     assert [face_darts(c33, f) for f in range(c33.face_count)] == [
         [0, 2, 4, 20, 7, 11, 9, 21],
         [1, 5, 3, 18, 19],
@@ -153,24 +158,14 @@ def test_fse_threads_agree():
 
 
 def test_fse_bruteforce_builds_bit_tables_once(monkeypatch):
-    # every face from one set of arrays, none through the per-face tables
+    # every face from one set of arrays
     g = gen_random_triangulation(200, 5)
-    calls, per_face = [], []
+    calls = []
     build = oracle._face_bit_tables
     monkeypatch.setattr(oracle, "_face_bit_tables", lambda h: calls.append(h) or build(h))
-    monkeypatch.setattr(oracle, "_deletion_tables", per_face.append)
     fse_outerplanarity_bruteforce(g)
     assert g.face_count == 396
-    assert calls == [g] and per_face == []
-
-
-def all_faces_counts(g):
-    return oracle._deletion_counts(oracle._face_bit_tables(g))
-
-
-def single_face_counts(g):
-    t = oracle._deletion_tables(g)
-    return [max(oracle._deletion_rounds(t, f), default=0) for f in range(g.face_count)]
+    assert calls == [g]
 
 
 @settings(max_examples=100, deadline=None)
@@ -181,12 +176,11 @@ def single_face_counts(g):
 )
 def test_all_faces_deletion_matches_single_face_rounds(seed, steps, components):
     # loops, parallel edges, lone vertices and n = 1; maps of 2-3
-    # components in their connected form, then as drawn
+    # components in their connected form, then as drawn; the reference
+    # runs one face's rounds at a time in a union-find
     g = random_plane_map(seed, steps, components)
     for h in ([connect_components(g)] if components > 1 else []) + [g]:
-        counts = all_faces_counts(h)
-        assert counts == single_face_counts(h)
-        assert counts == [max(peel_numbers_by_union_find(h, f)) for f in range(h.face_count)]
+        assert all_faces_counts(h) == [union_find_count(h, f) for f in range(h.face_count)]
 
 
 @pytest.mark.parametrize(
@@ -208,24 +202,35 @@ def test_all_faces_deletion_matches_single_face_rounds(seed, steps, components):
     ],
 )
 def test_all_faces_deletion_on_families(g):
-    counts = all_faces_counts(g)
-    assert counts == single_face_counts(g)
-    assert counts == [max(peel_numbers_by_union_find(g, f)) for f in range(g.face_count)]
+    assert all_faces_counts(g) == [union_find_count(g, f) for f in range(g.face_count)]
+
+
+def seam_faces(g, block):
+    """Faces on both sides of each block seam, the last face and a spread."""
+    seams = range(block, g.face_count, block)
+    return sorted({*range(0, g.face_count, 97), g.face_count - 1, *seams, *(s - 1 for s in seams)})
 
 
 def test_all_faces_deletion_runs_two_blocks():
+    # the union-find on all 1196 faces would take seconds: a sample of them
     g = gen_random_triangulation(600, 2)
     assert g.face_count == 1196 > embed._BIT_BLOCK  # a full block and a partial one
-    assert all_faces_counts(g) == single_face_counts(g) == face_peel_counts(g)
+    counts = all_faces_counts(g)
+    assert counts == face_peel_counts(g)
+    for f in seam_faces(g, embed._BIT_BLOCK):
+        assert counts[f] == union_find_count(g, f), f
 
 
 @pytest.mark.parametrize("block", [64, 128])
 def test_all_faces_deletion_blocks_meet_at_the_seam(monkeypatch, block):
     g = thin_random_triangulation(300, 4)  # merged faces: rows of several darts
-    want = single_face_counts(g)
+    want = face_peel_counts(g)
     monkeypatch.setattr(embed, "_BIT_BLOCK", block)
     assert g.face_count > 2 * block
-    assert all_faces_counts(g) == want
+    counts = all_faces_counts(g)
+    assert counts == want
+    for f in seam_faces(g, block):
+        assert counts[f] == union_find_count(g, f), f
 
 
 def test_all_faces_deletion_reads_no_incidence_view(monkeypatch):
@@ -237,7 +242,7 @@ def test_all_faces_deletion_reads_no_incidence_view(monkeypatch):
     monkeypatch.setattr(oracle, "_cached_incidence", refuse)
     g = gen_random_triangulation(60, 8)
     assert g._incidence is None
-    assert all_faces_counts(g) == single_face_counts(g)
+    assert all_faces_counts(g) == [union_find_count(g, f) for f in range(g.face_count)]
     assert g._incidence is None
 
 
@@ -258,38 +263,6 @@ def test_all_faces_lost_outer_region_raises_invariant_error(monkeypatch, forge):
     monkeypatch.setattr(oracle, "_face_bit_tables", forged)
     with pytest.raises(InvariantError, match="outer region lost all boundary vertices"):
         fse_outerplanarity_bruteforce(octahedron())
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=10**6),
-    st.integers(min_value=0, max_value=40),
-    st.integers(min_value=1, max_value=3),
-)
-def test_deletion_matches_union_find_on_random_maps(seed, steps, components):
-    # loops, parallel edges and lone vertices; maps of 2-3 components as
-    # drawn and in their connected form
-    g = random_plane_map(seed, steps, components)
-    for h in [g] + ([connect_components(g)] if components > 1 else []):
-        for f in range(h.face_count):
-            assert peel_numbers_by_deletion(h, f) == peel_numbers_by_union_find(h, f), f
-        for root in range(h.n):
-            assert layer_numbers_by_deletion(h, root) == layer_numbers_by_union_find(h, root), root
-
-
-def test_lost_outer_region_raises_invariant_error(monkeypatch):
-    # forged tables list vertex 5 on no face: rounds 1 and 2 peel the rest
-    build = oracle._deletion_tables
-
-    def forged(g):
-        t = build(g)
-        return t._replace(face_verts=[[v for v in vs if v != 5] for vs in t.face_verts])
-
-    monkeypatch.setattr(oracle, "_deletion_tables", forged)
-    with pytest.raises(InvariantError, match="outer region lost all boundary vertices"):
-        peel_numbers_by_deletion(octahedron(), 0)
-    with pytest.raises(InvariantError, match="outer region lost all boundary vertices"):
-        layer_numbers_by_deletion(octahedron(), 0)
 
 
 def test_lost_outer_region_survives_optimize():
@@ -327,6 +300,26 @@ def test_fence_girth_values():
     assert fence_girth_bruteforce(gen_nested_cycles(5, 3)) == 5
     # a triangulation's faces are not fences; K4 has no separating cycle
     assert fence_girth_bruteforce(gen_random_triangulation(4, 0)) == math.inf
+
+
+INF = math.inf
+# fence girth of connected random_plane_map(seed, seed % 25, 1 + seed % 3),
+# seeds 0-59: loops (1), digons (2) and lone vertices joined to a component
+FENCE_GIRTH_MAPS = [
+    INF, INF, INF, INF, INF, 1, 1, 1, INF, 2, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1,
+    1, INF, 1, 1, 1, INF, INF, INF, INF, INF, 1, INF, INF, INF, 1, 1, 1, 1, 1, INF,
+    1, 1, INF, 1, 1, 1, 1, 2, 1, 1, INF, INF, INF, INF, INF, INF, 2, INF, 1, 1,
+]
+
+
+def test_fence_girth_frozen_on_random_maps():
+    got = []
+    for seed in range(60):
+        g = random_plane_map(seed, seed % 25, 1 + seed % 3)
+        g = g if g.connected else connect_components(g)
+        assert g.n <= 60
+        got.append(fence_girth_bruteforce(g))
+    assert got == FENCE_GIRTH_MAPS
 
 
 def test_fence_girth_max_len_cutoff():
@@ -451,10 +444,10 @@ def test_full_oracle_report_smoke():
 @given(st.integers(min_value=5, max_value=80), st.integers(min_value=0, max_value=10**6))
 def test_peel_routes_agree(n, seed):
     g = thin_random_triangulation(n, seed)
+    counts = all_faces_counts(g)
     for f in range(min(g.face_count, 6)):
-        by_deletion = peel_count_by_deletion(g, f)
         rd = radial_bfs(g, source_face=f)
-        assert int(max((rd.vertex_dist + 1) // 2)) == by_deletion
+        assert int(max((rd.vertex_dist + 1) // 2)) == counts[f]
 
 
 @settings(max_examples=15, deadline=None)
@@ -462,12 +455,12 @@ def test_peel_routes_agree(n, seed):
 def test_layer_routes_agree(n, seed):
     g = gen_random_triangulation(n, seed)
     rd = radial_bfs(g, source_vertex=0)
-    assert (rd.vertex_dist // 2).tolist() == layer_numbers_by_deletion(g, 0)
+    assert (rd.vertex_dist // 2).tolist() == layer_numbers_by_union_find(g, 0)
 
 
 def test_oracle_checks_raise_invariant_error(monkeypatch):
     g = gen_random_triangulation(30, 7)
-    monkeypatch.setattr(oracle, "peel_count_by_deletion", lambda g, f: 10**6)
+    monkeypatch.setattr(oracle, "_deletion_counts", lambda t: [10**6] * t.face_count)
     with pytest.raises(InvariantError, match="exceeds certified bound"):
         simple_bound_check(g)
     monkeypatch.setattr(oracle, "fse_outerplanarity_bruteforce", lambda g: None)

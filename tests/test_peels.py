@@ -27,6 +27,8 @@ from helpers import (
     descends,
     edge_endpoints,
     is_descendant,
+    layer_numbers_by_union_find,
+    peel_numbers_by_union_find,
     random_nesting,
     random_plane_map,
     relabel,
@@ -44,11 +46,7 @@ from peelbound.gen import (
     gen_prism_grid,
     gen_random_triangulation,
 )
-from peelbound.oracle import (
-    bfs_distances,
-    layer_numbers_by_deletion,
-    peel_count_by_deletion,
-)
+from peelbound.oracle import _deletion_counts, _face_bit_tables, bfs_distances
 from peelbound.peels import (
     Augmentation,
     augment,
@@ -229,7 +227,7 @@ def test_layer_argument_checks():
 def test_layers_match_deletion_oracle(g):
     root = choose_root(g)
     ctx = compute_layers(g, root)
-    assert ctx.layer.tolist() == layer_numbers_by_deletion(g, root)
+    assert ctx.layer.tolist() == layer_numbers_by_union_find(g, root)
     assert ctx.layer[root] == 0
 
 
@@ -246,7 +244,7 @@ def test_layers_smooth_on_edges(g):
 @given(plane_graphs(max_n=40))
 def test_peel_count_matches_deletion_oracle(g):
     for f in range(min(g.face_count, 5)):
-        assert peel_count_for_outerface(g, f) == peel_count_by_deletion(g, f)
+        assert peel_count_for_outerface(g, f) == max(peel_numbers_by_union_find(g, f))
 
 
 @settings(max_examples=100, deadline=None)
@@ -268,7 +266,7 @@ def test_face_peel_counts_match_per_face_routes(seed, steps, components):
         g = connect_components(g)
     counts = face_peel_counts(g)
     assert counts == [peel_count_for_outerface(g, f) for f in range(g.face_count)]
-    assert counts == [peel_count_by_deletion(g, f) for f in range(g.face_count)]
+    assert counts == _deletion_counts(_face_bit_tables(g))
 
 
 def test_face_peel_counts_raise_on_unreached_vertex():
