@@ -305,39 +305,74 @@ def _label_walks(rot_next: array) -> tuple[np.ndarray, int]:
 
 
 def _walk_order(rot_next: array, walk_of_dart: array, count: int) -> tuple[array, array]:
-    """(indptr, flat): each walk's darts from its smallest one, in trace order.
-
-    List ranking (Wyllie, "The complexity of parallel computations", Cornell
-    TR 79-387, 1979) on every orbit, cut just before its smallest dart: each
-    dart doubles its pointer towards the cut and sums the steps on the way,
-    which gives its distance to the walk's last dart.
-    """
+    """(indptr, flat): each walk's darts from its smallest one, in trace order."""
     walk = np.frombuffer(walk_of_dart, dtype=np.int32)
-    m2 = len(walk)
-    size = np.bincount(walk, minlength=count)
-    indptr = np.zeros(count + 1, dtype=np.int32)
-    np.cumsum(size, out=indptr[1:])
-    if not m2:
-        return _int_array(indptr), array("i")
     # the smallest darts of the walks appear in walk id order
     least = np.diff(np.maximum.accumulate(walk), prepend=-1).astype(bool)
-    nxt = _face_next(rot_next)
-    last = least[nxt]  # the dart before its walk's smallest one
-    del least
-    nxt[last] = np.flatnonzero(last)
-    dist = (~last).astype(np.int32)
-    del last
-    # after k rounds a dart sees 2^k steps ahead; the longest walk needs size - 1
-    for _ in range(max(int(size.max()) - 2, 0).bit_length()):
-        dist += dist[nxt]
-        nxt = nxt[nxt]
-    del nxt
-    pos = indptr[1:][walk] - 1
-    pos -= dist
-    del dist
+    return tuple(map(_int_array, _cycle_order(_face_next(rot_next), walk, least, count)))
+
+
+def _rotation_order(
+    rot_next: array, rot_first: array, origin: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, flat) as int32: each vertex's darts from rot_first, in slot order."""
+    first = np.zeros(len(origin), dtype=bool)
+    heads = np.frombuffer(rot_first, dtype=np.int32)
+    first[heads[heads >= 0]] = True
+    return _cycle_order(np.array(rot_next, dtype=np.int32), origin, first, len(rot_first))
+
+
+# _cycle_order walks the cycles in lockstep while at least this many are
+# open, so each numpy round does work for that many darts at least.
+_LOCKSTEP = 256
+
+
+def _cycle_order(
+    nxt: np.ndarray, group: np.ndarray, first: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, flat) as int32: the cycles of ``nxt``, each from its ``first`` dart.
+
+    ``group`` numbers the cycles in [0, count) and ``first`` marks one dart
+    on each; ``nxt`` is overwritten.  All cycles are walked from their first
+    dart at once, one step per round, until fewer than ``_LOCKSTEP`` are
+    open.  The darts of those left are ranked by list ranking (Wyllie, "The
+    complexity of parallel computations", Cornell TR 79-387, 1979), cut just
+    before the first dart: each dart doubles its pointer towards the cut and
+    sums the steps on the way, which gives its distance to the cycle's last
+    dart, and drops out once it points at that dart.
+    """
+    m2 = len(group)
+    size = np.bincount(group, minlength=count)
+    indptr = np.zeros(count + 1, dtype=np.int32)
+    np.cumsum(size, out=indptr[1:])
+    rank = np.empty(m2, dtype=np.int32)  # steps from the cycle's first dart
+    cur = np.flatnonzero(first)
+    step = 0
+    while len(cur) >= _LOCKSTEP:
+        rank[cur] = step
+        cur = nxt[cur]
+        cur = cur[~first[cur]]
+        step += 1
+    if len(cur):
+        left = np.zeros(count, dtype=bool)
+        left[group[cur]] = True
+        todo = darts = np.flatnonzero(left[group])
+        end = darts[first[nxt[darts]]]  # the dart before its cycle's first one
+        nxt[end] = end
+        rank[darts] = 1  # distance to the cycle's last dart, as it grows
+        rank[end] = 0
+        while len(todo):
+            ahead = nxt[todo]
+            rank[todo] += rank[ahead]
+            nxt[todo] = ahead = nxt[ahead]
+            todo = todo[nxt[ahead] != ahead]
+        rank[darts] = size[group[darts]] - 1 - rank[darts]
+    pos = indptr[:-1][group]
+    pos += rank
+    del rank
     flat = np.empty(m2, dtype=np.int32)
     flat[pos] = np.arange(m2, dtype=np.int32)
-    return _int_array(indptr), _int_array(flat)
+    return indptr, flat
 
 
 def _dart_ends(eu: array, ev: array) -> tuple[np.ndarray, np.ndarray]:

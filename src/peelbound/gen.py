@@ -18,7 +18,6 @@ Four constructions:
 from __future__ import annotations
 
 import random
-from array import array
 from typing import Optional
 
 import numpy as np
@@ -28,6 +27,7 @@ from .embed import (
     PlaneGraph,
     _Builder,
     _finish_graph,
+    _int_array,
     build_plane_graph,
     connect_components,
     triangulate_preserving_embedding,
@@ -356,41 +356,86 @@ def _rim_rotation(
 # ---------------------------------------------------------------------------
 
 
+# Dart pair offsets within one step's three edges: a split keeps its slot
+# as (a, s1, q0); a creation fills slot 2 + 2t with (b, s2, q1) and slot
+# 3 + 2t with (c, s0, q2); the two faces of K3 are (0, 2, 4) and (1, 5, 3).
+# Columns: split, even creation, odd creation, slot 0, slot 1.
+_SECOND = np.array([2, 4, 0, 2, 5], np.int32)
+_THIRD = np.array([1, 3, 5, 4, 3], np.int32)
+
+
 def gen_random_triangulation(n: int, seed: int) -> PlaneGraph:
     """Triangulation grown by seeded random vertex insertion into faces.
 
     Deterministic per seed; not a uniform sampler.  Each step picks a face,
     adds one vertex inside it, and joins it to the three corners, so the
     result is simple and triangulated with 2n-4 faces.
+
+    The faces live in slots: K3's two faces in slots 0 and 1, and step t
+    (new vertex 3 + t, new edges 3 + 3t + j with darts s_j = 2(3 + 3t + j)
+    from corner j and q_j = s_j + 1 back) splits the slot p it drew, holding
+    darts (a, b, c), into (a, s1, q0) in slot p, (b, s2, q1) in slot 2 + 2t
+    and (c, s0, q2) in slot 3 + 2t.  A slot's first dart and its first two
+    corners never change; its other two darts and its last corner come from
+    its latest event, its previous split or its creation.  So the steps are
+    replayed at once: a stable sort of the drawn slots gives each step's
+    previous split, pointer jumping over parent slots gives the first two
+    corners, and the final slots give ``rot_next``, since a face's darts
+    follow each other: ``rot_next[x ^ 1]`` is the dart after x.
     """
     if n < 4:
         raise ValueError("need at least four vertices")
-    k3 = build_plane_graph(3, [(0, 1), (1, 2), (2, 0)], [[0, 2], [1, 0], [2, 1]])
-    b = _Builder.from_graph(k3)
-    rn = b.rot_next
-    faces = array("i", k3.walk(0) + k3.walk(1))
-    nfaces = 2
+    steps = n - 3
+    slots = 2 + 2 * steps
     rng = random.Random(seed)
-    for _ in range(n - 3):
-        idx = rng.randrange(nfaces)
-        base = 3 * idx
-        tri = faces[base], faces[base + 1], faces[base + 2]
-        vnew = b.new_vertex()
-        spokes = []
-        for d in tri:
-            spokes.append(2 * b._new_edge(b.origin(d), vnew))
-        for t in range(3):
-            slot = tri[t - 1] ^ 1  # corner at the origin of tri[t]
-            if rn[slot] != tri[t]:
-                raise InvariantError(f"face list out of step with the rotation at dart {tri[t]}")
-            rn[slot] = spokes[t]
-            rn[spokes[t]] = tri[t]
-        q0, q1, q2 = (sp ^ 1 for sp in spokes)
-        b.set_rotation(vnew, [q0, q2, q1])
-        faces[base : base + 3] = array("i", (tri[0], spokes[1], q0))
-        faces.extend((tri[1], spokes[2], q1))
-        faces.extend((tri[2], spokes[0], q2))
-        nfaces += 2
+    # step t draws one of the 2 + 2t slots there are, as the insertion loop did
+    idx = np.fromiter(map(rng.randrange, range(2, slots, 2)), np.int32, steps)
+    # a stable sort of idx: the step breaks ties in the key, which numpy's
+    # default sort handles about three times as fast as kind="stable"
+    order = np.argsort((idx.astype(np.int64) << 32) | np.arange(steps))
+    drawn = idx[order]
+    again = drawn[1:] == drawn[:-1]
+    prev = np.full(steps, -1, np.int32)
+    prev[order[1:][again]] = order[:-1][again]
+    last = np.full(slots, -1, np.int32)
+    ends = np.append(~again, True)
+    last[drawn[ends]] = order[ends]
+
+    def tail(slot: np.ndarray, split: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Second and third dart and last corner of each slot after ``split``."""
+        event = np.where(split >= 0, split, (slot - 2) >> 1)  # K3's slots: step -1
+        kind = np.where(split >= 0, 0, np.where(slot < 2, 3 + slot, 1 + (slot & 1)))
+        base = 6 + 6 * event
+        return base + _SECOND[kind], base + _THIRD[kind], event + 3
+
+    second, third, corner = tail(idx, prev)
+    first = np.empty(slots, np.int32)
+    first[:2] = 0, 1
+    first[2::2], first[3::2] = second, third
+    # first two corners: slot 2 + 2t holds (p's corner 1, corner), slot
+    # 3 + 2t (corner, p's corner 0); follow the parents to a known one
+    val = np.empty(2 * slots, np.int32)
+    val[:4] = 0, 1, 1, 0
+    val[5::4] = val[6::4] = corner
+    ptr = np.arange(2 * slots, dtype=np.int32)
+    ptr[4::4] = 2 * idx + 1
+    ptr[7::4] = 2 * idx
+    todo = np.flatnonzero(ptr != np.arange(2 * slots))
+    while todo.size:  # pointer jumping on the entries not yet at a known one
+        ptr[todo] = up = ptr[ptr[todo]]
+        todo = todo[ptr[up] != up]
+    corners = val[ptr].reshape(slots, 2)[idx]
+
+    face = np.empty((slots, 3), np.int32)
+    face[:, 0] = first
+    face[:, 1], face[:, 2] = tail(np.arange(slots, dtype=np.int32), last)[:2]
+    rot_next = np.empty(6 + 6 * steps, np.int32)
+    rot_next[face ^ 1] = np.roll(face, -1, axis=1)
+    b = _Builder(n)
+    b.eu = _int_array(np.concatenate(([0, 1, 2], np.column_stack((corners, corner)).ravel())))
+    b.ev = _int_array(np.concatenate(([1, 2, 0], np.repeat(np.arange(3, n, dtype=np.int32), 3))))
+    b.rot_next = _int_array(rot_next)
+    b.rot_first = _int_array(np.concatenate(([0, 2, 4], np.arange(7, 6 * steps + 7, 6))))
     out = _finish_graph(b, meta={"family": "random", "n": n, "seed": seed})
     if not (out.triangulated and out.simple):
         raise InvariantError("random triangulation is not a simple triangulation")

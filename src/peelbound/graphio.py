@@ -11,7 +11,9 @@ numbers face f as walk f).  It lists each face's walks in ascending order,
 whatever order the document that built the graph used.
 
 :func:`dumps_plane_graph` writes one fixed layout: keys sorted, no spaces.
-:func:`loads_plane_graph` reads the ``edges`` and ``rotation`` values of text
+It writes the ``edges`` and ``rotation`` values as digits straight from
+int32 arrays, the inverse of the reader below, and only the small rest
+through ``json.dumps``.  :func:`loads_plane_graph` reads the ``edges`` and ``rotation`` values of text
 in that layout straight into flat int32 arrays, with bulk byte scans in
 numpy instead of a per-token parser (the idea of Langdale & Lemire, "Parsing
 Gigabytes of JSON per Second", VLDB Journal 28, 2019); ``json.loads`` reads
@@ -27,7 +29,14 @@ from typing import IO, Optional, Union
 
 import numpy as np
 
-from .embed import FlatRows, GraphFormatError, PlaneGraph, _face_rows, build_plane_graph
+from .embed import (
+    FlatRows,
+    GraphFormatError,
+    PlaneGraph,
+    _face_rows,
+    _rotation_order,
+    build_plane_graph,
+)
 
 __all__ = [
     "dump_plane_graph",
@@ -42,16 +51,19 @@ FORMAT_TAG = "plane-graph/1"
 
 def to_document(g: PlaneGraph) -> dict:
     """Plain-dict form of a graph, ready for json.dumps."""
-    doc: dict = {
-        "format": FORMAT_TAG,
-        "n": g.n,
-        "edges": [[g.eu[e], g.ev[e]] for e in range(g.m)],
-        "rotation": [g.rotation_edges(v) for v in range(g.n)],
-        "flags": {
-            "simple": g.simple,
-            "connected": g.connected,
-            "triangulated": g.triangulated,
-        },
+    ends, rotation, degree = _row_arrays(g)
+    return _document(g, (ends.reshape(-1, 2).tolist(), list(FlatRows(rotation, degree))))
+
+
+def _document(g: PlaneGraph, rows: Optional[tuple[list, list]]) -> dict:
+    """The document, with its ``edges`` and ``rotation`` rows if given."""
+    doc: dict = {"format": FORMAT_TAG, "n": g.n}
+    if rows is not None:
+        doc["edges"], doc["rotation"] = rows
+    doc["flags"] = {
+        "simple": g.simple,
+        "connected": g.connected,
+        "triangulated": g.triangulated,
     }
     face_of_walk = np.frombuffer(g.face_of_walk, dtype=np.int32)
     if not np.array_equal(face_of_walk, np.arange(len(face_of_walk))):
@@ -59,6 +71,18 @@ def to_document(g: PlaneGraph) -> dict:
     if g.meta:
         doc["meta"] = g.meta
     return doc
+
+
+def _row_arrays(g: PlaneGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ends, rotation, degree) as int32: the ``edges`` rows flat, eu[e] then
+    ev[e] (the origin of dart 2e, then of 2e + 1), and each vertex's edge
+    ids in slot order, flat, with the length of its row."""
+    ends = np.empty(2 * g.m, dtype=np.int32)
+    ends[0::2] = np.frombuffer(g.eu, dtype=np.int32)
+    ends[1::2] = np.frombuffer(g.ev, dtype=np.int32)
+    indptr, darts = _rotation_order(g.rot_next, g.rot_first, ends)
+    darts >>= 1
+    return ends, darts, np.diff(indptr)
 
 
 def from_document(doc: dict) -> PlaneGraph:
@@ -93,8 +117,84 @@ def from_document(doc: dict) -> PlaneGraph:
 
 
 def dumps_plane_graph(g: PlaneGraph) -> str:
-    """Canonical (sorted-key, compact) JSON text."""
-    return json.dumps(to_document(g), sort_keys=True, separators=(",", ":"))
+    """Canonical (sorted-key, compact) JSON text of :func:`to_document`.
+
+    The ``edges`` and ``rotation`` values are written from int32 arrays
+    (:func:`_rows_text`); ``json.dumps`` writes the rest, whose keys all
+    sort between those two, and its text is spliced in between.
+    """
+    ends, rotation, degree = _row_arrays(g)
+    rest = json.dumps(_document(g, None), sort_keys=True, separators=(",", ":"))
+    text = b"".join(
+        (
+            _HEAD.encode(),
+            _rows_text(ends, np.full(g.m, 2, dtype=np.int32)),
+            b",",
+            rest[1:-1].encode(),
+            _ROTATION.encode(),
+            _rows_text(rotation, degree),
+            b"}",
+        )
+    )
+    return text.decode("ascii")
+
+
+# Ids per block of _rows_text's byte table, small enough to stay in cache.
+_TEXT_BLOCK = 1 << 16
+
+
+def _rows_text(ids: np.ndarray, lens: np.ndarray) -> bytes:
+    """Compact JSON of rows of non-negative int32 ids: ``[[0,1],[],[2]]``.
+
+    The inverse of :func:`_rows`.  Each id writes a '[' if it opens its row,
+    its digits, a ']' if it closes its row and a ',' if not, and a ',' after
+    a row but the last; an empty row stands as one id without digits.  They
+    go into a byte table, one row per id, with a NUL in every byte an id
+    does not write, and the text is the table with its NULs deleted.
+    """
+    if not len(lens):
+        return b"[]"
+    real = None
+    if not lens.all():
+        real = np.repeat(lens > 0, np.maximum(lens, 1))
+        lens = np.maximum(lens, 1)
+        spread = np.zeros(len(real), dtype=np.int32)
+        spread[real] = ids
+        ids = spread
+    digits = np.ones(len(ids), dtype=np.int8)
+    for power in _POWERS:
+        wide = ids >= power
+        if not wide.any():
+            break
+        digits += wide
+    if real is not None:
+        digits[~real] = 0
+    closes = np.zeros(len(ids), dtype=bool)
+    closes[np.cumsum(lens) - 1] = True
+    opens = np.roll(closes, 1)
+    after = closes.copy()
+    after[-1] = False
+    width = int(digits.max())
+    blocks = (
+        _text_block(*(x[at : at + _TEXT_BLOCK] for x in (ids, digits, opens, closes, after)), width)
+        for at in range(0, len(ids), _TEXT_BLOCK)
+    )
+    return b"".join((b"[", *blocks, b"]"))
+
+
+def _text_block(ids, digits, opens, closes, after, width: int) -> bytes:
+    """The bytes a run of ids writes, from a table of ``width + 3`` columns:
+    '[', the digits right-aligned, ']' or ',', and ','."""
+    table = np.empty((len(ids), width + 3), dtype=np.uint8)
+    table[:, 0] = opens * np.uint8(ord("["))
+    rest = ids
+    for k in range(width, 0, -1):
+        quot = rest // 10
+        table[:, k] = (rest - quot * 10 + ord("0")) * (digits > width - k)
+        rest = quot
+    table[:, -2] = np.where(closes, ord("]"), ord(","))
+    table[:, -1] = after * np.uint8(ord(","))
+    return table.tobytes().translate(None, b"\0")
 
 
 def loads_plane_graph(text: str) -> PlaneGraph:
@@ -264,11 +364,15 @@ def _rows(buf: bytes, split: int) -> Optional[tuple[FlatRows, FlatRows]]:
 
 
 def dump_plane_graph(g: PlaneGraph, fp: Union[str, IO[str]]) -> None:
+    """Write the canonical text and a newline; the text is built before a
+    path is opened, so a graph that fails to serialize leaves the file as
+    it was."""
+    text = dumps_plane_graph(g) + "\n"
     if isinstance(fp, str):
         with open(fp, "w", encoding="utf-8") as fh:
-            fh.write(dumps_plane_graph(g) + "\n")
+            fh.write(text)
     else:
-        fp.write(dumps_plane_graph(g) + "\n")
+        fp.write(text)
 
 
 def load_plane_graph(fp: Union[str, IO[str]]) -> PlaneGraph:

@@ -1215,3 +1215,65 @@ def connect_within_node(
     bound = max(2 * ceil_sqrt(a0) - 2, 4) + slack
     assert len(walk) - 1 <= bound, f"walk length {len(walk) - 1} exceeds {bound}"
     return walk
+
+
+def random_triangulation_by_insertion(n: int, seed: int) -> PlaneGraph:
+    """Reference for ``gen.gen_random_triangulation``: the insertion loop itself.
+
+    Face slot ``idx`` holds darts ``faces[3 idx : 3 idx + 3]``; each step
+    draws a slot, puts a vertex in its face, splices the three spokes into
+    the corners' rotations and writes the three new faces back, the first
+    into the drawn slot and the others at the end.
+    """
+    if n < 4:
+        raise ValueError("need at least four vertices")
+    k3 = build_plane_graph(3, [(0, 1), (1, 2), (2, 0)], [[0, 2], [1, 0], [2, 1]])
+    b = _Builder.from_graph(k3)
+    rn = b.rot_next
+    faces = array("i", k3.walk(0) + k3.walk(1))
+    nfaces = 2
+    rng = random.Random(seed)
+    for _ in range(n - 3):
+        idx = rng.randrange(nfaces)
+        base = 3 * idx
+        tri = faces[base], faces[base + 1], faces[base + 2]
+        vnew = b.new_vertex()
+        spokes = []
+        for d in tri:
+            spokes.append(2 * b._new_edge(b.origin(d), vnew))
+        for t in range(3):
+            slot = tri[t - 1] ^ 1  # corner at the origin of tri[t]
+            if rn[slot] != tri[t]:
+                raise InvariantError(f"face list out of step with the rotation at dart {tri[t]}")
+            rn[slot] = spokes[t]
+            rn[spokes[t]] = tri[t]
+        q0, q1, q2 = (sp ^ 1 for sp in spokes)
+        b.set_rotation(vnew, [q0, q2, q1])
+        faces[base : base + 3] = array("i", (tri[0], spokes[1], q0))
+        faces.extend((tri[1], spokes[2], q1))
+        faces.extend((tri[2], spokes[0], q2))
+        nfaces += 2
+    out = _finish_graph(b, meta={"family": "random", "n": n, "seed": seed})
+    if not (out.triangulated and out.simple):
+        raise InvariantError("random triangulation is not a simple triangulation")
+    return out
+
+
+def document_by_rows(g: PlaneGraph) -> dict:
+    """Reference for ``graphio.to_document``: every row built in Python."""
+    doc: dict = {
+        "format": "plane-graph/1",
+        "n": g.n,
+        "edges": [[g.eu[e], g.ev[e]] for e in range(g.m)],
+        "rotation": [g.rotation_edges(v) for v in range(g.n)],
+        "flags": {
+            "simple": g.simple,
+            "connected": g.connected,
+            "triangulated": g.triangulated,
+        },
+    }
+    if list(g.face_of_walk) != list(range(g.walk_count)):
+        doc["faces"] = [list(group) for group in face_walks(g)]
+    if g.meta:
+        doc["meta"] = g.meta
+    return doc

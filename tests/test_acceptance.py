@@ -9,6 +9,7 @@ tree oracle) run on the size-guarded slice of the corpus; certified bounds
 are checked everywhere.
 """
 
+import json
 import math
 import time
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from conftest import record_criterion
 from helpers import (
     children_of,
     connect_within_node,
+    document_by_rows,
     edge_endpoints,
     is_bipartite,
     peel_numbers_by_union_find,
@@ -64,6 +66,7 @@ from peelbound.peels import (
     compute_layers,
     peel_count_for_outerface,
 )
+from peelbound.graphio import dumps_plane_graph, loads_plane_graph, to_document
 from test_center import diameter_of_tree
 from test_peels import expected_tree_nodes, tree_nodes
 
@@ -541,3 +544,13 @@ FENCE_GIRTH = {
 def test_fence_girth_frozen_on_corpus(corpus):
     got = {e.name: fence_girth_bruteforce(e.graph) for e in corpus if e.graph.n <= 60}
     assert got == FENCE_GIRTH
+
+
+def test_writer_matches_rows_on_corpus(corpus):
+    for e in corpus:
+        text = dumps_plane_graph(e.graph)
+        assert text == json.dumps(
+            document_by_rows(e.graph), sort_keys=True, separators=(",", ":")
+        ), e.name
+        assert to_document(e.graph) == document_by_rows(e.graph), e.name
+        assert dumps_plane_graph(loads_plane_graph(text)) == text, e.name

@@ -1,12 +1,13 @@
 """Round trips and format validation for the plane-graph JSON documents."""
 
 import gc
+import hashlib
 import io
 import json
 
 import pytest
 
-from helpers import edge_endpoints, face_walks, random_plane_map
+from helpers import document_by_rows, edge_endpoints, face_walks, random_plane_map
 from peelbound.embed import GraphFormatError, build_plane_graph, connect_components
 from peelbound.gen import (
     gen_lowerbound_H,
@@ -162,3 +163,104 @@ def test_loads_leaves_gc_state_as_found(enabled, text):
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was else gc.disable()
+
+
+# ---------------------------------------------------------------------------
+# The writer against the per-row document
+# ---------------------------------------------------------------------------
+
+
+def canonical_by_rows(g):
+    """What dumps_plane_graph wrote when every row was built in Python."""
+    return json.dumps(document_by_rows(g), sort_keys=True, separators=(",", ":"))
+
+
+def check_writer(g, label=""):
+    text = dumps_plane_graph(g)
+    assert text == canonical_by_rows(g), label
+    assert to_document(g) == document_by_rows(g), label
+    back = loads_plane_graph(text)
+    assert same_graph(g, back) and back.meta == g.meta, label
+    assert dumps_plane_graph(back) == text, label
+
+
+@pytest.mark.parametrize("start", range(0, 300, 30))
+def test_writer_matches_rows_on_random_maps(start):
+    # loops, multi-edges, lone vertices, and faces of several walks
+    for seed in range(start, start + 30):
+        check_writer(random_plane_map(seed, seed % 25, 1 + seed % 3), f"seed {seed}")
+
+
+def test_writer_lone_vertex():
+    g = build_plane_graph(1, [], [[]])
+    check_writer(g)
+    assert dumps_plane_graph(g) == (
+        '{"edges":[],"flags":{"connected":true,"simple":true,"triangulated":false},'
+        '"format":"plane-graph/1","n":1,"rotation":[[]]}'
+    )
+
+
+def test_writer_nested_non_ascii_meta():
+    meta = {
+        "z": "\u00e9t\u00e9 \u65e5\u672c",
+        "a": {"list": [1, {"y": None, "b": 2.5}], "s": ',"rotation":[]'},
+    }
+    g = build_plane_graph(3, [(0, 1), (1, 2), (2, 0)], [[0, 2], [1, 0], [2, 1]], meta=meta)
+    check_writer(g)
+    assert dumps_plane_graph(g).isascii()
+
+
+def test_failed_dump_leaves_file_as_it_was(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text("old contents\n", encoding="utf-8")
+    g = build_plane_graph(1, [], [[]], meta={"tags": {1, 2}})  # a set is not JSON
+    with pytest.raises(TypeError):
+        dump_plane_graph(g, str(path))
+    assert path.read_text(encoding="utf-8") == "old contents\n"
+
+
+# The sha256 of the canonical text of every graph the benchmark's two
+# workloads generate at seed 1: the random triangulations, prisms and
+# lower-bound graphs of one, the lower-bound graphs and nested cycles of the
+# other.  A change that moves one generated or written byte fails here.
+GENERATED_TEXT_SHA256 = [
+    ("random", (32768, 1001), "27cc32e90d3b4dde4bf24496f8c3a27b7e950dff7e2bc2ae8ed0339ddd2693f9"),
+    ("random", (32768, 1002), "906bd7adf107e713dc0ca252a4b6c48c8f87cf46c1743f8daa8c269ac6a9cf96"),
+    ("random", (300, 1003), "4030088e5426bb67f3ce7bd9e585298a5270a68fef7832bca4428e7055bfc549"),
+    ("random", (200, 1004), "a34c280600e0d257dbe426532d5e85e8455f83801a00feaf6787029d9124c0c1"),
+    ("prism", (2,), "e758b8a1ed485e5f6434c85782838e10bcbf3ce63e1d700dd1e34bd38000cf8c"),
+    ("random", (100, 1005), "1d1ed1eb8b4348265422a582e90e76788fbc6e4226cc8dde477f5d1386ad1397"),
+    ("prism", (3,), "ae17311e40e40d88cb8f1bc35c54cb1eb8166a6cd894beab4884a79d6e4fb28b"),
+    ("random", (40, 1006), "9645e50a42015d5c32c5f5683d0fc08da5814106693241a399d32fcef8e85330"),
+    ("lowerbound-h", (4, 6001), "8831542597c1acdd8be264801eb1ba474a1fc312415fae33c288d27648413c7a"),
+    ("nested", (16, 99), "c96228ee35f3d751ea5fc7540a1bd585b4e93b6417acc39f03b39eb5cde8e5fb"),
+    ("lowerbound-h", (9, 2001), "0197d100665c6e3cdc91a06a71f4c62804abbdf553ccbde84a99fe680e2cd882"),
+    ("nested", (8, 149), "8f5426e3a954f8d03e327eaf42f3e3537b20550b18a8ff2f3d12f609db8228e8"),
+    ("lowerbound-h", (4, 51), "fdfed96682427dec2eb891e4be6c0d6922538ac9ce3c3354193fc614c6f2f1ff"),
+    ("nested", (4, 51), "7a59222f40e581a302d8b6e9a71aa8515e36d7342d92542088b96732c5d31135"),
+    ("lowerbound-h", (9, 41), "5e4f091b202c9ee7ed5d381cc64fd71f22ce776c3fe91389159af22779d55b25"),
+    ("nested", (6, 41), "83d08280c3358dc607c3c140a05bbd21edab4e0d5f0a4c25f2df44b138cb9f04"),
+    ("lowerbound-h", (3, 9), "bf23a67d9297a80df5fc2de359313dc1221c34add0de7ff3048dff2b5cf28bd0"),
+    ("nested", (3, 21), "db27f0debe823c4794c4ed8248aaf1a99e4f71854861de583f790f45439e86c5"),
+    ("lowerbound-h", (5, 9), "ff68c633d4eec9bc6e563630ba352030914893ee5df22b6b9610e74d57698d1b"),
+    ("nested", (4, 11), "9713939d70a08ce2f7f216a3f4606667841ba5af442ebbc2c49c4e473477c17d"),
+    ("lowerbound-h", (4, 7), "797944e7cc2d7d8ad7465a01d44a303c765366357681b02127d34333dddb4b11"),
+    ("nested", (6, 9), "518ff504a0ba7751a2af85a0af0ebd668b8c5532edbf4e540705bbaa775c344f"),
+    ("lowerbound-h", (9, 5), "57b29196acc360e0ee0319c4f456c8747b8261ec67e33b329d87e7bd9cc41a2b"),
+]
+FAMILIES = {
+    "random": gen_random_triangulation,
+    "prism": gen_prism_grid,
+    "lowerbound-h": gen_lowerbound_H,
+    "nested": gen_nested_cycles,
+}
+
+
+@pytest.mark.parametrize(
+    "family,params,digest",
+    GENERATED_TEXT_SHA256,
+    ids=["-".join([f, *map(str, p)]) for f, p, _ in GENERATED_TEXT_SHA256],
+)
+def test_generated_text_is_pinned(family, params, digest):
+    text = dumps_plane_graph(FAMILIES[family](*params))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
