@@ -180,12 +180,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def _annotation_checks(g: PlaneGraph, cert: dict) -> list[tuple[str, bool, str]]:
     """Cross-check certificate claims against the bounds the generator
-    promised in the graph metadata."""
-    checks: list[tuple[str, bool, str]] = []
+    promised in the graph metadata.  An annotation that is present but not
+    an integer (a float, a string, a bool) raises ValueError."""
     meta = g.meta or {}
+    for key in ("fse_at_least", "diam_at_most", "rad_at_least"):
+        value = meta.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"meta annotation {key!r} must be an integer, got {value!r}")
+    checks: list[tuple[str, bool, str]] = []
     if "fse_at_least" in meta and cert.get("bound") is not None:
-        floor = int(meta["fse_at_least"])
-        peel_bound = int(cert["bound"]) + 1
+        floor = meta["fse_at_least"]
+        peel_bound = cert["bound"] + 1
         checks.append(
             (
                 "family-fse-floor",
@@ -202,7 +207,7 @@ def _annotation_checks(g: PlaneGraph, cert: dict) -> list[tuple[str, bool, str]]
             checks.append(
                 (
                     "family-diameter",
-                    diam <= int(meta["diam_at_most"]),
+                    diam <= meta["diam_at_most"],
                     f"diameter {diam} vs promised <= {meta['diam_at_most']}",
                 )
             )
@@ -211,7 +216,7 @@ def _annotation_checks(g: PlaneGraph, cert: dict) -> list[tuple[str, bool, str]]
             checks.append(
                 (
                     "family-radius",
-                    rad >= int(meta["rad_at_least"]),
+                    rad >= meta["rad_at_least"],
                     f"radius {rad} vs promised >= {meta['rad_at_least']}",
                 )
             )
@@ -230,11 +235,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _say("error: certificate file must hold a JSON object")
         return EXIT_INPUT
     try:
-        report = verify_certificate(cert, g)
-    except ValueError as exc:  # a field that is not an integer, or a bad graph
+        checks = list(verify_certificate(cert, g).checks) + _annotation_checks(g, cert)
+    except ValueError as exc:  # a field or annotation that is not an integer, or a bad graph
         _say(f"error: {exc}")
         return EXIT_INPUT
-    checks = list(report.checks) + _annotation_checks(g, cert)
     ok = all(passed for _, passed, _ in checks)
     _emit(
         {

@@ -107,14 +107,7 @@ class PlaneGraph:
             d = self.rot_next[d]
         return out
 
-    def rotation_edges(self, v: int) -> list[int]:
-        return [d >> 1 for d in self.rotation_darts(v)]
-
     # -- walks and faces ---------------------------------------------------
-
-    @property
-    def walk_count(self) -> int:
-        return self._dart_walks + len(self.lone_walk_vertex)
 
     @property
     def dart_walk_count(self) -> int:
@@ -143,31 +136,12 @@ class PlaneGraph:
             return []
         return list(self.walk_flat[self.walk_indptr[w] : self.walk_indptr[w + 1]])
 
-    def walk_vertices(self, w: int) -> list[int]:
-        nd = self.dart_walk_count
-        if w >= nd:
-            return [self.lone_walk_vertex[w - nd]]
-        return [self.origin(d) for d in self.walk(w)]
-
-    def face_of_dart(self, d: int) -> int:
-        return self.face_of_walk[self.walk_of_dart[d]]
-
-    def faces_of_vertex(self, v: int) -> list[int]:
-        """Distinct incident faces in rotation order (isolated: its host face)."""
-        if self.rot_first[v] < 0:  # lone walks follow the dart walks, by vertex
-            w = self._dart_walks + bisect_left(self.lone_walk_vertex, v)
-            return [self.face_of_walk[w]]
-        seen: set[int] = set()
-        out: list[int] = []
-        for d in self.rotation_darts(v):
-            f = self.face_of_dart(d)
-            if f not in seen:
-                seen.add(f)
-                out.append(f)
-        return out
-
     def first_face_of_vertex(self, v: int) -> int:
-        return self.faces_of_vertex(v)[0]
+        """The face of v's first dart in slot order (isolated: its host face)."""
+        d = self.rot_first[v]
+        if d < 0:  # lone walks follow the dart walks, by vertex
+            return self.face_of_walk[self._dart_walks + bisect_left(self.lone_walk_vertex, v)]
+        return self.face_of_walk[self.walk_of_dart[d]]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -202,11 +176,6 @@ class _Builder:
         b.rot_next = array("i", g.rot_next)
         b.rot_first = array("i", g.rot_first)
         return b
-
-    def new_vertex(self) -> int:
-        self.rot_first.append(-1)
-        self.n += 1
-        return self.n - 1
 
     def _new_edge(self, u: int, v: int) -> int:
         e = len(self.eu)
@@ -257,15 +226,6 @@ class _Builder:
         self.rot_first[u] = 2 * e
         self.rot_first[v] = 2 * e + 1
         return e
-
-    def set_rotation(self, v: int, darts: Sequence[int]) -> None:
-        """Install a full rotation for v (darts in slot order)."""
-        if not darts:
-            self.rot_first[v] = -1
-            return
-        self.rot_first[v] = darts[0]
-        for a, bnext in zip(darts, list(darts[1:]) + [darts[0]]):
-            self.rot_next[a] = bnext
 
 
 # ---------------------------------------------------------------------------
@@ -937,10 +897,10 @@ def radial_bfs(
 def vertex_bfs(g: PlaneGraph, source: int) -> np.ndarray:
     """Hop distances from source along g's edges, int64, -1 where unreachable.
 
-    The contract of ``oracle.bfs_distances``, computed by :func:`_bfs_levels`
-    over the vertex-to-neighbour CSR of g's cached view (``vf_indptr``,
-    ``vf_heads``), so the search shares its level loop and its view with
-    :func:`radial_bfs`.
+    The contract of its reference ``tests/helpers.bfs_distances``, computed
+    by :func:`_bfs_levels` over the vertex-to-neighbour CSR of g's cached
+    view (``vf_indptr``, ``vf_heads``), so the search shares its level loop
+    and its view with :func:`radial_bfs`.
     """
     if not (0 <= source < g.n):
         raise ValueError("source vertex out of range")

@@ -4,10 +4,9 @@ Everything here is deliberately definition-shaped and independent of the
 fast pipeline: peel counts come from literally deleting outer-face vertices
 round by round (each deleted edge joins its two faces, and a face that so
 reaches the outer region floods its joined neighbours into it; the next
-round peels the vertices on the faces that just joined), distances come
-from plain breadth-first search on adjacency lists,
-and fence-girth comes from exhaustive simple-cycle enumeration plus a
-Jordan-side test.  Costs are desk-scale by design.
+round peels the vertices on the faces that just joined), and fence-girth
+comes from exhaustive simple-cycle enumeration plus a Jordan-side test.
+Costs are desk-scale by design.
 
 The literal deletion has one route, :func:`_deletion_counts`: it runs the
 rounds for every outerface at once, one bit per face in uint64 rows, and
@@ -19,13 +18,15 @@ reads.  The tests hold it face by face to a union-find deletion that
 rescans every face each round (``tests/helpers.py``).
 
 Three exceptions read the pipeline's numpy searches on g's cached
-incidence view, and the tests hold each to a pure-Python route:
+incidence view, and the tests hold each to a pure-Python route; the
+reference for distances is a plain breadth-first search on adjacency
+lists, ``tests/helpers.bfs_distances``:
 
 - :func:`verify_certificate` runs at full scale on every certificate the
   CLI checks, so it reads ecc_H(s) from :func:`embed.vertex_bfs`, held to
-  :func:`bfs_distances`;
+  ``bfs_distances``;
 - :func:`all_eccentricities` runs one bit-parallel BFS from every vertex
-  at once, held to one :func:`bfs_distances` per vertex;
+  at once, held to one ``bfs_distances`` per vertex;
 - the cross-check in :func:`fse_outerplanarity_bruteforce` recounts every
   face by one bit-parallel radial BFS (:func:`peels.face_peel_counts`),
   held to the literal deletion it checks.
@@ -34,7 +35,6 @@ incidence view, and the tests hold each to a pure-Python route:
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
@@ -50,25 +50,19 @@ from .embed import (
     _cached_incidence,
     _source_flags,
     connect_components,
-    triangulate_preserving_embedding,
     vertex_bfs,
 )
 
 __all__ = [
     "OracleBudgetError",
     "OracleReport",
-    "SimpleBoundReport",
     "VerifyReport",
     "all_eccentricities",
-    "bfs_distances",
     "diameter_exact",
-    "eccentricity",
     "fence_girth_bruteforce",
     "fse_outerplanarity_bruteforce",
     "full_oracle_report",
-    "girth_bruteforce",
     "radius_exact",
-    "simple_bound_check",
     "verify_certificate",
 ]
 
@@ -78,43 +72,8 @@ class OracleBudgetError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Plain BFS distances (pure python on adjacency lists, kept independent of
-# the numpy machinery in embed on purpose)
+# Eccentricities
 # ---------------------------------------------------------------------------
-
-
-def _adjacency(g: PlaneGraph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for e in range(g.m):
-        u, v = g.eu[e], g.ev[e]
-        adj[u].append(v)
-        if u != v:
-            adj[v].append(u)
-    return adj
-
-
-def bfs_distances(g: PlaneGraph, source: int, adj: Optional[list[list[int]]] = None) -> list[int]:
-    """Hop distances from source; -1 where unreachable."""
-    if adj is None:
-        adj = _adjacency(g)
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                queue.append(w)
-    return dist
-
-
-def eccentricity(g: PlaneGraph, v: int) -> int:
-    dist = bfs_distances(g, v)
-    if min(dist) < 0:
-        raise ValueError("eccentricity undefined: graph is disconnected")
-    return max(dist)
 
 
 def all_eccentricities(g: PlaneGraph) -> list[int]:
@@ -123,8 +82,8 @@ def all_eccentricities(g: PlaneGraph) -> list[int]:
     One bit-parallel BFS from all vertices at once (``embed._bit_bfs``)
     over the neighbour CSR of g's incidence view (``vf_indptr``,
     ``vf_heads``): the last level at which a source reaches a new vertex is
-    its eccentricity.  The tests hold it to one :func:`bfs_distances` per
-    vertex.
+    its eccentricity.  The tests hold it to one
+    ``tests/helpers.bfs_distances`` per vertex.
     """
     vf_indptr, _, vf_heads, _, _ = _cached_incidence(g)
     last, full = _bit_bfs(((vf_indptr, vf_heads),))
@@ -156,7 +115,7 @@ class _FaceBitTables(NamedTuple):
     vf_indptr: np.ndarray  # vertex v's faces are vf_faces[vf_indptr[v]:vf_indptr[v + 1]]
     vf_faces: np.ndarray  # the face of each dart leaving v; a lone vertex: its host face
     ends: np.ndarray  # (eu, ev): row k, column e is end k of edge e
-    sides: np.ndarray  # row k, column e is face_of_dart(2e + k)
+    sides: np.ndarray  # row k, column e is the face of dart 2e + k
 
 
 def _face_bit_tables(g: PlaneGraph) -> _FaceBitTables:
@@ -262,9 +221,6 @@ class FseBruteResult:
     value: int
     face: int
     per_face: list[int]
-
-    def __iter__(self):  # allow (value, face) unpacking
-        return iter((self.value, self.face))
 
 
 def fse_outerplanarity_bruteforce(g: PlaneGraph, threads: int = 1) -> FseBruteResult:
@@ -391,82 +347,22 @@ def _is_fence(
     return False
 
 
-def fence_girth_bruteforce(
-    g: PlaneGraph,
-    max_len: Optional[int] = None,
-    budget: int = 5_000_000,
-) -> Union[int, float]:
+def fence_girth_bruteforce(g: PlaneGraph, budget: int = 5_000_000) -> Union[int, float]:
     """Shortest length of a separating cycle, or math.inf if none exists.
 
     Exponential in the worst case; guarded to n <= 60.
     """
     if g.n > 60:
         raise ValueError(f"fence-girth brute force guarded to n <= 60 (n={g.n})")
-    if max_len is None:
-        max_len = g.n  # a simple cycle repeats no vertex
     remaining = [budget]
     t = _face_bit_tables(g)
     sides = t.sides.tolist()
     first_face = t.vf_faces[t.vf_indptr[:-1]].tolist()
-    for L in range(1, max_len + 1):
+    for L in range(1, g.n + 1):  # a simple cycle repeats no vertex
         for cycle in _simple_cycles_of_length(g, L, remaining):
             if _is_fence(g, sides, first_face, cycle):
                 return L
     return math.inf
-
-
-def girth_bruteforce(
-    g: PlaneGraph, max_len: Optional[int] = None, budget: int = 5_000_000
-) -> Union[int, float]:
-    """Length of the shortest cycle (loops count 1), or math.inf if acyclic."""
-    if max_len is None:
-        max_len = g.n
-    remaining = [budget]
-    for L in range(1, max_len + 1):
-        for _cycle in _simple_cycles_of_length(g, L, remaining):
-            return L
-    return math.inf
-
-
-# ---------------------------------------------------------------------------
-# The radius/triangulation bound
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SimpleBoundReport:
-    bound: int
-    outerface: int
-    realized: int
-    center: int
-    radius: int
-    radius_triangulated: int
-
-    def __iter__(self):  # (bound, outerface) unpacking
-        return iter((self.bound, self.outerface))
-
-
-def simple_bound_check(g: PlaneGraph) -> SimpleBoundReport:
-    """Certify peel count <= min(1 + rad(G), (n+26)//6) with a witness face.
-
-    A minimum-eccentricity vertex of a triangulated supergraph is located,
-    and any original face incident to it works as outerface: peels of the
-    subgraph can only come earlier than in the triangulation.  A realized
-    count above the bound raises :class:`InvariantError`.
-    """
-    if not g.connected:
-        raise ValueError("bound check requires a connected graph")
-    if not g.simple or g.n < 3:
-        raise ValueError("bound check requires a simple graph on >= 3 vertices")
-    t = g if g.triangulated else triangulate_preserving_embedding(g)
-    _, rad_g = radius_exact(g)
-    center, rad_t = radius_exact(t)
-    bound = min(1 + rad_g, (g.n + 26) // 6)
-    face = g.first_face_of_vertex(center)
-    realized = _deletion_counts(_face_bit_tables(g))[face]
-    if realized > bound:
-        raise InvariantError(f"realized peel count {realized} exceeds certified bound {bound}")
-    return SimpleBoundReport(bound, face, realized, center, rad_g, rad_t)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +396,8 @@ def verify_certificate(cert, target: PlaneGraph) -> VerifyReport:
     ``target`` is the plane graph the certificate was issued for; the
     decomposition pipeline is re-run deterministically to rebuild the
     augmentation H.  The eccentricity of the center in H comes from one
-    BFS from it (:func:`embed.vertex_bfs`, checked against this module's
-    :func:`bfs_distances` in the tests); the peel count of the chosen
+    BFS from it (:func:`embed.vertex_bfs`, checked against
+    ``tests/helpers.bfs_distances``); the peel count of the chosen
     outerface is rechecked in the original graph (connected first if it is
     not).  On a triangulation H is that graph, so the rebuild is skipped
     and both searches read one incidence view.  A field that is present

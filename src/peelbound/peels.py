@@ -64,31 +64,21 @@ def choose_root(g: PlaneGraph) -> int:
     non-loop darts lie on one face of G minus its loops.  Deleting loop e
     merges the two faces beside it, so the faces of G minus its loops are the
     walks of G with ``walk_of_dart[2e]`` and ``walk_of_dart[2e + 1]`` joined
-    for every loop e.  Testing v = 0, 1, ... then costs O(deg v) each, and
-    O(#loops + the degrees of the tested vertices) in all.
+    for every loop e, labelled by :func:`embed._label_components` over the
+    walks.  Testing v = 0, 1, ... then costs O(deg v) each, and O(#walks +
+    the degrees of the tested vertices) in all.
     """
     if not g.connected:
         raise ValueError("root selection requires a connected graph")
     if g.n <= 2:
         return 0
-    walk_of = g.walk_of_dart
-    parent: dict[int, int] = {}  # only walks merged through a loop appear
-
-    def face(w: int) -> int:
-        while w in parent:
-            up = parent[w]
-            parent[w] = parent.get(up, up)  # path halving
-            w = parent[w]
-        return w
-
     eu, ev = g.eu, g.ev
-    loops = np.frombuffer(eu, dtype=np.int32) == np.frombuffer(ev, dtype=np.int32)
-    for e in np.flatnonzero(loops).tolist():
-        a, b = face(walk_of[2 * e]), face(walk_of[2 * e + 1])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
+    walk_of = g.walk_of_dart
+    loops = np.flatnonzero(np.frombuffer(eu, dtype=np.int32) == np.frombuffer(ev, dtype=np.int32))
+    loop_walks = np.frombuffer(walk_of, dtype=np.int32).reshape(-1, 2)[loops]
+    face = _label_components(g.dart_walk_count, loop_walks[:, 0], loop_walks[:, 1])
     for v in range(g.n):
-        faces = [face(walk_of[d]) for d in g.rotation_darts(v) if eu[d >> 1] != ev[d >> 1]]
+        faces = [face[walk_of[d]] for d in g.rotation_darts(v) if eu[d >> 1] != ev[d >> 1]]
         if len(set(faces)) == len(faces):
             return v
     raise InvariantError("every connected graph has a non-cutvertex")

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from operator import index
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,9 +29,16 @@ from peelbound.embed import (
     _label_walks,
     build_plane_graph,
     connect_components,
+    triangulate_preserving_embedding,
 )
 from peelbound.gen import _prism_band, gen_random_triangulation
-from peelbound.oracle import _adjacency, _UnionFind, bfs_distances
+from peelbound.oracle import (
+    _deletion_counts,
+    _face_bit_tables,
+    _simple_cycles_of_length,
+    _UnionFind,
+    radius_exact,
+)
 from peelbound.peels import Augmentation, PeelContext, TreeOfPeels
 
 
@@ -139,7 +149,7 @@ def build_plane_graph_by_slots(n, edges, rotation, faces=None, flags=None, meta=
                     raise GraphFormatError(f"edge {e} appears twice in rotation of {v}")
                 slot_used[e] |= 1 << (d & 1)
                 darts.append(d)
-        b.set_rotation(v, darts)
+        set_rotation(b, v, darts)
 
     for e in range(m):
         u0, v0 = b.eu[e], b.ev[e]
@@ -304,12 +314,12 @@ def random_plane_map(seed: int, steps: int, components: int = 1) -> PlaneGraph:
     comp_darts: list[list[int]] = []
     first_vertex: list[int] = []
     for c in range(components):
-        v0 = b.new_vertex()
+        v0 = new_vertex(b)
         first_vertex.append(v0)
         darts: list[int] = []
         for _ in range(rng.randint(0, 2 * steps // components)):
             if not darts:
-                w = b.new_vertex()
+                w = new_vertex(b)
                 e = b.add_isolated_pair(v0, w)
                 darts += [2 * e, 2 * e + 1]
                 continue
@@ -318,7 +328,7 @@ def random_plane_map(seed: int, steps: int, components: int = 1) -> PlaneGraph:
             prev = rot_prev[at] ^ 1
             kind = rng.random()
             if kind < 0.4:
-                e = b.add_edge_at_corner_to_isolated(prev, at, b.new_vertex())
+                e = b.add_edge_at_corner_to_isolated(prev, at, new_vertex(b))
             else:
                 walk = [at]
                 while rn[walk[-1] ^ 1] != at:
@@ -351,6 +361,50 @@ def random_plane_map(seed: int, steps: int, components: int = 1) -> PlaneGraph:
     return _finish_graph(b, face_grouping=faces if components > 1 else None)
 
 
+# ---------------------------------------------------------------------------
+# Plain BFS distances (pure python on adjacency lists, kept independent of
+# the numpy machinery in peelbound on purpose)
+# ---------------------------------------------------------------------------
+
+
+def _adjacency(g: PlaneGraph) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for e in range(g.m):
+        u, v = g.eu[e], g.ev[e]
+        adj[u].append(v)
+        if u != v:
+            adj[v].append(u)
+    return adj
+
+
+def bfs_distances(g: PlaneGraph, source: int, adj: Optional[list[list[int]]] = None) -> list[int]:
+    """Hop distances from source; -1 where unreachable.
+
+    The reference for ``embed.vertex_bfs`` and, one source per vertex, for
+    ``oracle.all_eccentricities``.
+    """
+    if adj is None:
+        adj = _adjacency(g)
+    dist = [-1] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        dv = dist[v]
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = dv + 1
+                queue.append(w)
+    return dist
+
+
+def eccentricity(g: PlaneGraph, v: int) -> int:
+    dist = bfs_distances(g, v)
+    if min(dist) < 0:
+        raise ValueError("eccentricity undefined: graph is disconnected")
+    return max(dist)
+
+
 def eccentricities_by_bfs(g: PlaneGraph) -> list[int]:
     """Reference for ``oracle.all_eccentricities``: one plain BFS per vertex."""
     adj = _adjacency(g)
@@ -370,8 +424,8 @@ def _union_find_rounds(g: PlaneGraph, peel: list[int], uf: _UnionFind, outer_fac
     faces on its sides.  A surviving vertex sits on the (merged) outer region
     exactly when one of its originally incident faces has been merged into it.
     """
-    incident = [g.faces_of_vertex(v) for v in range(g.n)]
-    edges_at = [g.rotation_edges(v) for v in range(g.n)]
+    incident = [faces_of_vertex(g, v) for v in range(g.n)]
+    edges_at = [rotation_edges(g, v) for v in range(g.n)]
     dead_edge = [False] * g.m
     alive = [v for v in range(g.n) if peel[v] == 0]
     rnd = 0
@@ -387,7 +441,7 @@ def _union_find_rounds(g: PlaneGraph, peel: list[int], uf: _UnionFind, outer_fac
             for e in edges_at[v]:
                 if not dead_edge[e]:
                     dead_edge[e] = True
-                    uf.union(g.face_of_dart(2 * e), g.face_of_dart(2 * e + 1))
+                    uf.union(face_of_dart(g, 2 * e), face_of_dart(g, 2 * e + 1))
         alive = [v for v in alive if peel[v] == 0]
 
 
@@ -403,9 +457,9 @@ def layer_numbers_by_union_find(g: PlaneGraph, root: int) -> list[int]:
     peel = [0] * g.n
     uf = _UnionFind(g.face_count)
     peel[root] = -1
-    for e in g.rotation_edges(root):
-        uf.union(g.face_of_dart(2 * e), g.face_of_dart(2 * e + 1))
-    _union_find_rounds(g, peel, uf, g.faces_of_vertex(root)[0])
+    for e in rotation_edges(g, root):
+        uf.union(face_of_dart(g, 2 * e), face_of_dart(g, 2 * e + 1))
+    _union_find_rounds(g, peel, uf, faces_of_vertex(g, root)[0])
     return [0 if p == -1 else p for p in peel]
 
 
@@ -529,8 +583,8 @@ def connect_by_insertion(g: PlaneGraph) -> PlaneGraph:
         return g
     anchors: list[tuple[int, int]] = []
     for walks in face_walks(g):
-        base = g.walk_vertices(walks[0])[0]
-        anchors.extend((base, g.walk_vertices(w)[0]) for w in walks[1:])
+        base = walk_vertices(g, walks[0])[0]
+        anchors.extend((base, walk_vertices(g, w)[0]) for w in walks[1:])
     out = g
     for base, other in anchors:
         if out.component_of[base] != out.component_of[other]:
@@ -559,8 +613,8 @@ def prism_by_insertion(k: int) -> PlaneGraph:
 
 
 def _shared_face(g: PlaneGraph, u: int, v: int) -> int:
-    fv = set(g.faces_of_vertex(v))
-    for f in g.faces_of_vertex(u):
+    fv = set(faces_of_vertex(g, v))
+    for f in faces_of_vertex(g, u):
         if f in fv:
             return f
     raise GraphFormatError(f"vertices {u} and {v} share no face")
@@ -698,7 +752,7 @@ def relabel(g: PlaneGraph, perm: list[int]) -> PlaneGraph:
         edges.append((perm[u], perm[v]))
     rotation: list[list[int]] = [[] for _ in range(g.n)]
     for v in range(g.n):
-        rotation[perm[v]] = g.rotation_edges(v)
+        rotation[perm[v]] = rotation_edges(g, v)
     faces = None if g.connected else [list(grp) for grp in face_walks(g)]
     meta = dict(g.meta) if g.meta else None
     return build_plane_graph(g.n, edges, rotation, faces=faces, meta=meta)
@@ -738,7 +792,7 @@ def thin_random_triangulation(n: int, seed: int, frac: float = 0.35) -> PlaneGra
             new_id[e] = len(edges)
             edges.append(edge_endpoints(tri, e))
     rotation = [
-        [new_id[e] for e in tri.rotation_edges(v) if alive[e]] for v in range(n)
+        [new_id[e] for e in rotation_edges(tri, v) if alive[e]] for v in range(n)
     ]
     return build_plane_graph(n, edges, rotation)
 
@@ -777,8 +831,111 @@ def is_bipartite(g: PlaneGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Brute-force girth and the radius/triangulation bound
+# ---------------------------------------------------------------------------
+
+
+def girth_bruteforce(
+    g: PlaneGraph, max_len: Optional[int] = None, budget: int = 5_000_000
+) -> Union[int, float]:
+    """Length of the shortest cycle (loops count 1), or math.inf if acyclic."""
+    if max_len is None:
+        max_len = g.n
+    remaining = [budget]
+    for L in range(1, max_len + 1):
+        for _cycle in _simple_cycles_of_length(g, L, remaining):
+            return L
+    return math.inf
+
+
+@dataclass
+class SimpleBoundReport:
+    bound: int
+    outerface: int
+    realized: int
+    center: int
+    radius: int
+    radius_triangulated: int
+
+
+def simple_bound_check(g: PlaneGraph) -> SimpleBoundReport:
+    """Certify peel count <= min(1 + rad(G), (n+26)//6) with a witness face.
+
+    A minimum-eccentricity vertex of a triangulated supergraph is located,
+    and any original face incident to it works as outerface: peels of the
+    subgraph can only come earlier than in the triangulation.  A realized
+    count above the bound raises :class:`InvariantError`.
+    """
+    if not g.connected:
+        raise ValueError("bound check requires a connected graph")
+    if not g.simple or g.n < 3:
+        raise ValueError("bound check requires a simple graph on >= 3 vertices")
+    t = g if g.triangulated else triangulate_preserving_embedding(g)
+    _, rad_g = radius_exact(g)
+    center, rad_t = radius_exact(t)
+    bound = min(1 + rad_g, (g.n + 26) // 6)
+    face = g.first_face_of_vertex(center)
+    realized = _deletion_counts(_face_bit_tables(g))[face]
+    if realized > bound:
+        raise InvariantError(f"realized peel count {realized} exceeds certified bound {bound}")
+    return SimpleBoundReport(bound, face, realized, center, rad_g, rad_t)
+
+
+# ---------------------------------------------------------------------------
 # Plane-graph accessors the library does not need
 # ---------------------------------------------------------------------------
+
+
+def rotation_edges(g: PlaneGraph, v: int) -> list[int]:
+    return [d >> 1 for d in g.rotation_darts(v)]
+
+
+def walk_count(g: PlaneGraph) -> int:
+    """Dart walks plus one walk per lone vertex."""
+    return g.dart_walk_count + len(g.lone_walk_vertex)
+
+
+def walk_vertices(g: PlaneGraph, w: int) -> list[int]:
+    nd = g.dart_walk_count
+    if w >= nd:
+        return [g.lone_walk_vertex[w - nd]]
+    return [g.origin(d) for d in g.walk(w)]
+
+
+def face_of_dart(g: PlaneGraph, d: int) -> int:
+    return g.face_of_walk[g.walk_of_dart[d]]
+
+
+def faces_of_vertex(g: PlaneGraph, v: int) -> list[int]:
+    """Distinct incident faces in rotation order (isolated: its host face)."""
+    if g.rot_first[v] < 0:  # lone walks follow the dart walks, by vertex
+        w = g.dart_walk_count + bisect_left(g.lone_walk_vertex, v)
+        return [g.face_of_walk[w]]
+    seen: set[int] = set()
+    out: list[int] = []
+    for d in g.rotation_darts(v):
+        f = face_of_dart(g, d)
+        if f not in seen:
+            seen.add(f)
+            out.append(f)
+    return out
+
+
+def new_vertex(b: _Builder) -> int:
+    """Append an isolated vertex to the builder; returns its id."""
+    b.rot_first.append(-1)
+    b.n += 1
+    return b.n - 1
+
+
+def set_rotation(b: _Builder, v: int, darts: Sequence[int]) -> None:
+    """Install a full rotation for v (darts in slot order)."""
+    if not darts:
+        b.rot_first[v] = -1
+        return
+    b.rot_first[v] = darts[0]
+    for a, bnext in zip(darts, list(darts[1:]) + [darts[0]]):
+        b.rot_next[a] = bnext
 
 
 def degree(g: PlaneGraph, v: int) -> int:
@@ -813,7 +970,7 @@ def face_vertices(g: PlaneGraph, f: int) -> list[int]:
     seen: set[int] = set()
     out: list[int] = []
     for w in face_walks(g)[f]:
-        for v in g.walk_vertices(w):
+        for v in walk_vertices(g, w):
             if v not in seen:
                 seen.add(v)
                 out.append(v)
@@ -826,7 +983,7 @@ def trace_faces(g: PlaneGraph) -> list[list[int]]:
     The numbering contract: ascending smallest dart id, then isolated
     vertices ascending.
     """
-    return [g.walk(w) for w in range(g.walk_count)]
+    return [g.walk(w) for w in range(walk_count(g))]
 
 
 # ---------------------------------------------------------------------------
@@ -857,8 +1014,8 @@ def insert_edge_in_face(g: PlaneGraph, u: int, v: int, face: int) -> PlaneGraph:
         raise ValueError("face id out of range")
     b = _Builder.from_graph(g)
 
-    u_iso = g.rot_first[u] < 0 and g.faces_of_vertex(u) == [face]
-    v_iso = g.rot_first[v] < 0 and g.faces_of_vertex(v) == [face]
+    u_iso = g.rot_first[u] < 0 and faces_of_vertex(g, u) == [face]
+    v_iso = g.rot_first[v] < 0 and faces_of_vertex(g, v) == [face]
 
     if u_iso and v_iso:
         if u == v:
@@ -1237,7 +1394,7 @@ def random_triangulation_by_insertion(n: int, seed: int) -> PlaneGraph:
         idx = rng.randrange(nfaces)
         base = 3 * idx
         tri = faces[base], faces[base + 1], faces[base + 2]
-        vnew = b.new_vertex()
+        vnew = new_vertex(b)
         spokes = []
         for d in tri:
             spokes.append(2 * b._new_edge(b.origin(d), vnew))
@@ -1248,7 +1405,7 @@ def random_triangulation_by_insertion(n: int, seed: int) -> PlaneGraph:
             rn[slot] = spokes[t]
             rn[spokes[t]] = tri[t]
         q0, q1, q2 = (sp ^ 1 for sp in spokes)
-        b.set_rotation(vnew, [q0, q2, q1])
+        set_rotation(b, vnew, [q0, q2, q1])
         faces[base : base + 3] = array("i", (tri[0], spokes[1], q0))
         faces.extend((tri[1], spokes[2], q1))
         faces.extend((tri[2], spokes[0], q2))
@@ -1265,14 +1422,14 @@ def document_by_rows(g: PlaneGraph) -> dict:
         "format": "plane-graph/1",
         "n": g.n,
         "edges": [[g.eu[e], g.ev[e]] for e in range(g.m)],
-        "rotation": [g.rotation_edges(v) for v in range(g.n)],
+        "rotation": [rotation_edges(g, v) for v in range(g.n)],
         "flags": {
             "simple": g.simple,
             "connected": g.connected,
             "triangulated": g.triangulated,
         },
     }
-    if list(g.face_of_walk) != list(range(g.walk_count)):
+    if list(g.face_of_walk) != list(range(walk_count(g))):
         doc["faces"] = [list(group) for group in face_walks(g)]
     if g.meta:
         doc["meta"] = g.meta

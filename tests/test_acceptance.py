@@ -23,11 +23,15 @@ from helpers import (
     children_of,
     connect_within_node,
     document_by_rows,
+    eccentricity,
     edge_endpoints,
+    faces_of_vertex,
+    girth_bruteforce,
     is_bipartite,
     peel_numbers_by_union_find,
     radial_bfs_by_rounds,
     ring_chain,
+    simple_bound_check,
     thin_random_triangulation,
     tree_distance,
     tree_of_peels_by_walks,
@@ -52,12 +56,9 @@ from peelbound.oracle import (
     _face_bit_tables,
     all_eccentricities,
     diameter_exact,
-    eccentricity,
     fence_girth_bruteforce,
     fse_outerplanarity_bruteforce,
-    girth_bruteforce,
     radius_exact,
-    simple_bound_check,
 )
 from peelbound.peels import (
     augment,
@@ -539,6 +540,13 @@ FENCE_GIRTH = {
     **{"rand-10-0": 3, "rand-30-1": 3, "rand-50-2": 3, "tiny-rand-4": math.inf},
     **{f"tiny-rand-{n}": 3 for n in (5, 6, 7, 8)},
 }
+
+
+def test_first_face_of_vertex_on_corpus(corpus):
+    for e in corpus:
+        g = e.graph
+        got = [g.first_face_of_vertex(v) for v in range(g.n)]
+        assert got == [faces_of_vertex(g, v)[0] for v in range(g.n)], e.name
 
 
 def test_fence_girth_frozen_on_corpus(corpus):

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from helpers import (
     DetourParams,
+    bfs_distances,
     children_of,
     connect_within_node,
     detour,
     diameter_middle_by_bfs,
+    eccentricity,
     interior_by_children,
     peel_numbers_by_union_find,
     random_nesting,
@@ -45,12 +47,7 @@ from peelbound.gen import (
     gen_random_triangulation,
 )
 from peelbound.embed import connect_components
-from peelbound.oracle import (
-    bfs_distances,
-    diameter_exact,
-    eccentricity,
-    verify_certificate,
-)
+from peelbound.oracle import diameter_exact, verify_certificate
 from peelbound.peels import augment, build_tree_of_peels, choose_root, compute_layers
 from test_peels import plane_graphs, run_under_optimize
 

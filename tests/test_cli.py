@@ -13,7 +13,7 @@ import peelbound
 from peelbound import cli
 from helpers import eccentricities_by_bfs
 from peelbound.cli import main
-from peelbound.gen import gen_nested_cycles, gen_prism_grid
+from peelbound.gen import gen_nested_cycles, gen_prism_grid, gen_random_triangulation
 from peelbound.graphio import loads_plane_graph, to_document
 from peelbound.oracle import VerifyReport
 
@@ -436,6 +436,24 @@ def test_verify_rejects_non_integer_fields(capsys, tmp_path, doc):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: certificate field")
+
+
+@pytest.mark.parametrize("raw", ['"x"', "[1]", "1e999", "2.5", "true"])
+@pytest.mark.parametrize("key", ["fse_at_least", "diam_at_most", "rad_at_least"])
+def test_verify_rejects_non_integer_annotations(capsys, tmp_path, key, raw):
+    # "x", [1] and 1e999 used to end in a traceback from int(...), and 2.5
+    # was truncated, so rad_at_least: 2.5 let a radius of 2 pass
+    doc = to_document(gen_random_triangulation(30, 0))
+    doc["meta"][key] = "ANNOTATION"
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(doc).replace('"ANNOTATION"', raw))
+    cert = str(tmp_path / "cert.json")
+    code, _, _ = run(capsys, "center", str(graph), "--out", cert)
+    assert code == 0
+    code, out, err = run(capsys, "verify", str(graph), cert)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: meta annotation {key!r} must be an integer")
 
 
 def test_verify_unreadable_certificate(capsys, tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bfs_distances,
     components_by_bfs,
     connect_by_insertion,
     degree,
@@ -21,6 +22,7 @@ from helpers import (
     face_degree,
     face_vertices,
     face_walks,
+    faces_of_vertex,
     graph_fingerprint,
     insert_edge_in_face,
     peel_numbers_by_union_find,
@@ -32,6 +34,8 @@ from helpers import (
     thin_random_triangulation,
     trace_faces,
     trace_walks_by_loop,
+    walk_count,
+    walk_vertices,
 )
 from peelbound import embed
 from peelbound.center import certify
@@ -51,11 +55,7 @@ from peelbound.gen import (
     gen_random_triangulation,
 )
 from peelbound.graphio import from_document, to_document
-from peelbound.oracle import (
-    bfs_distances,
-    fse_outerplanarity_bruteforce,
-    verify_certificate,
-)
+from peelbound.oracle import fse_outerplanarity_bruteforce, verify_certificate
 from peelbound.peels import augment, choose_root, compute_layers
 from test_peels import run_under_optimize
 
@@ -196,9 +196,9 @@ def test_face_grouping_validation():
 
 def test_isolated_vertices_get_walks():
     g = build_plane_graph(4, K3_EDGES, K3_ROTATION + [[]], faces=[[0], [1, 2]])
-    assert g.walk_count == 3
-    assert list(g.lone_walk_vertex) == [3] and g.faces_of_vertex(3) == [1]
-    assert g.walk_vertices(2) == [3]
+    assert walk_count(g) == 3
+    assert list(g.lone_walk_vertex) == [3] and faces_of_vertex(g, 3) == [1]
+    assert walk_vertices(g, 2) == [3]
 
 
 def test_lone_vertex_faces_follow_the_grouping():
@@ -216,9 +216,25 @@ def test_lone_vertex_faces_follow_the_grouping():
         }
         assert sorted(host) == [v for v in range(g.n) if g.rot_first[v] < 0]
         for v, f in host.items():
-            assert g.faces_of_vertex(v) == [f]
+            assert faces_of_vertex(g, v) == [f]
         lone_seen += len(host)
     assert lone_seen > 100
+
+
+def test_first_face_of_vertex_on_maps_with_lone_vertices():
+    # the face of v's first dart, or the host face of a lone vertex, is the
+    # first of v's faces in rotation order
+    graphs = []
+    seed = 0
+    while len(graphs) < 100:
+        g = random_plane_map(seed, 12, 4)
+        seed += 1
+        if len(g.lone_walk_vertex):
+            graphs += [g, connect_components(g)]
+    for g in graphs:
+        assert [g.first_face_of_vertex(v) for v in range(g.n)] == [
+            faces_of_vertex(g, v)[0] for v in range(g.n)
+        ]
 
 
 def test_radial_bfs_octahedron():
@@ -451,14 +467,16 @@ def test_package_checks_survive_optimize():
     "call,message",
     [
         ("b.add_chord(0, bad, 0, at)", "not a corner"),
-        ("b.add_edge_at_corner_to_isolated(0, bad, b.new_vertex())", "not a corner"),
+        ("b.add_edge_at_corner_to_isolated(0, bad, new_vertex(b))", "not a corner"),
         ("b.add_edge_at_corner_to_isolated(0, at, 1)", "target vertex is not isolated"),
-        ("b.add_isolated_pair(b.new_vertex(), 2)", "pair endpoint is not isolated"),
+        ("b.add_isolated_pair(new_vertex(b), 2)", "pair endpoint is not isolated"),
     ],
     ids=["chord", "corner-to-isolated", "target-not-isolated", "isolated-pair"],
 )
 def test_builder_corner_checks_survive_optimize(call, message):
     script = (
+        f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "from helpers import new_vertex\n"
         "from peelbound.embed import InvariantError, _Builder, build_plane_graph\n"
         f"b = _Builder.from_graph(build_plane_graph(3, {K3_EDGES}, {K3_ROTATION}))\n"
         "at = b.rot_next[1]  # dart 0 enters the corner that dart `at` leaves\n"
@@ -897,7 +915,7 @@ def assert_faces_match_networkx(nx, g):
             ref = g.head(d)
     emb.check_structure()
     faces = [emb.traverse_face(g.origin(walk[0]), g.head(walk[0])) for walk in trace_faces(g)]
-    assert faces == [g.walk_vertices(w) for w in range(g.walk_count)]
+    assert faces == [walk_vertices(g, w) for w in range(walk_count(g))]
 
 
 @pytest.mark.parametrize(

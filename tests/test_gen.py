@@ -6,6 +6,7 @@ from helpers import (
     degree,
     face_degree,
     face_vertices,
+    faces_of_vertex,
     graph_fingerprint,
     is_bipartite,
     prism_by_insertion,
@@ -41,8 +42,8 @@ def test_nested_cycles_shape():
 def test_nested_cycles_nesting():
     g = gen_nested_cycles(3, 3)
     # innermost disc holds the inner singleton, outer disc the outer one
-    assert g.faces_of_vertex(0) == [0]
-    assert g.faces_of_vertex(10) == [3]
+    assert faces_of_vertex(g, 0) == [0]
+    assert faces_of_vertex(g, 10) == [3]
     # annular faces are bounded by consecutive rings
     assert sorted(face_vertices(g, 1)) == [1, 2, 3, 4, 5, 6]
     assert sorted(face_vertices(g, 2)) == [4, 5, 6, 7, 8, 9]

@@ -8,12 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import (
+    bfs_distances,
     eccentricities_by_bfs,
+    eccentricity,
     face_darts,
+    girth_bruteforce,
     layer_numbers_by_union_find,
     peel_numbers_by_union_find,
     random_plane_map,
+    simple_bound_check,
     thin_random_triangulation,
 )
 from peelbound import embed, oracle
@@ -27,15 +32,11 @@ from peelbound.gen import (
 from peelbound.oracle import (
     OracleBudgetError,
     all_eccentricities,
-    bfs_distances,
     diameter_exact,
-    eccentricity,
     fence_girth_bruteforce,
     fse_outerplanarity_bruteforce,
     full_oracle_report,
-    girth_bruteforce,
     radius_exact,
-    simple_bound_check,
     verify_certificate,
 )
 from peelbound.peels import (
@@ -139,8 +140,6 @@ def test_fse_bruteforce_nested43():
     assert res.face == 0
     assert res.per_face == [3, 4, 3, 4]
     assert face_darts(connected_nested(4, 3), res.face) == [0, 2, 4, 6, 26, 9, 15, 13, 11, 27]
-    value, face = res  # tuple-unpacking compatibility
-    assert (value, face) == (3, 0)
 
 
 def test_fse_value_is_min_over_faces():
@@ -322,10 +321,6 @@ def test_fence_girth_frozen_on_random_maps():
     assert got == FENCE_GIRTH_MAPS
 
 
-def test_fence_girth_max_len_cutoff():
-    assert fence_girth_bruteforce(octahedron(), max_len=3) == math.inf
-
-
 @pytest.mark.parametrize("g", [3, 4, 5, 6])
 def test_lowerbound_family_girths(g):
     h = gen_lowerbound_H(g, 3)
@@ -344,8 +339,6 @@ def test_simple_bound_report_frozen():
     rep = simple_bound_check(gen_random_triangulation(30, 7))
     assert (rep.bound, rep.outerface, rep.realized) == (3, 0, 3)
     assert (rep.center, rep.radius, rep.radius_triangulated) == (0, 2, 2)
-    bound, face = rep
-    assert (bound, face) == (3, 0)
 
 
 def test_simple_bound_rejects_nonsimple():
@@ -460,7 +453,7 @@ def test_layer_routes_agree(n, seed):
 
 def test_oracle_checks_raise_invariant_error(monkeypatch):
     g = gen_random_triangulation(30, 7)
-    monkeypatch.setattr(oracle, "_deletion_counts", lambda t: [10**6] * t.face_count)
+    monkeypatch.setattr(helpers, "_deletion_counts", lambda t: [10**6] * t.face_count)
     with pytest.raises(InvariantError, match="exceeds certified bound"):
         simple_bound_check(g)
     monkeypatch.setattr(oracle, "fse_outerplanarity_bruteforce", lambda g: None)

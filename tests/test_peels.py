@@ -23,6 +23,7 @@ import peelbound
 from helpers import (
     articulation_flags,
     augment_by_face_loop,
+    bfs_distances,
     children_of,
     descends,
     edge_endpoints,
@@ -46,7 +47,7 @@ from peelbound.gen import (
     gen_prism_grid,
     gen_random_triangulation,
 )
-from peelbound.oracle import _deletion_counts, _face_bit_tables, bfs_distances
+from peelbound.oracle import _deletion_counts, _face_bit_tables
 from peelbound.peels import (
     Augmentation,
     augment,
@@ -180,11 +181,14 @@ def test_choose_root_matches_lowpoint_reference():
         corpus += [thin, relabel(thin, perm)]
     corpus += [star(1), star(2), star(7), block_chain(2), block_chain(6)]
     corpus.append(build_plane_graph(3, *LOOP_ENCLOSURE))
+    # loops inside corners and between corners, on connected and joined maps
+    corpus += [connect_components(random_plane_map(seed, 40, 1 + seed % 3)) for seed in range(60)]
     roots = [choose_root(g) for g in corpus]
     assert roots == [lowest_noncut(g) for g in corpus]
     # low cutvertices occur: the rule had to look past vertex 0, and far
     assert sum(r > 0 for r in roots) >= 40 and max(roots) >= 5
     assert sum(g.m > 0 and not g.simple for g in corpus) >= 50
+    assert sum(any(u == v for u, v in zip(g.eu, g.ev)) for g in corpus) >= 50
 
 
 def test_choose_root_sees_through_loops():
