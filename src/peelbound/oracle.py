@@ -48,6 +48,7 @@ from .embed import (
     PlaneGraph,
     _bit_bfs,
     _cached_incidence,
+    _label_components,
     _source_flags,
     connect_components,
     vertex_bfs,
@@ -292,59 +293,28 @@ def _simple_cycles_of_length(g: PlaneGraph, L: int, budget: list[int]) -> Iterat
         yield from extend(s, s, [], set())
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def _is_fence(
-    g: PlaneGraph, sides: list[list[int]], first_face: list[int], cycle: Sequence[int]
+    g: PlaneGraph, sides: np.ndarray, first_face: np.ndarray, cycle: Sequence[int]
 ) -> bool:
     """True when vertices exist strictly on both sides of the cycle.
 
-    ``sides[k][e]`` is the face of dart 2e + k and ``first_face[v]`` is one
-    face of v.  The faces of a vertex off the cycle all join across its
-    edges, so any one of them tells its side.
+    ``sides[k, e]`` is the face of dart 2e + k and ``first_face[v]`` is one
+    face of v.  The edges off the cycle join the faces beside them
+    (:func:`embed._label_components`), and the faces of a vertex off the
+    cycle all join across its edges, so any one of them tells its side.
     """
-    cyc_edges = {d >> 1 for d in cycle}
-    cyc_verts = {g.origin(d) for d in cycle}
-    uf = _UnionFind(g.face_count)
-    for e, (a, b) in enumerate(zip(*sides)):
-        if e not in cyc_edges:
-            uf.union(a, b)
+    off_edges = np.ones(g.m, dtype=bool)
+    off_edges[[d >> 1 for d in cycle]] = False
+    side = _label_components(g.face_count, sides[0, off_edges], sides[1, off_edges])
     d0 = cycle[0]
-    left = uf.find(sides[d0 & 1][d0 >> 1])
-    right = uf.find(sides[(d0 & 1) ^ 1][d0 >> 1])
+    left = side[sides[d0 & 1, d0 >> 1]]
+    right = side[sides[(d0 & 1) ^ 1, d0 >> 1]]
     if left == right:
         return False
-    seen_left = seen_right = False
-    for v, f in enumerate(first_face):
-        if v in cyc_verts:
-            continue
-        side = uf.find(f)
-        if side == left:
-            seen_left = True
-        elif side == right:
-            seen_right = True
-        if seen_left and seen_right:
-            return True
-    return False
+    off_verts = np.ones(g.n, dtype=bool)
+    off_verts[[g.origin(d) for d in cycle]] = False
+    found = side[first_face[off_verts]]
+    return bool((found == left).any() and (found == right).any())
 
 
 def fence_girth_bruteforce(g: PlaneGraph, budget: int = 5_000_000) -> Union[int, float]:
@@ -356,11 +326,10 @@ def fence_girth_bruteforce(g: PlaneGraph, budget: int = 5_000_000) -> Union[int,
         raise ValueError(f"fence-girth brute force guarded to n <= 60 (n={g.n})")
     remaining = [budget]
     t = _face_bit_tables(g)
-    sides = t.sides.tolist()
-    first_face = t.vf_faces[t.vf_indptr[:-1]].tolist()
+    first_face = t.vf_faces[t.vf_indptr[:-1]]
     for L in range(1, g.n + 1):  # a simple cycle repeats no vertex
         for cycle in _simple_cycles_of_length(g, L, remaining):
-            if _is_fence(g, sides, first_face, cycle):
+            if _is_fence(g, t.sides, first_face, cycle):
                 return L
     return math.inf
 

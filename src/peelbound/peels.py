@@ -3,18 +3,19 @@
 Given a connected plane graph and a root vertex, vertices split into layers:
 layer 0 is the root, layer i+1 is whatever sits on the merged outer region
 once layers 0..i are deleted.  Layers come out of a single BFS over the
-vertex/face incidence structure.  The augmentation adds, inside every face,
-edges from boundary occurrences of non-minimum-layer vertices to one
-minimum-layer vertex of that face (the hub), after which every non-root
-vertex has an edge pointing one layer down.  The two occurrences next to the
-hub on the walk get no edge: layers on a face differ by at most 1, so their
-walk edge to the hub already descends, and a chord there would only double
-it.  A triangulation gets no edge at all; otherwise all chords are spliced
-in one numpy pass.  The tree of peels has one node per connected component of
-"layers >= i", storing the component's layer-i vertices (its outer
-boundary); those are the components of the same-layer edges, labelled by
-min-label hooking and pointer jumping, and each node hangs below the node
-its first descending dart points into.
+vertex/face incidence structure, or over the edges of a triangulation.  The
+augmentation adds, inside every face, edges from boundary occurrences of
+non-minimum-layer vertices to one minimum-layer vertex of that face (the
+hub), after which every non-root vertex has an edge pointing one layer
+down.  The two occurrences next to the hub on the walk get no edge: layers
+on a face differ by at most 1, so their walk edge to the hub already
+descends, and a chord there would only double it.  A triangulation gets no
+edge at all; otherwise all chords are spliced in one numpy pass.  The tree
+of peels has one node per connected component of "layers >= i", storing
+the component's layer-i vertices (its outer boundary); those are the
+components of the same-layer edges, labelled by min-label hooking and
+pointer jumping, and each node hangs below the node its first descending
+dart points into.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .embed import (
     _int_array,
     _label_components,
     radial_bfs,
+    vertex_bfs,
 )
 
 __all__ = [
@@ -105,15 +107,25 @@ class PeelContext:
 def compute_layers(g: PlaneGraph, root: int) -> PeelContext:
     """Layer numbers from one vertex/face BFS (layer = half the BFS distance).
 
-    The root should not be a cutvertex, so that layer 1 forms a single
-    component; the layer numbers themselves do not depend on that.
+    On a triangulation a face's corners are pairwise adjacent, so two
+    vertices share a face exactly when they are adjacent: the radial
+    distance is twice the hop distance, and one :func:`embed.vertex_bfs`,
+    which steps through no face, gives the layers.  Raises if a vertex is
+    left unreached.  The root should not be a cutvertex, so that layer 1
+    forms a single component; the layer numbers themselves do not depend on
+    that.
     """
     if not g.connected:
         raise ValueError("layer computation requires a connected graph")
     if not (0 <= root < g.n):
         raise ValueError("root out of range")
-    rd = radial_bfs(g, source_vertex=root)
-    return PeelContext(G=g, root=root, layer=rd.vertex_dist // 2)
+    if not g.triangulated:
+        rd = radial_bfs(g, source_vertex=root)
+        return PeelContext(G=g, root=root, layer=rd.vertex_dist // 2)
+    layer = vertex_bfs(g, root)
+    if (layer < 0).any():
+        raise GraphFormatError("layer BFS did not reach every vertex")
+    return PeelContext(G=g, root=root, layer=layer)
 
 
 def peel_count_for_outerface(g: PlaneGraph, face: int) -> int:

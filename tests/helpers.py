@@ -36,7 +36,6 @@ from peelbound.oracle import (
     _deletion_counts,
     _face_bit_tables,
     _simple_cycles_of_length,
-    _UnionFind,
     radius_exact,
 )
 from peelbound.peels import Augmentation, PeelContext, TreeOfPeels
@@ -93,6 +92,58 @@ def trace_walks_by_loop(rot_next, m2: int) -> tuple[array, array, array]:
         indptr.append(len(flat))
         wid += 1
     return indptr, flat, walk_of
+
+
+def label_walks_by_doubling(rot_next) -> tuple[np.ndarray, int]:
+    """Reference for ``embed._label_walks``: pointer doubling on every input.
+
+    Round k labels each dart with the least of the 2^k darts from it along
+    face_next, until a round changes nothing; the labels, ranked, number the
+    walks by their smallest dart.
+    """
+    rn = np.array(rot_next, dtype=np.int32)
+    jump = rn.reshape(-1, 2)[:, ::-1].ravel()
+    lab = np.arange(len(jump), dtype=np.int32)
+    while True:
+        step = lab[jump]
+        if not (step < lab).any():
+            break
+        np.minimum(lab, step, out=lab)
+        jump = jump[jump]
+    rank = np.cumsum(lab == np.arange(len(lab), dtype=np.int32), dtype=np.int32) - 1
+    return rank[lab], int(rank[-1]) + 1 if len(rank) else 0
+
+
+def incidence_by_sort(g: PlaneGraph) -> tuple[np.ndarray, ...]:
+    """Reference for ``embed._incidence``: both sides grouped by one ``argsort``.
+
+    Same five arrays, same entries (an isolated vertex and its host face
+    list each other once, the vertex its own head), from g's dart arrays
+    alone; :func:`sorted_view` puts both in one order within each row.
+    """
+    lone = np.frombuffer(g.lone_walk_vertex, dtype=np.int32)
+    origin, head = _dart_ends(g.eu, g.ev)
+    face_of_walk = np.frombuffer(g.face_of_walk, dtype=np.int32)
+    verts = np.concatenate([origin, lone]).astype(np.int32)
+    heads = np.concatenate([head, lone]).astype(np.int32)
+    faces = face_of_walk[np.concatenate([np.frombuffer(g.walk_of_dart, dtype=np.int32),
+                                         np.arange(g.dart_walk_count, len(face_of_walk))])]
+    vf_indptr, by_vert = _grouping(verts, g.n)
+    fv_indptr, by_face = _grouping(faces, g.face_count)
+    return vf_indptr, faces[by_vert], heads[by_vert], fv_indptr, verts[by_face]
+
+
+def sorted_view(view) -> list:
+    """An incidence view as lists with each row sorted: (face, head) pairs per
+    vertex, vertices per face."""
+    vf_indptr, vf_faces, vf_heads, fv_indptr, fv_verts = (np.asarray(a).tolist() for a in view)
+    pairs = list(zip(vf_faces, vf_heads))
+    return [
+        vf_indptr,
+        [sorted(pairs[a:b]) for a, b in zip(vf_indptr, vf_indptr[1:])],
+        fv_indptr,
+        [sorted(fv_verts[a:b]) for a, b in zip(fv_indptr, fv_indptr[1:])],
+    ]
 
 
 def build_plane_graph_by_slots(n, edges, rotation, faces=None, flags=None, meta=None):
@@ -417,7 +468,47 @@ def eccentricities_by_bfs(g: PlaneGraph) -> list[int]:
     return out
 
 
-def _union_find_rounds(g: PlaneGraph, peel: list[int], uf: _UnionFind, outer_face: int) -> None:
+class UnionFind:
+    """Path-halving union-find whose roots are the smallest ids of their sets."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if ra > rb:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+
+def is_fence_by_union_find(g: PlaneGraph, cycle: Sequence[int]) -> bool:
+    """Reference for ``oracle._is_fence``: faces joined across the edges off
+    the cycle in a :class:`UnionFind`, then every vertex off the cycle
+    looked up by one of its faces."""
+    on_cycle = {d >> 1 for d in cycle}
+    uf = UnionFind(g.face_count)
+    for e in range(g.m):
+        if e not in on_cycle:
+            uf.union(face_of_dart(g, 2 * e), face_of_dart(g, 2 * e + 1))
+    left, right = uf.find(face_of_dart(g, cycle[0])), uf.find(face_of_dart(g, cycle[0] ^ 1))
+    if left == right:
+        return False
+    cycle_verts = {g.origin(d) for d in cycle}
+    sides = {uf.find(faces_of_vertex(g, v)[0]) for v in range(g.n) if v not in cycle_verts}
+    return left in sides and right in sides
+
+
+def _union_find_rounds(g: PlaneGraph, peel: list[int], uf: UnionFind, outer_face: int) -> None:
     """Delete outer-boundary vertices round by round, rescanning every face.
 
     Deleting a vertex removes its edges; each removed edge merges the two
@@ -448,14 +539,14 @@ def _union_find_rounds(g: PlaneGraph, peel: list[int], uf: _UnionFind, outer_fac
 def peel_numbers_by_union_find(g: PlaneGraph, outer_face: int) -> list[int]:
     """Reference peel numbers: face merges in a union-find, every face rescanned per round."""
     peel = [0] * g.n
-    _union_find_rounds(g, peel, _UnionFind(g.face_count), outer_face)
+    _union_find_rounds(g, peel, UnionFind(g.face_count), outer_face)
     return peel
 
 
 def layer_numbers_by_union_find(g: PlaneGraph, root: int) -> list[int]:
     """Reference layer numbers: the root deleted first, then union-find rounds."""
     peel = [0] * g.n
-    uf = _UnionFind(g.face_count)
+    uf = UnionFind(g.face_count)
     peel[root] = -1
     for e in rotation_edges(g, root):
         uf.union(face_of_dart(g, 2 * e), face_of_dart(g, 2 * e + 1))

@@ -24,13 +24,16 @@ from helpers import (
     face_walks,
     faces_of_vertex,
     graph_fingerprint,
+    incidence_by_sort,
     insert_edge_in_face,
+    label_walks_by_doubling,
     peel_numbers_by_union_find,
     radial_bfs_by_rounds,
     random_nesting,
     random_plane_map,
     relabel,
     ring_chain,
+    sorted_view,
     thin_random_triangulation,
     trace_faces,
     trace_walks_by_loop,
@@ -54,7 +57,7 @@ from peelbound.gen import (
     gen_prism_grid,
     gen_random_triangulation,
 )
-from peelbound.graphio import from_document, to_document
+from peelbound.graphio import dumps_plane_graph, from_document, loads_plane_graph, to_document
 from peelbound.oracle import fse_outerplanarity_bruteforce, verify_certificate
 from peelbound.peels import augment, choose_root, compute_layers
 from test_peels import run_under_optimize
@@ -899,6 +902,75 @@ def test_walks_match_loop_on_families():
     for g in corpus:
         ref = trace_walks_by_loop(g.rot_next, 2 * g.m)
         assert [g.walk_indptr, g.walk_flat, g.walk_of_dart] == list(ref)
+
+
+def label_corpus():
+    """Maps with loops, pendant edges and lone vertices, triangulations, families."""
+    corpus = [random_plane_map(seed, seed % 25, 1 + seed % 3) for seed in range(300)]
+    corpus += [gen_random_triangulation(n, seed) for n, seed in ((4, 1), (5, 2), (50, 3), (3000, 4))]
+    corpus += [random_plane_map(50, 2), random_plane_map(38, 4)]  # triangulated, not simple
+    corpus += [gen_lowerbound_H(4, 51), gen_nested_cycles(6, 9), gen_prism_grid(3)]
+    corpus.append(build_plane_graph(1, [(0, 0)], [[0, 0]]))  # face_next^3 = id, two fixed darts
+    return corpus + [connect_components(g) for g in corpus if not g.connected]
+
+
+def test_walk_labels_match_pointer_doubling():
+    # the triangle route runs exactly when every orbit has three darts; an
+    # orbit of one dart (an empty loop) or two (a pendant edge) takes the
+    # doubling rounds
+    routes = {"triangles": 0, "one dart": 0, "two darts": 0}
+    for g in label_corpus():
+        sizes = np.diff(trace_walks_by_loop(g.rot_next, 2 * g.m)[0])
+        walk_of, count = embed._label_walks(g.rot_next)
+        ref_walk_of, ref_count = label_walks_by_doubling(g.rot_next)
+        assert walk_of.tolist() == ref_walk_of.tolist() and count == ref_count
+        fn = embed._face_next(g.rot_next)
+        ident = np.arange(len(fn), dtype=np.int32)
+        triangles = g.m > 0 and (sizes == 3).all()
+        assert embed._triangle_orbits(fn, fn[fn], ident) == (triangles or g.m == 0)
+        routes["triangles"] += bool(triangles)
+        routes["one dart"] += bool((sizes == 1).any())
+        routes["two darts"] += bool((sizes == 2).any())
+    assert min(routes.values()) >= 5, routes
+
+
+def view_corpus():
+    """(graph as built, the same graph loaded from its text) pairs."""
+    graphs = [random_plane_map(seed, seed % 25, 1 + seed % 3) for seed in range(120)]
+    graphs += [gen_random_triangulation(n, seed) for n, seed in ((4, 1), (50, 3), (2000, 4))]
+    graphs += [random_plane_map(50, 2), random_plane_map(38, 4)]
+    graphs += [gen_lowerbound_H(4, 21), connect_components(gen_nested_cycles(5, 4)), gen_prism_grid(2)]
+    graphs.append(build_plane_graph(3, [(0, 1)], [[0], [0], []], faces=[[0, 1]]))  # a lone vertex
+    # a triangulation whose document lists its faces out of walk order
+    doc = to_document(gen_random_triangulation(30, 7))
+    doc["faces"] = [[w] for w in random.Random(7).sample(range(56), 56)]
+    graphs.append(from_document(doc))
+    return [(g, loads_plane_graph(dumps_plane_graph(g))) for g in graphs]
+
+
+def test_sort_free_view_matches_argsort_view():
+    lone = permuted = triangulated = 0
+    for built, loaded in view_corpus():
+        assert loaded._slot_darts is not None
+        ref = sorted_view(incidence_by_sort(built))
+        assert sorted_view(embed._incidence(loaded)) == ref
+        assert sorted_view(embed._incidence(built)) == ref
+        lone += len(built.lone_walk_vertex) > 0
+        triangulated += built.triangulated
+        permuted += built.triangulated and list(built.face_of_walk) != list(range(built.face_count))
+    assert lone >= 20 and triangulated >= 6 and permuted == 1
+
+
+def test_view_releases_the_slot_darts():
+    g = loads_plane_graph(dumps_plane_graph(gen_random_triangulation(100, 1)))
+    indptr, darts = g._slot_darts
+    assert np.diff(indptr).tolist() == [len(g.rotation_darts(v)) for v in range(g.n)]
+    assert darts.tolist() == [d for v in range(g.n) for d in g.rotation_darts(v)]
+    vf_indptr, _, vf_heads, _, _ = embed._cached_incidence(g)
+    assert g._slot_darts is None and vf_indptr is indptr
+    assert all(part.dtype == np.int32 and not part.flags.writeable for part in g._incidence)
+    assert vf_heads.tolist() == [g.head(d) for d in darts.tolist()]
+    assert gen_random_triangulation(100, 1)._slot_darts is None  # built: nothing kept
 
 
 def assert_faces_match_networkx(nx, g):

@@ -15,6 +15,7 @@ from helpers import (
     eccentricity,
     face_darts,
     girth_bruteforce,
+    is_fence_by_union_find,
     layer_numbers_by_union_find,
     peel_numbers_by_union_find,
     random_plane_map,
@@ -319,6 +320,23 @@ def test_fence_girth_frozen_on_random_maps():
         assert g.n <= 60
         got.append(fence_girth_bruteforce(g))
     assert got == FENCE_GIRTH_MAPS
+
+
+def test_fence_side_test_matches_union_find():
+    graphs = [octahedron(), gen_prism_grid(1), gen_lowerbound_H(4, 3)]
+    graphs += [connect_components(gen_nested_cycles(g, 3)) for g in (1, 2, 5)]
+    graphs += [random_plane_map(seed, 8 + seed % 9) for seed in range(20)]
+    answers = []
+    for g in graphs:
+        g = g if g.connected else connect_components(g)
+        t = oracle._face_bit_tables(g)
+        first_face = t.vf_faces[t.vf_indptr[:-1]]
+        for length in range(1, 6):
+            for cycle in oracle._simple_cycles_of_length(g, length, [10**6]):
+                fence = oracle._is_fence(g, t.sides, first_face, cycle)
+                assert fence == is_fence_by_union_find(g, cycle), (g, cycle)
+                answers.append(fence)
+    assert answers.count(True) >= 50 and answers.count(False) >= 50
 
 
 @pytest.mark.parametrize("g", [3, 4, 5, 6])

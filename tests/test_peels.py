@@ -226,6 +226,30 @@ def test_layer_argument_checks():
         peel_count_for_outerface(gen_nested_cycles(3, 2), 0)
 
 
+def test_hop_layers_match_radial_layers_from_every_root(monkeypatch):
+    graphs = [gen_random_triangulation(n, seed) for n, seed in ((4, 0), (5, 1), (12, 2), (60, 3))]
+    graphs += [gen_prism_grid(1), random_plane_map(50, 2), random_plane_map(38, 4)]
+    assert all(g.triangulated for g in graphs) and sum(not g.simple for g in graphs) == 2
+    radial = {g: [radial_bfs(g, source_vertex=r).vertex_dist // 2 for r in range(g.n)] for g in graphs}
+    # on a triangulation the layers step through no face
+    monkeypatch.setattr(peels, "radial_bfs", None)
+    for g in graphs:
+        for root in range(g.n):
+            layer = compute_layers(g, root).layer
+            assert layer.dtype == np.int64 and layer.tolist() == radial[g][root].tolist()
+
+
+def test_hop_layers_raise_on_unreached_vertex():
+    # a forged view of K3, a triangulation, in which vertex 0 neighbours only itself
+    g = build_plane_graph(3, [(0, 1), (1, 2), (2, 0)], [[2, 0], [0, 1], [1, 2]])
+    assert g.triangulated
+    vf = ([0, 1, 2, 3], [0, 1, 1], [0, 2, 1])  # vf_indptr, vf_faces, vf_heads
+    fv = ([0, 3, 6], [0, 1, 2, 0, 1, 2])  # fv_indptr, fv_verts
+    g._incidence = tuple(np.array(a, dtype=np.int32) for a in vf + fv)
+    with pytest.raises(embed.GraphFormatError, match="did not reach every vertex"):
+        compute_layers(g, 0)
+
+
 @PROPERTY_SETTINGS
 @given(plane_graphs())
 def test_layers_match_deletion_oracle(g):

@@ -1,5 +1,6 @@
-"""The scripts under ``scripts/`` run end to end in a fresh interpreter, and the
-library names that they and ``perfbench/`` read exist."""
+"""The scripts under ``scripts/`` run end to end in a fresh interpreter, the
+library names that they and ``perfbench/`` read exist, and the benchmark's
+smoke run passes."""
 
 import ast
 import importlib
@@ -228,3 +229,17 @@ def test_perfbench_and_scripts_read_existing_library_names():
     assert {("peelbound.oracle", "fence_girth_bruteforce"), ("PlaneGraph", "first_face_of_vertex")} <= attrs
     assert {("CenterCertificate", "peel_bound"), ("Augmentation", "original_edge_count")} <= attrs
     assert {("fse_outerplanarity_bruteforce", "threads"), ("fence_girth_bruteforce", "budget")} <= keywords
+
+
+def test_perfbench_smoke_run_passes():
+    # every workload, shrunken, in both modes, through the benchmark's own
+    # worker: a library change that breaks the worker fails here
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--smoke"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["ok"] is True
