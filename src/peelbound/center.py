@@ -106,7 +106,10 @@ def spanning_tree_center(h: PlaneGraph, vertices: Sequence[int]) -> int:
 
     BFS from the first listed vertex builds a spanning tree; its
     unit-weight centroid has the bound (every branch of the tree at the
-    centroid holds at most half the vertices).
+    centroid holds at most half the vertices).  The BFS reads each vertex's
+    darts in slot order off ``rot_next``.  Vertices that hold more than
+    half the set in their subtree form a path down from the root, and the
+    centroid is its last one, so it is the last such vertex in BFS order.
     """
     verts = list(vertices)
     p = len(verts)
@@ -114,37 +117,33 @@ def spanning_tree_center(h: PlaneGraph, vertices: Sequence[int]) -> int:
         raise ValueError("empty vertex set")
     if p == 1:
         return verts[0]
-    member = set(verts)
-    start = verts[0]
-    parent = {start: -1}
-    order = [start]
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for d in h.rotation_darts(v):
-            w = h.head(d)
-            if w in member and w not in parent:
-                parent[w] = v
+    eu, ev, rot_next, rot_first = h.eu, h.ev, h.rot_next, h.rot_first
+    unseen = bytearray(h.n)  # 1 on a vertex of the set not yet reached
+    for v in verts:
+        unseen[v] = 1
+    unseen[verts[0]] = 0
+    order = [verts[0]]
+    up = [-1]  # up[i]: the position in order of order[i]'s parent
+    for i, v in enumerate(order):  # order grows as the search reaches vertices
+        first = d = rot_first[v]
+        while d >= 0:
+            w = eu[d >> 1] if d & 1 else ev[d >> 1]  # the head of dart d
+            if unseen[w]:
+                unseen[w] = 0
                 order.append(w)
+                up.append(i)
+            d = rot_next[d]
+            if d == first:
+                break
     if len(order) != p:
         raise ValueError("vertex set does not induce a connected subgraph")
 
-    size = {v: 1 for v in order}
-    children: dict[int, list[int]] = {v: [] for v in order}
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-        children[parent[v]].append(v)
-    cur = start
-    while True:
-        heavy = -1
-        for c in children[cur]:
-            if 2 * size[c] > p:
-                heavy = c
-                break
-        if heavy < 0:
-            return cur
-        cur = heavy
+    size = [1] * p
+    for i in range(p - 1, 0, -1):  # a subtree's positions all follow its root's
+        if 2 * size[i] > p:
+            return order[i]
+        size[up[i]] += size[i]
+    return order[0]
 
 
 # ---------------------------------------------------------------------------

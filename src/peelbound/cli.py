@@ -9,6 +9,7 @@ parameter, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import statistics
@@ -393,7 +394,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: building it costs about a millisecond,
+    and ``parse_args`` makes a fresh namespace on every call."""
     parser = _Parser(
         prog="peelbound",
         description="Peel decompositions and certified outerface choices for plane graphs.",

@@ -697,11 +697,16 @@ def _rotation_system(
         return None
     eu, ev = ends.reshape(m, 2).T
     vert = np.repeat(np.arange(n, dtype=np.int32), lens)
-    u0, v0 = eu[slots], ev[slots]
+    # Gathers and scatters run on intp positions through take: numpy would
+    # cast int32 indices to intp on every use.  dart holds each slot's edge
+    # id until it is turned into the slot's dart.
+    dart = slots.astype(np.intp)
+    u0, v0 = eu.take(dart), ev.take(dart)
     at_u = vert == u0
     if not (at_u | (vert == v0)).all():
         return None
-    dart = 2 * slots + ~at_u
+    dart *= 2
+    dart += ~at_u
     loops = np.flatnonzero(u0 == v0)
     del vert, u0, v0, at_u  # keeps the peak of a large load low
     if loops.size:
@@ -717,12 +722,14 @@ def _rotation_system(
     np.cumsum(lens, out=indptr[1:])
     start, stop = indptr[:-1], indptr[1:]
     full = lens > 0
-    after = np.arange(1, total + 1, dtype=np.int32)
+    after = np.arange(1, total + 1)
     after[stop[full] - 1] = start[full]
     rot_next = np.empty(2 * m, dtype=np.int32)
-    rot_next[dart] = dart[after]
+    rot_next[dart] = dart.take(after)
+    del after
     rot_first = np.full(n, -1, dtype=np.int32)
-    rot_first[full] = dart[start[full]]
+    rot_first[full] = dart.take(start[full])
+    dart = dart.astype(np.int32)
     return eu, ev, rot_next, rot_first, indptr, dart
 
 

@@ -13,19 +13,23 @@ whatever order the document that built the graph used.
 :func:`dumps_plane_graph` writes one fixed layout: keys sorted, no spaces.
 It writes the ``edges`` and ``rotation`` values as digits straight from
 int32 arrays, the inverse of the reader below, and only the small rest
-through ``json.dumps``.  :func:`loads_plane_graph` reads the ``edges`` and ``rotation`` values of text
-in that layout straight into flat int32 arrays, with bulk byte scans in
-numpy instead of a per-token parser (the idea of Langdale & Lemire, "Parsing
-Gigabytes of JSON per Second", VLDB Journal 28, 2019); ``json.loads`` reads
-the small rest.  Any other text goes through ``json.loads`` whole.
+through ``json.dumps``.  :func:`loads_plane_graph` reads the ``edges`` and
+``rotation`` values of text in that layout straight into flat int32 arrays,
+with bulk byte scans in numpy instead of a per-token parser (the idea of
+Langdale & Lemire, "Parsing Gigabytes of JSON per Second", VLDB Journal 28,
+2019); ``json.loads`` reads the small rest.  The scans read bytes in place,
+one value at a time, in blocks that end at row boundaries, and
+:func:`load_plane_graph` hands a file's bytes to them undecoded.  Any other
+text goes through ``json.loads`` whole.
 """
 
 from __future__ import annotations
 
 import gc
+import io
 import json
 from operator import index
-from typing import IO, Optional, Union
+from typing import IO, Callable, Optional, Union
 
 import numpy as np
 
@@ -127,11 +131,11 @@ def dumps_plane_graph(g: PlaneGraph) -> str:
     rest = json.dumps(_document(g, None), sort_keys=True, separators=(",", ":"))
     text = b"".join(
         (
-            _HEAD.encode(),
+            _HEAD,
             _rows_text(ends, np.full(g.m, 2, dtype=np.int32)),
             b",",
             rest[1:-1].encode(),
-            _ROTATION.encode(),
+            _ROTATION,
             _rows_text(rotation, degree),
             b"}",
         )
@@ -197,15 +201,27 @@ def _text_block(ids, digits, opens, closes, after, width: int) -> bytes:
     return table.tobytes().translate(None, b"\0")
 
 
-def loads_plane_graph(text: str) -> PlaneGraph:
-    """Graph from ``plane-graph/1`` text, or GraphFormatError.
+def loads_plane_graph(text: Union[str, bytes]) -> PlaneGraph:
+    """Graph from ``plane-graph/1`` text, given as ``str`` or ``bytes``, or
+    GraphFormatError.
 
     Canonical text (what :func:`dump_plane_graph` writes; any trailing
     whitespace may follow) is parsed without row lists: its ``edges`` and
-    ``rotation`` reach :func:`from_document` as :class:`embed.FlatRows`.
-    Any other valid layout loads the same graph through ``json.loads``.
-    Both routes share every check from :func:`from_document` on, so a bad
+    ``rotation`` reach :func:`from_document` as :class:`embed.FlatRows`.  A
+    ``str`` is encoded to ASCII once for that scan; bytes are scanned as
+    they are.  Any other valid layout loads the same graph through
+    ``json.loads``, which reads ``bytes`` in the encoding it detects.  Both
+    routes share every check from :func:`from_document` on, so a bad
     document fails with the same exception and text on either.
+    """
+    return _load(text, json.loads)
+
+
+def _load(data: Union[str, bytes], parse: Callable[[Union[str, bytes]], object]) -> PlaneGraph:
+    """The graph of ``data``; ``parse`` reads any text that is not canonical.
+
+    Its caller hands ``data`` over: the last reference to it goes before
+    the graph is built, so a file's bytes do not sit under the build's peak.
     """
     # json.loads builds one list per row.  They form no cycles, but while
     # they live every collection would walk them all, so the cyclic
@@ -213,8 +229,11 @@ def loads_plane_graph(text: str) -> PlaneGraph:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        doc = _canonical_document(text)
-        return from_document(json.loads(text) if doc is None else doc)
+        doc = _canonical_document(data)
+        if doc is None:
+            doc = parse(data)
+        del data
+        return from_document(doc)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     finally:
@@ -225,13 +244,18 @@ def loads_plane_graph(text: str) -> PlaneGraph:
 # Canonical text opens with the edges value and, keys being sorted, closes
 # with the rotation value; nothing but digits, brackets and commas is in
 # either.
-_HEAD = '{"edges":'
-_ROTATION = ',"rotation":'
+_HEAD = b'{"edges":'
+_ROTATION = b',"rotation":'
 _COMMA, _OPEN, _CLOSE, _OTHER = range(4)
 _CODE = np.full(256, _OTHER, np.uint8)
 _CODE[[ord(","), ord("["), ord("]")]] = _COMMA, _OPEN, _CLOSE
 _SPACES = bytes.maketrans(b"[],", b"   ")
 _POWERS = [10**k for k in range(1, 10)]
+
+# Bytes per block of the row scan.  Every block ends at a row boundary, and
+# the scan's temporaries (int64 positions, 8 bytes per punctuation byte, and
+# byte masks) are sized by the block, not by the file.
+_SCAN_BLOCK = 1 << 18
 
 
 def _window_table() -> np.ndarray:
@@ -260,7 +284,7 @@ def _window_table() -> np.ndarray:
 _WINDOW_OK = _window_table()
 
 
-def _canonical_document(text: str) -> Optional[dict]:
+def _canonical_document(data: Union[str, bytes]) -> Optional[dict]:
     """The document of canonical text with FlatRows for its rows, else None.
 
     None means only that the text is not confirmed canonical: json.loads
@@ -268,40 +292,37 @@ def _canonical_document(text: str) -> Optional[dict]:
     before its end, every object in it has sorted and distinct keys, the
     top-level keys between the two values sort between "edges" and
     "rotation", and both values are lists of int lists whose ids have no
-    leading zero and fewer than ten digits.
+    leading zero and fewer than ten digits.  A ``str`` is encoded once; the
+    two values are scanned in place, each on its own (:func:`_value_rows`).
     """
-    if not isinstance(text, str) or not text.startswith(_HEAD):
+    if isinstance(data, str) and data.isascii():
+        data = data.encode("ascii")
+    if not isinstance(data, bytes) or not data.startswith(_HEAD):
         return None
-    end = len(text)
-    while end and text[end - 1] in " \t\n\r":
+    end = len(data)
+    while end and data[end - 1] in b" \t\n\r":
         end -= 1
-    cut = text.find('"', len(_HEAD)) - 1  # the comma after the edges value
-    at = text.rfind(_ROTATION)
-    if not (len(_HEAD) < cut <= at and text[cut] == "," and text[end - 1 : end] == "}"):
+    cut = data.find(b'"', len(_HEAD)) - 1  # the comma after the edges value
+    at = data.rfind(_ROTATION)
+    if not (len(_HEAD) < cut <= at and data[cut : cut + 1] == b"," and data[end - 1 : end] == b"}"):
         return None
-    rest = "{" + text[cut + 1 : at] + "}"
+    rest = data[cut + 1 : at]
+    if not rest.isascii() or any(c in rest for c in b" \t\n\r"):
+        return None  # also a space inside a string: json.loads reads such text
     try:
-        doc = json.loads(rest, object_pairs_hook=_sorted_object)
-        raw = memoryview(text.encode("ascii"))
+        doc = json.loads("{" + rest.decode("ascii") + "}", object_pairs_hook=_sorted_object)
     except ValueError:
         return None
-    if any(c in rest for c in " \t\n\r") or (
-        doc and not ("edges" < min(doc) and max(doc) < "rotation")
-    ):
-        return None  # also a space inside a string: json.loads reads such text
-    edges, rotation = raw[len(_HEAD) : cut], raw[at + len(_ROTATION) : end - 1]
-    e, r = edges[1:-1], rotation[1:-1]  # their rows, if any
-    if not all(s[:1] == b"[" and s[-1:] == b"]" for s in (edges, rotation, *filter(len, (e, r)))):
+    if doc and not ("edges" < min(doc) and max(doc) < "rotation"):
         return None
-    # One list of rows, the edge rows first; the ',' between them is a row
-    # separator, so this list is sound exactly when both values are.
-    buf = b"".join((b"[", e, b"," if e and r else b"", r, b"]"))
-    split = len(e) + 1
-    del raw, edges, rotation, e, r  # frees the encoded text before the scan peaks
-    rows = _rows(buf, split)
-    if rows is None:
+    view = memoryview(data)
+    edges = _value_rows(data, view, len(_HEAD), cut)
+    if edges is None:
         return None
-    doc["edges"], doc["rotation"] = rows
+    rotation = _value_rows(data, view, at + len(_ROTATION), end - 1)
+    if rotation is None:
+        return None
+    doc["edges"], doc["rotation"] = edges, rotation
     return doc
 
 
@@ -313,35 +334,67 @@ def _sorted_object(pairs: list) -> dict:
     return dict(pairs)
 
 
-def _rows(buf: bytes, split: int) -> Optional[tuple[FlatRows, FlatRows]]:
-    """The rows of ``buf``, a list of int lists, before and after byte ``split``.
+def _value_rows(data: bytes, view: memoryview, lo: int, hi: int) -> Optional[FlatRows]:
+    """The rows of ``data[lo:hi]``, or None unless it is a list of int lists
+    in canonical form.
 
-    None unless ``buf`` is exactly such a list in canonical form.  Every
-    punctuation byte is checked against its neighbours (``_WINDOW_OK``), so
+    The rows are scanned in blocks of about ``_SCAN_BLOCK`` bytes, cut at a
+    ``],[``, whose ',' ends one block and is the byte before the next.  A
+    cut there never splits a sound list, and blocks of rows joined by ','
+    are a sound list of rows exactly when every block is one, so the value
+    is sound exactly when every block is (:func:`_block_rows`).
+    """
+    if hi - lo < 2 or data[lo : lo + 1] != b"[" or data[hi - 1 : hi] != b"]":
+        return None
+    if hi - lo == 2:
+        return FlatRows(np.zeros(0, np.int32), np.zeros(0, np.int32))
+    if data[lo + 1 : lo + 2] != b"[" or data[hi - 2 : hi - 1] != b"]":
+        return None
+    ids, lens = [], []
+    start = lo  # the byte before the block: the opening '[' or a ','
+    while start < hi - 1:
+        stop = data.find(b"],[", start + _SCAN_BLOCK, hi) + 1 or hi - 1
+        rows = _block_rows(view[start : stop + 1])
+        if rows is None:
+            return None
+        ids.append(rows[0])
+        lens.append(rows[1])
+        start = stop
+    return FlatRows(*(x[0] if len(x) == 1 else np.concatenate(x) for x in (ids, lens)))
+
+
+def _block_rows(block: memoryview) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(ids, row lengths) of the rows in ``block``, or None unless they are
+    rows of a list of int lists in canonical form.
+
+    The block is rows joined by ',' with one byte of punctuation on either
+    side: a '[' or ',' before, a ',' or ']' after.  Every punctuation byte
+    between those two is checked against its neighbours (``_WINDOW_OK``), so
     brackets nest two deep and commas separate numbers or rows.  Row lengths
     come from the bracket positions, the ids from ``np.fromstring``.
     """
-    a = np.frombuffer(buf, np.uint8)
+    a = np.frombuffer(block, np.uint8)
     punct = a - np.uint8(48)
     punct = np.greater(punct, 9, out=punct.view(np.bool_))  # not a digit
     at = punct.nonzero()[0]
-    num = ~punct[1:][at[:-1]]  # a number follows punctuation byte i
-    del punct  # the byte masks and positions are the peak of a large load
-    code = _CODE[a[at]]
-    digits, split_at = len(a) - len(at), at.searchsorted(split)
+    num = ~punct[1:].take(at[:-1])  # a number follows punctuation byte i
+    del punct  # the byte masks and positions are the peak of the scan
+    code = _CODE.take(a.take(at))
+    digits = len(a) - len(at)
     del a, at
     x = code[:-1] * np.uint8(2) + num
-    if not _WINDOW_OK[x[:-1] * np.uint8(32) + x[1:] * np.uint8(4) + code[2:]].all():
+    if not _WINDOW_OK.take(x[:-1] * np.uint8(32) + x[1:] * np.uint8(4) + code[2:]).all():
         return None
-    brackets = (code != _COMMA).nonzero()[0]  # '[', then '[' and ']' per row, then ']'
-    opens, closes = brackets[1:-1:2], brackets[2:-1:2]
+    del x
+    brackets = (code[1:-1] != _COMMA).nonzero()[0]  # '[' and ']' per row
+    brackets += 1
+    opens, closes = brackets[0::2], brackets[1::2]
     lens = (closes - opens - 1 + num[opens]).astype(np.int32)  # commas + 1, or 0
-    m = (int(brackets.searchsorted(split_at)) - 1) // 2  # rows before the split
     count = np.count_nonzero(num)
-    del code, x, num, brackets
+    del code, num, brackets
     if count:
         try:
-            ids = np.fromstring(buf.translate(_SPACES), np.int32, count, sep=" ")
+            ids = np.fromstring(block.tobytes().translate(_SPACES), np.int32, count, sep=" ")
         except ValueError:
             return None
     else:
@@ -359,8 +412,7 @@ def _rows(buf: bytes, split: int) -> Optional[tuple[FlatRows, FlatRows]]:
         return None  # an id of ten digits
     if ids.size != count or width != digits:
         return None
-    cut = int(lens[:m].sum())
-    return FlatRows(ids[:cut], lens[:m]), FlatRows(ids[cut:], lens[m:])
+    return ids, lens
 
 
 def dump_plane_graph(g: PlaneGraph, fp: Union[str, IO[str]]) -> None:
@@ -375,8 +427,21 @@ def dump_plane_graph(g: PlaneGraph, fp: Union[str, IO[str]]) -> None:
         fp.write(text)
 
 
-def load_plane_graph(fp: Union[str, IO[str]]) -> PlaneGraph:
+def load_plane_graph(fp: Union[str, IO[str], IO[bytes]]) -> PlaneGraph:
+    """Graph from a path or an open file, or GraphFormatError.
+
+    A path is read in binary mode and its bytes go to the canonical scan
+    as they are.  Text that is not canonical is decoded as text mode reads
+    it (UTF-8, universal newlines) for ``json.loads``, so a BOM, CRLF line
+    endings or invalid UTF-8 end as they would when read as text.  An open
+    file goes to :func:`loads_plane_graph` with whatever it reads.
+    """
     if isinstance(fp, str):
-        with open(fp, "r", encoding="utf-8") as fh:
-            return loads_plane_graph(fh.read())
+        with open(fp, "rb") as fh:
+            return _load(fh.read(), _json_as_text)
     return loads_plane_graph(fp.read())
+
+
+def _json_as_text(data: bytes) -> object:
+    """``json.loads`` of bytes decoded as ``open(path, encoding="utf-8")`` reads them."""
+    return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())

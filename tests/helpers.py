@@ -1525,3 +1525,51 @@ def document_by_rows(g: PlaneGraph) -> dict:
     if g.meta:
         doc["meta"] = g.meta
     return doc
+
+
+def spanning_tree_center_by_dicts(h: PlaneGraph, vertices: Sequence[int]) -> int:
+    """Vertex of eccentricity ≤ ⌊p/2⌋ in the connected induced subgraph:
+    the reference for ``center.spanning_tree_center``, with dict parents
+    and sizes and the heavy-child walk from the BFS root.
+
+    BFS from the first listed vertex builds a spanning tree; its
+    unit-weight centroid has the bound (every branch of the tree at the
+    centroid holds at most half the vertices).
+    """
+    verts = list(vertices)
+    p = len(verts)
+    if p == 0:
+        raise ValueError("empty vertex set")
+    if p == 1:
+        return verts[0]
+    member = set(verts)
+    start = verts[0]
+    parent = {start: -1}
+    order = [start]
+    qi = 0
+    while qi < len(order):
+        v = order[qi]
+        qi += 1
+        for d in h.rotation_darts(v):
+            w = h.head(d)
+            if w in member and w not in parent:
+                parent[w] = v
+                order.append(w)
+    if len(order) != p:
+        raise ValueError("vertex set does not induce a connected subgraph")
+
+    size = {v: 1 for v in order}
+    children: dict[int, list[int]] = {v: [] for v in order}
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+        children[parent[v]].append(v)
+    cur = start
+    while True:
+        heavy = -1
+        for c in children[cur]:
+            if 2 * size[c] > p:
+                heavy = c
+                break
+        if heavy < 0:
+            return cur
+        cur = heavy

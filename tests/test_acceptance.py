@@ -27,11 +27,13 @@ from helpers import (
     edge_endpoints,
     faces_of_vertex,
     girth_bruteforce,
+    graph_fingerprint,
     is_bipartite,
     peel_numbers_by_union_find,
     radial_bfs_by_rounds,
     ring_chain,
     simple_bound_check,
+    spanning_tree_center_by_dicts,
     thin_random_triangulation,
     tree_distance,
     tree_of_peels_by_walks,
@@ -42,6 +44,7 @@ from peelbound.center import (
     compute_gstar,
     find_center,
     find_center_diameter,
+    spanning_tree_center,
     tree_separator,
 )
 from peelbound.embed import PlaneGraph, connect_components, radial_bfs, vertex_bfs
@@ -520,6 +523,16 @@ def test_center_eccentricity_matches_oracle_on_corpus(pipelines):
     assert len(pipelines) == 139
 
 
+def test_spanning_tree_center_matches_reference_on_corpus(pipelines):
+    for p in pipelines.values():
+        h, root = p.aug.H, p.aug.root
+        sets = [[root] + [v for v in range(p.graph.n) if v != root]]
+        sets += [p.tree.stored(x) for x in range(p.tree.node_count)]
+        for verts in sets:
+            got = spanning_tree_center(h, verts)
+            assert got == spanning_tree_center_by_dicts(h, verts), p.entry.name
+
+
 def test_fse_per_face_matches_union_find_on_corpus(corpus):
     graphs = 0
     for e in corpus:
@@ -562,3 +575,10 @@ def test_writer_matches_rows_on_corpus(corpus):
         ), e.name
         assert to_document(e.graph) == document_by_rows(e.graph), e.name
         assert dumps_plane_graph(loads_plane_graph(text)) == text, e.name
+
+
+def test_str_and_bytes_load_alike_on_corpus(corpus):
+    for e in corpus:
+        text = dumps_plane_graph(e.graph)
+        got = graph_fingerprint(loads_plane_graph(text.encode()))
+        assert got == graph_fingerprint(loads_plane_graph(text)), e.name

@@ -21,6 +21,7 @@ from helpers import (
     random_nesting,
     ring_chain,
     separator_by_heavy_child,
+    spanning_tree_center_by_dicts,
     subtree_flags,
     thin_random_triangulation,
 )
@@ -49,6 +50,7 @@ from peelbound.gen import (
 from peelbound.embed import connect_components
 from peelbound.oracle import diameter_exact, verify_certificate
 from peelbound.peels import augment, build_tree_of_peels, choose_root, compute_layers
+from test_graphio import FAMILIES, GENERATED_TEXT_SHA256
 from test_peels import plane_graphs, run_under_optimize
 
 
@@ -174,6 +176,41 @@ def test_spanning_tree_center_on_node_sets():
     for x in range(tree.node_count):
         c = spanning_tree_center(aug.H, tree.stored(x))
         assert c in tree.stored(x)
+
+
+def spanning_tree_center_sets(g):
+    """(H, vertex set) for every set ``certify`` could hand to the center
+    search on g: each node's stored vertices, and the whole vertex set,
+    root first, of the g = 1 case."""
+    aug, tree = pipeline(g)
+    yield aug.H, [aug.root] + [v for v in range(g.n) if v != aug.root]
+    for x in range(tree.node_count):
+        yield aug.H, tree.stored(x)
+
+
+def assert_spanning_tree_center_matches_reference(g):
+    for h, verts in spanning_tree_center_sets(g):
+        assert spanning_tree_center(h, verts) == spanning_tree_center_by_dicts(h, verts)
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [(f, p) for f, p, _ in GENERATED_TEXT_SHA256],
+    ids=["-".join([f, *map(str, p)]) for f, p, _ in GENERATED_TEXT_SHA256],
+)
+def test_spanning_tree_center_matches_reference_on_workload_inputs(family, params):
+    g = FAMILIES[family](*params)
+    assert_spanning_tree_center_matches_reference(g if g.connected else connect_components(g))
+
+
+def test_spanning_tree_center_errors_match_reference():
+    g = ring_chain([4])
+    for verts in ([], [0, 5], [1, 1], [2, 3, 3]):
+        with pytest.raises(ValueError) as ref:
+            spanning_tree_center_by_dicts(g, verts)
+        with pytest.raises(ValueError) as got:
+            spanning_tree_center(g, verts)
+        assert str(got.value) == str(ref.value)
 
 
 # ---------------------------------------------------------------------------

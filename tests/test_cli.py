@@ -266,17 +266,22 @@ def test_unjoinable_grouping_exits_one(capsys, tmp_path, command):
     assert err.count("\n") == 1 and err.startswith("error:")
 
 
-def center_under_optimize(graph: Path) -> subprocess.CompletedProcess:
+def fresh_cli(*argv: str, optimize: bool = False) -> subprocess.CompletedProcess:
+    """The CLI in a process of its own."""
     src = str(Path(peelbound.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-O", "-m", "peelbound.cli", "center", str(graph)],
+        [sys.executable, *(["-O"] if optimize else []), "-m", "peelbound.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def center_under_optimize(graph: Path) -> subprocess.CompletedProcess:
+    return fresh_cli("center", str(graph), optimize=True)
 
 
 def test_unjoinable_grouping_exits_one_under_optimize(tmp_path):
@@ -298,6 +303,60 @@ def test_malformed_rotation_exits_one_under_optimize(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.endswith("edge 0 appears twice in rotation of 0\n")
+
+
+def without_timings(out):
+    records = stdout_records(out)
+    for record in records:
+        record.pop("seconds", None)
+        record.pop("runtimes", None)
+    return records
+
+
+def test_one_process_answers_like_fresh_ones(capsys, tmp_path):
+    # the parser is built once per process; a usage error between commands
+    # must leave it as a fresh process finds it
+    path = write_graph(capsys, tmp_path, "prism", "--k", "2")
+    cert = str(tmp_path / "cert.json")
+    calls = [
+        ("center", path, "--out", cert),
+        ("verify", path, cert),
+        ("center", path, "--mode", "sideways"),
+        ("oracle", path),
+        ("center", path, "--mode", "diameter"),
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in in_process] == [0, 0, 1, 0, 0]
+    for argv, (code, out, err) in zip(calls, in_process):
+        proc = fresh_cli(*argv)
+        assert code == proc.returncode, argv
+        assert without_timings(out) == without_timings(proc.stdout), argv
+        assert err == proc.stderr, argv
+
+
+FILE_CASES = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "bom": lambda text: "\ufeff" + text,
+    "non-ascii-meta": lambda text: text.replace('"n":', '"meta":{"a":"\u00e9"},"n":', 1),
+    "spaced-error": lambda text: json.dumps(json.loads(text), indent=1) + "x",
+}
+
+
+@pytest.mark.parametrize("case", FILE_CASES)
+def test_stdin_and_path_answer_alike(capsys, tmp_path, monkeypatch, case):
+    code, out, _ = run(capsys, "generate", "random", "--n", "30", "--seed", "2")
+    text = FILE_CASES[case](out)
+    path = tmp_path / "g.json"
+    path.write_bytes(text.encode())
+    by_path = run(capsys, "center", str(path))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    by_stdin = run(capsys, "center", "-")
+    assert by_stdin[0] == by_path[0] == (1 if case in ("bom", "spaced-error") else 0)
+    assert by_stdin[2] == by_path[2].replace(str(path), "-")
+    records = [without_timings(out) for _, out, _ in (by_path, by_stdin)]
+    for record in records[0]:
+        record["input"] = "-"
+    assert records[0] == records[1]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -170,6 +171,32 @@ def test_loads_leaves_gc_state_as_found(enabled, text):
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was else gc.disable()
+
+
+# The traced peak of load_plane_graph on a 2^16-vertex random triangulation,
+# as a multiple of the file's size.  Reading the file as bytes and scanning
+# its two row values in blocks put it at 3.4; decoding the file to str and
+# joining the values into one buffer had it at 5.3.
+LOAD_PEAK_PER_FILE_BYTE = 4.0
+
+
+def test_load_peak_is_a_small_multiple_of_the_file(tmp_path):
+    path = tmp_path / "random.json"
+    dump_plane_graph(gen_random_triangulation(2**16, 7), str(path))
+    size = path.stat().st_size
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        g = load_plane_graph(str(path))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert g.n == 2**16
+    assert peak <= LOAD_PEAK_PER_FILE_BYTE * size, f"{peak / size:.2f} x {size} bytes"
 
 
 # ---------------------------------------------------------------------------

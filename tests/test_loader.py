@@ -199,8 +199,8 @@ def test_first_bad_slot_is_reported():
 def test_malformed_text_names_the_value():
     doc = to_document(build_plane_graph(3, K3_EDGES, K3_ROTATION))
     doc["rotation"][1][0] = None
-    with pytest.raises(GraphFormatError, match="^malformed document: "):
-        loads_plane_graph(json.dumps(doc))
+    kind, text = loaded(json.dumps(doc))
+    assert kind == "GraphFormatError" and text.startswith("malformed document: ")
 
 
 K3_DOCUMENT = {"format": "plane-graph/1", "n": 3, "edges": K3_EDGES, "rotation": K3_ROTATION}
@@ -221,9 +221,7 @@ K3_DOCUMENT = {"format": "plane-graph/1", "n": 3, "edges": K3_EDGES, "rotation":
     ids=["scalar-edge-row", "scalar-rotation-row", "null-rotation-row", "no-edges"],
 )
 def test_loader_texts(patch, message):
-    with pytest.raises(GraphFormatError) as exc:
-        loads_plane_graph(json.dumps({**K3_DOCUMENT, **patch}))
-    assert str(exc.value) == message
+    assert loaded(json.dumps({**K3_DOCUMENT, **patch})) == ("GraphFormatError", message)
 
 
 def test_scan_that_finds_no_defect_raises_invariant_error(monkeypatch):
@@ -278,6 +276,13 @@ def load_outcome(load, text):
     return ("ok", graph_fingerprint(g))
 
 
+def loaded(text):
+    """The outcome of loads_plane_graph on text, which its UTF-8 bytes must share."""
+    got = load_outcome(loads_plane_graph, text)
+    assert load_outcome(loads_plane_graph, text.encode()) == got
+    return got
+
+
 @st.composite
 def loader_texts(draw):
     if draw(st.booleans()):
@@ -330,7 +335,7 @@ def loader_texts(draw):
 @settings(max_examples=500, deadline=None)
 @given(loader_texts())
 def test_canonical_reader_matches_json_loads(text):
-    assert load_outcome(loads_plane_graph, text) == load_outcome(load_by_json, text)
+    assert loaded(text) == load_outcome(load_by_json, text)
 
 
 def test_canonical_reader_refuses_what_json_reads_otherwise():
@@ -350,7 +355,7 @@ def test_canonical_reader_refuses_what_json_reads_otherwise():
         # the two values joined would read as one sound list of rows
         (base.replace("[2,0]]", "[2,0]", 1).replace(':[[0,2]', ":[0,2]", 1), "GraphFormatError"),
     ):
-        got = load_outcome(loads_plane_graph, text)
+        got = loaded(text)
         assert got == load_outcome(load_by_json, text)
         assert got[0] == result
 
@@ -376,18 +381,18 @@ def test_canonical_reader_refuses_what_json_reads_otherwise():
 )
 def test_fast_path_turns_down_non_canonical_text(old, new):
     text = canonical(K3_DOCUMENT)
-    assert graphio._canonical_document(text) is not None
+    assert graphio._canonical_document(text.encode()) is not None
     text = text.replace(old, new, 1)
-    assert graphio._canonical_document(text) is None
-    assert load_outcome(loads_plane_graph, text) == load_outcome(load_by_json, text)
+    assert graphio._canonical_document(text.encode()) is None
+    assert loaded(text) == load_outcome(load_by_json, text)
 
 
 def test_fast_path_reads_a_rotation_key_in_a_meta_string():
     # inside a JSON string the quotes are escaped, so the key search skips it
     doc = {**K3_DOCUMENT, "meta": {"a": ',"rotation":[[0]]', "rotation": [[0]]}}
     text = canonical(doc)
-    assert graphio._canonical_document(text) is not None
-    got = load_outcome(loads_plane_graph, text)
+    assert graphio._canonical_document(text.encode()) is not None
+    got = loaded(text)
     assert got == load_outcome(load_by_json, text) and got[0] == "ok"
 
 
@@ -407,9 +412,10 @@ def test_canonical_text_skips_the_list_flattener(monkeypatch, end):
     expected.append(("GraphFormatError", "edge 0 listed at non-endpoint 2"))
     flatten, flattened = embed._flatten_rows, []
     monkeypatch.setattr(embed, "_flatten_rows", lambda rows: flattened.append(rows) or flatten(rows))
-    assert [load_outcome(loads_plane_graph, text) for text in texts] == expected
-    # json.loads reads the faces, so only they go through the list flattener
-    assert flattened == [to_document(g)["faces"] for g in graphs]
+    assert [loaded(text) for text in texts] == expected
+    # json.loads reads the faces, so only they go through the list flattener,
+    # once for the str and once for the bytes
+    assert flattened == [to_document(g)["faces"] for g in graphs for _ in "sb"]
 
 
 def test_canonical_reader_under_optimize():
@@ -422,18 +428,21 @@ def test_canonical_reader_under_optimize():
         "expected = from_document(json.loads(text))\n"
         "flatten, flattened = embed._flatten_rows, []\n"
         "embed._flatten_rows = lambda rows: flattened.append(rows) or flatten(rows)\n"
-        "g = loads_plane_graph(text + '\\n')\n"
-        "same = all(list(getattr(g, k)) == list(getattr(expected, k))\n"
-        "           for k in ('eu', 'ev', 'rot_next', 'rot_first', 'face_of_walk'))\n"
-        "same = same and flattened == [json.loads(text)['faces']]\n"
-        "try:\n"
-        "    loads_plane_graph(text.replace('[[1,2]', '[[1,9]', 1))\n"
-        "except embed.GraphFormatError as exc:\n"
-        "    print(__debug__, same, exc)\n"
+        "bad = text.replace('[[1,2]', '[[1,9]', 1)\n"
+        "for data, wrong in ((text + '\\n', bad), ((text + '\\n').encode(), bad.encode())):\n"
+        "    flattened.clear()\n"
+        "    g = loads_plane_graph(data)\n"
+        "    same = all(list(getattr(g, k)) == list(getattr(expected, k))\n"
+        "               for k in ('eu', 'ev', 'rot_next', 'rot_first', 'face_of_walk'))\n"
+        "    same = same and flattened == [json.loads(text)['faces']]\n"
+        "    try:\n"
+        "        loads_plane_graph(wrong)\n"
+        "    except embed.GraphFormatError as exc:\n"
+        "        print(__debug__, same, exc)\n"
     )
     proc = run_under_optimize(script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False True edge 0 endpoint out of range\n"
+    assert proc.stdout == "False True edge 0 endpoint out of range\n" * 2
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +455,15 @@ NESTED = to_document(gen_nested_cycles(3, 1))  # walks 0-3, faces [[1, 2], [0, 3
 def loader_routes(doc):
     """Canonical text, which the numpy reader takes, and spaced text, which it refuses."""
     texts = canonical(doc), json.dumps(doc)
-    assert graphio._canonical_document(texts[0]) is not None
-    assert graphio._canonical_document(texts[1]) is None
+    assert graphio._canonical_document(texts[0].encode()) is not None
+    assert graphio._canonical_document(texts[1].encode()) is None
     return texts
 
 
 def test_true_still_reads_as_walk_one():
     expected = graph_fingerprint(from_document(NESTED))
     for text in loader_routes({**NESTED, "faces": [[True, 2], [0, 3]]}):
-        assert graph_fingerprint(loads_plane_graph(text)) == expected
+        assert loaded(text) == ("ok", expected)
 
 
 NO_LEN = "object of type 'int' has no len()"
@@ -497,12 +506,126 @@ NOT_INT = "'{}' object cannot be interpreted as an integer"
 def test_grouping_defects_read_the_same_on_every_route(faces, message):
     doc = {**NESTED, "faces": faces}
     for text in loader_routes(doc):
-        with pytest.raises(GraphFormatError) as exc:
-            loads_plane_graph(text)
-        assert str(exc.value) == message
+        assert loaded(text) == ("GraphFormatError", message)
     # the builder words the same defects; a type error is its own TypeError
     # (a JSON object never reaches it from a document)
     if "JSON object" not in message:
         with pytest.raises((GraphFormatError, TypeError)) as exc:
             build_plane_graph(doc["n"], doc["edges"], doc["rotation"], faces=faces)
         assert str(exc.value) == message.removeprefix("malformed document: ")
+
+
+# ---------------------------------------------------------------------------
+# Bytes in: str and bytes alike, files read as bytes, values scanned in blocks
+# ---------------------------------------------------------------------------
+
+
+def test_str_and_bytes_load_alike_on_maps():
+    for seed in range(300):
+        text = dumps_plane_graph(random_plane_map(seed, seed % 13, 1 + seed % 3))
+        assert loaded(text)[0] == "ok"
+
+
+def read_as_text(path):
+    """What load_plane_graph gave a path when it read the file in text mode."""
+    with open(path, encoding="utf-8") as fh:
+        return loads_plane_graph(fh.read())
+
+
+K3_TEXT = canonical(K3_DOCUMENT)
+SPACED = json.dumps(K3_DOCUMENT, indent=1)  # many lines
+# File contents, and how a path to them loads: text mode decodes UTF-8 and
+# turns CRLF and a lone CR into LF, so JSON error positions count them as
+# one character; json.loads reads bytes in the encoding it detects.
+FILE_BYTES = {
+    "canonical": (K3_TEXT + "\n").encode(),
+    "bom": b"\xef\xbb\xbf" + K3_TEXT.encode(),
+    "crlf": (K3_TEXT + "\r\n").encode(),
+    "crlf-spaced": SPACED.replace("\n", "\r\n").encode(),
+    "crlf-error": (SPACED + "x").replace("\n", "\r\n").encode(),
+    "cr-error": (SPACED + "x").replace("\n", "\r").encode(),
+    "invalid-utf8": K3_TEXT.replace('"n":3', '"meta":{"a":"\xff"},"n":3').encode("latin-1"),
+    "non-ascii-meta": canonical({**K3_DOCUMENT, "meta": {"a": "é"}}, False).encode(),
+    "utf16": K3_TEXT.encode("utf-16"),
+}
+PATH_OUTCOME = {
+    "canonical": "ok",
+    "bom": "GraphFormatError",
+    "crlf": "ok",
+    "crlf-spaced": "ok",
+    "crlf-error": "GraphFormatError",
+    "cr-error": "GraphFormatError",
+    "invalid-utf8": "UnicodeDecodeError",
+    "non-ascii-meta": "ok",
+    "utf16": "UnicodeDecodeError",
+}
+
+
+@pytest.mark.parametrize("name", FILE_BYTES)
+def test_files_load_as_they_did_in_text_mode(tmp_path, name):
+    path = tmp_path / "g.json"
+    path.write_bytes(FILE_BYTES[name])
+    expected = load_outcome(read_as_text, str(path))
+    assert expected[0] == PATH_OUTCOME[name]
+    assert load_outcome(graphio.load_plane_graph, str(path)) == expected
+
+    def from_text_file(p):
+        with open(p, encoding="utf-8") as fh:
+            return graphio.load_plane_graph(fh)
+
+    def from_binary_file(p):
+        with open(p, "rb") as fh:
+            return graphio.load_plane_graph(fh)
+
+    assert load_outcome(from_text_file, str(path)) == expected
+    # a binary file's bytes go to json.loads, which takes a BOM and UTF-16
+    assert load_outcome(from_binary_file, str(path)) == load_outcome(load_by_json, FILE_BYTES[name])
+
+
+def scan_documents():
+    """Canonical texts whose rows are short, long, empty and 9-digit."""
+    yield canonical(K3_DOCUMENT)
+    yield canonical({**K3_DOCUMENT, "rotation": [[0, 2], [1, 0], [123456789, 1]]})
+    yield canonical({**K3_DOCUMENT, "edges": [[0, 1], [1, 2], [2, 987654321]]})
+    yield dumps_plane_graph(ROW_SHAPES)  # empty rows: lone vertices
+    yield dumps_plane_graph(random_plane_map(11, 12, 2))
+    yield dumps_plane_graph(gen_nested_cycles(3, 2))
+
+
+def damaged_scan_texts(text):
+    """The text with one row id after another written as a non-canonical token."""
+    rows = range(text.index(',"', 1)), range(text.rindex(',"rotation":'), len(text))
+    ids = [i for r in rows for i in r if text[i].isdigit() and not text[i - 1].isdigit()]
+    for k, at in enumerate(ids[:: max(1, len(ids) // 6)]):
+        yield text[:at] + ["0", "1234567890", "-"][k % 3] + text[at:]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 6, 7, 9, 13, 17, 29, 64])
+def test_scan_blocks_read_what_one_block_reads(monkeypatch, block):
+    texts = list(scan_documents())
+    texts += [bad for text in texts for bad in damaged_scan_texts(text)]
+    whole = [load_outcome(load_by_json, text) for text in texts]
+    rows = [graphio._canonical_document(text.encode()) for text in texts]
+    assert sum(doc is not None for doc in rows) == 6  # the intact texts
+    monkeypatch.setattr(graphio, "_SCAN_BLOCK", block)
+    assert [loaded(text) for text in texts] == whole
+    for text, doc in zip(texts, rows):
+        got = graphio._canonical_document(text.encode())
+        assert (got is None) == (doc is None)
+        for key in ("edges", "rotation") if doc else ():
+            assert got[key].ids.tolist() == doc[key].ids.tolist()
+            assert got[key].lens.tolist() == doc[key].lens.tolist()
+
+
+def test_scan_blocks_end_at_rows(monkeypatch):
+    # with blocks of one byte, each block is one row and its two neighbours
+    blocks = []
+    scan = graphio._block_rows
+    monkeypatch.setattr(graphio, "_block_rows", lambda b: blocks.append(b.tobytes()) or scan(b))
+    monkeypatch.setattr(graphio, "_SCAN_BLOCK", 1)
+    doc = to_document(ROW_SHAPES)
+    assert loaded(dumps_plane_graph(ROW_SHAPES))[0] == "ok"
+    rows = [json.dumps(row, separators=(",", ":")).encode() for row in doc["edges"] + doc["rotation"]]
+    assert [b[1:-1] for b in blocks] == rows * 2  # the str, then the bytes
+    assert all(b[:1] in b"[," and b[-1:] in b",]" for b in blocks)
+    assert b"[]" in rows  # an empty row stands alone in its block
