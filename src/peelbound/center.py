@@ -117,7 +117,7 @@ def spanning_tree_center(h: PlaneGraph, vertices: Sequence[int]) -> int:
         raise ValueError("empty vertex set")
     if p == 1:
         return verts[0]
-    eu, ev, rot_next, rot_first = h.eu, h.ev, h.rot_next, h.rot_first
+    ends, rot_next, rot_first = h.ends, h.rot_next, h.rot_first
     unseen = bytearray(h.n)  # 1 on a vertex of the set not yet reached
     for v in verts:
         unseen[v] = 1
@@ -127,7 +127,7 @@ def spanning_tree_center(h: PlaneGraph, vertices: Sequence[int]) -> int:
     for i, v in enumerate(order):  # order grows as the search reaches vertices
         first = d = rot_first[v]
         while d >= 0:
-            w = eu[d >> 1] if d & 1 else ev[d >> 1]  # the head of dart d
+            w = ends[d ^ 1]  # the head of dart d
             if unseen[w]:
                 unseen[w] = 0
                 order.append(w)

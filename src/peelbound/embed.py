@@ -1,12 +1,12 @@
 """Plane graphs with a fixed combinatorial (spherical) embedding.
 
-A graph is stored as a rotation system over *darts*: edge ``e`` with endpoints
-``(eu[e], ev[e])`` owns darts ``2e`` (eu -> ev) and ``2e + 1`` (ev -> eu).
-``rot_next[d]`` is the next dart with the same origin, in slot order around
-that vertex.  Faces are traced with ``face_next(d) = rot_next[twin(d)]``; the
-traced face lies on a fixed side of every dart of its orbit (we read rotations
-as clockwise, so the face is on the left, but the chirality is internal and
-never observable).
+A graph is stored as a rotation system over *darts*: dart ``d`` runs from
+``ends[d]`` to ``ends[d ^ 1]``, so edge ``e`` is ``(ends[2e], ends[2e + 1])``,
+which is the ``edges`` value of a document read flat.  ``rot_next[d]`` is the
+next dart with the same origin, in slot order around that vertex.  Faces are
+traced with ``face_next(d) = rot_next[twin(d)]``; the traced face lies on a
+fixed side of every dart of its orbit (we read rotations as clockwise, so the
+face is on the left, but the chirality is internal and never observable).
 
 Disconnected graphs need extra data: a face of the sphere may be bounded by
 several closed walks (and may contain isolated vertices), and the grouping of
@@ -64,12 +64,11 @@ class PlaneGraph:
     __slots__ = (
         "n",
         "m",
-        "eu",
-        "ev",
+        "ends",
         "rot_next",
         "rot_first",
         "walk_of_dart",
-        "_dart_walks",
+        "dart_walk_count",
         "_walk_order",
         "_incidence",
         "_slot_darts",
@@ -90,11 +89,20 @@ class PlaneGraph:
     # -- dart helpers ------------------------------------------------------
 
     def origin(self, d: int) -> int:
-        """Dart 2e runs eu[e] -> ev[e], dart 2e + 1 runs back."""
-        return self.ev[d >> 1] if d & 1 else self.eu[d >> 1]
+        return self.ends[d]
 
     def head(self, d: int) -> int:
-        return self.eu[d >> 1] if d & 1 else self.ev[d >> 1]
+        return self.ends[d ^ 1]
+
+    @property
+    def eu(self) -> array:
+        """First end of every edge, ``ends[0::2]``, as a copy."""
+        return self.ends[0::2]
+
+    @property
+    def ev(self) -> array:
+        """Second end of every edge, ``ends[1::2]``, as a copy."""
+        return self.ends[1::2]
 
     def rotation_darts(self, v: int) -> list[int]:
         """Darts with origin v, in slot order (possibly empty)."""
@@ -111,10 +119,6 @@ class PlaneGraph:
     # -- walks and faces ---------------------------------------------------
 
     @property
-    def dart_walk_count(self) -> int:
-        return self._dart_walks
-
-    @property
     def walk_indptr(self) -> array:
         """Walk w is ``walk_flat[walk_indptr[w]:walk_indptr[w + 1]]``."""
         return self._walks_in_order()[0]
@@ -127,7 +131,7 @@ class PlaneGraph:
     def _walks_in_order(self) -> tuple[array, array]:
         # built on first read: the load and certify paths only need walk_of_dart
         if self._walk_order is None:
-            self._walk_order = _walk_order(self.rot_next, self.walk_of_dart, self._dart_walks)
+            self._walk_order = _walk_order(self.rot_next, self.walk_of_dart, self.dart_walk_count)
         return self._walk_order
 
     def walk(self, w: int) -> list[int]:
@@ -141,7 +145,7 @@ class PlaneGraph:
         """The face of v's first dart in slot order (isolated: its host face)."""
         d = self.rot_first[v]
         if d < 0:  # lone walks follow the dart walks, by vertex
-            return self.face_of_walk[self._dart_walks + bisect_left(self.lone_walk_vertex, v)]
+            return self.face_of_walk[self.dart_walk_count + bisect_left(self.lone_walk_vertex, v)]
         return self.face_of_walk[self.walk_of_dart[d]]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -163,8 +167,7 @@ class _Builder:
 
     def __init__(self, n: int):
         self.n = n
-        self.eu = array("i")
-        self.ev = array("i")
+        self.ends = array("i")
         self.rot_next = array("i")
         self.rot_first = array("i", [-1] * n)
 
@@ -172,18 +175,15 @@ class _Builder:
     def from_graph(cls, g: PlaneGraph) -> "_Builder":
         b = cls.__new__(cls)
         b.n = g.n
-        b.eu = array("i", g.eu)
-        b.ev = array("i", g.ev)
+        b.ends = array("i", g.ends)
         b.rot_next = array("i", g.rot_next)
         b.rot_first = array("i", g.rot_first)
         return b
 
     def _new_edge(self, u: int, v: int) -> int:
-        e = len(self.eu)
-        self.eu.append(u)
-        self.ev.append(v)
-        self.rot_next.append(-1)
-        self.rot_next.append(-1)
+        e = len(self.ends) >> 1
+        self.ends.extend((u, v))
+        self.rot_next.extend((-1, -1))
         return e
 
     def add_chord(self, prev_u: int, at_u: int, prev_v: int, at_v: int) -> int:
@@ -234,13 +234,17 @@ class _Builder:
 # ---------------------------------------------------------------------------
 
 
-def _face_next(rot_next: array) -> np.ndarray:
-    """face_next(d) = rot_next[d ^ 1] for every dart, as a new int32 array."""
-    rn = np.frombuffer(rot_next, dtype=np.int32)
-    fn = np.empty_like(rn)
-    fn[0::2] = rn[1::2]  # two strided copies; a reversed-pair ravel took 5x as long
-    fn[1::2] = rn[0::2]
-    return fn
+def _of_twin(per_dart: array, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """per_dart[d ^ 1] for every dart d, as int32, written into ``out`` if given.
+
+    Of ``rot_next`` that is face_next, and of ``ends`` every dart's head.
+    """
+    a = np.frombuffer(per_dart, dtype=np.int32)
+    if out is None:
+        out = np.empty_like(a)
+    out[0::2] = a[1::2]  # two strided copies; a reversed-pair ravel took 5x as long
+    out[1::2] = a[0::2]
+    return out
 
 
 def _label_walks(rot_next: array) -> tuple[np.ndarray, int]:
@@ -259,7 +263,7 @@ def _label_walks(rot_next: array) -> tuple[np.ndarray, int]:
     the least of d, face_next(d) and face_next^2(d), which that round's
     jump holds, is already the label.
     """
-    fn = _face_next(rot_next)
+    fn = _of_twin(rot_next)
     ident = np.arange(len(fn), dtype=np.int32)
     lab = np.minimum(ident, fn)
     jump = fn[fn]
@@ -296,7 +300,7 @@ def _walk_order(rot_next: array, walk_of_dart: array, count: int) -> tuple[array
     walk = np.frombuffer(walk_of_dart, dtype=np.int32)
     # the smallest darts of the walks appear in walk id order
     least = np.diff(np.maximum.accumulate(walk), prepend=-1).astype(bool)
-    return tuple(map(_int_array, _cycle_order(_face_next(rot_next), walk, least, count)))
+    return tuple(map(_int_array, _cycle_order(_of_twin(rot_next), walk, least, count)))
 
 
 def _rotation_order(
@@ -362,17 +366,6 @@ def _cycle_order(
     return indptr, flat
 
 
-def _dart_ends(eu: array, ev: array) -> tuple[np.ndarray, np.ndarray]:
-    """(origin, head) of every dart as int64; dart 2e runs eu[e] -> ev[e]."""
-    u = np.frombuffer(eu, dtype=np.int32)
-    v = np.frombuffer(ev, dtype=np.int32)
-    origin = np.empty(2 * len(u), dtype=np.int64)
-    head = np.empty_like(origin)
-    origin[0::2] = head[1::2] = u
-    origin[1::2] = head[0::2] = v
-    return origin, head
-
-
 def _grouping(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, order) grouping positions by key in [0, size).
 
@@ -408,14 +401,12 @@ def _label_components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             lab = up
 
 
-def _components(n: int, eu: array, ev: array) -> tuple[array, int]:
-    """Connected-component labels (edges undirected) and their count.
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> tuple[array, int]:
+    """Connected-component labels (edge i joins u[i] and v[i]) and their count.
 
     Components are numbered in the order of their smallest vertex.
     """
-    lab = _label_components(
-        n, np.frombuffer(eu, dtype=np.int32), np.frombuffer(ev, dtype=np.int32)
-    )
+    lab = _label_components(n, u, v)
     least = lab == np.arange(n, dtype=np.int32)
     rank = np.cumsum(least, dtype=np.int32) - 1
     return _int_array(rank[lab]), int(np.count_nonzero(least))
@@ -461,9 +452,8 @@ def _finish_graph(
     """
     g = PlaneGraph()
     g.n = b.n
-    g.m = len(b.eu)
-    g.eu = b.eu
-    g.ev = b.ev
+    g.m = len(b.ends) >> 1
+    g.ends = b.ends
     g.rot_next = b.rot_next
     g.rot_first = b.rot_first
     g.meta = dict(meta) if meta else {}
@@ -472,7 +462,7 @@ def _finish_graph(
     g.walk_of_dart = _int_array(walk_of)
     triangles = (np.bincount(walk_of, minlength=n_dart_walks) == 3).all()
     del walk_of  # keeps the peak of a large load low
-    g._dart_walks = n_dart_walks
+    g.dart_walk_count = n_dart_walks
     g._walk_order = None
     g._incidence = None
     g._slot_darts = None
@@ -480,7 +470,10 @@ def _finish_graph(
         np.flatnonzero(np.frombuffer(b.rot_first, dtype=np.int32) < 0)
     )
 
-    comp, ncomp = _components(g.n, b.eu, b.ev)
+    # the component and simplicity passes read the two edge columns whole
+    ends = np.frombuffer(b.ends, dtype=np.int32)
+    u, v = ends[0::2].copy(), ends[1::2].copy()
+    comp, ncomp = _components(g.n, u, v)
     g.component_of = comp
     g.component_count = ncomp
     g.connected = ncomp <= 1
@@ -502,8 +495,6 @@ def _finish_graph(
         )
 
     # Simplicity: no loops, no parallel edges.
-    u = np.frombuffer(b.eu, dtype=np.int32)
-    v = np.frombuffer(b.ev, dtype=np.int32)
     pair = np.minimum(u, v).astype(np.int64)
     pair *= g.n
     pair += np.maximum(u, v)
@@ -604,8 +595,8 @@ def build_plane_graph(
     if system is None:
         _first_defect(n, edges, rotation)
     b = _Builder(n)
-    b.eu, b.ev, b.rot_next, b.rot_first = map(_int_array, system[:4])
-    slots = system[4:]
+    b.ends, b.rot_next, b.rot_first = map(_int_array, system[:3])
+    slots = system[3:]
     del system
     g = _finish_graph(b, face_grouping=faces, meta=meta)
     g._slot_darts = slots
@@ -675,17 +666,18 @@ def _rotation_system(
     edges: Optional[tuple[np.ndarray, np.ndarray]],
     rotation: Optional[tuple[np.ndarray, np.ndarray]],
 ) -> Optional[tuple[np.ndarray, ...]]:
-    """(eu, ev, rot_next, rot_first, slot_indptr, slot_dart) as int32, or None
+    """(ends, rot_next, rot_first, slot_indptr, slot_dart) as int32, or None
     if the input is unsound.
 
     ``edges`` and ``rotation`` are (ids, lens) pairs from :func:`_flat`, None
-    where the rows did not flatten.  Sound means: every edge a pair of vertex
-    ids, every slot an edge id at one of that edge's endpoints, and every
-    dart named by exactly one slot.  A slot at eu[e] names dart 2e, one at
-    ev[e] dart 2e + 1; a loop's first slot names 2e and every later one
-    2e + 1, so a loop listed once or three times leaves a dart named zero
-    times or twice.  Slot s names dart ``slot_dart[s]``, and vertex v's
-    slots are ``slot_indptr[v]:slot_indptr[v + 1]``, in rotation order.
+    where the rows did not flatten; ``ends`` is the ``edges`` ids as they
+    came.  Sound means: every edge a pair of vertex ids, every slot an edge
+    id at one of that edge's endpoints, and every dart named by exactly one
+    slot.  A slot of edge e at ends[2e] names dart 2e, one at ends[2e + 1]
+    dart 2e + 1; a loop's first slot names 2e and every later one 2e + 1, so
+    a loop listed once or three times leaves a dart named zero times or
+    twice.  Slot s names dart ``slot_dart[s]``, and vertex v's slots are
+    ``slot_indptr[v]:slot_indptr[v + 1]``, in rotation order.
     """
     if edges is None or rotation is None:
         return None
@@ -695,18 +687,19 @@ def _rotation_system(
         return None
     if not (((0 <= ends) & (ends < n)).all() and ((0 <= slots) & (slots < m)).all()):
         return None
-    eu, ev = ends.reshape(m, 2).T
     vert = np.repeat(np.arange(n, dtype=np.int32), lens)
     # Gathers and scatters run on intp positions through take: numpy would
-    # cast int32 indices to intp on every use.  dart holds each slot's edge
-    # id until it is turned into the slot's dart.
+    # cast int32 indices to intp on every use.  dart holds one dart of each
+    # slot's edge e, 2e then 2e + 1, until it is turned into the slot's dart.
     dart = slots.astype(np.intp)
-    u0, v0 = eu.take(dart), ev.take(dart)
+    dart *= 2
+    u0 = ends.take(dart)
+    dart += 1
+    v0 = ends.take(dart)
     at_u = vert == u0
     if not (at_u | (vert == v0)).all():
         return None
-    dart *= 2
-    dart += ~at_u
+    dart -= at_u
     loops = np.flatnonzero(u0 == v0)
     del vert, u0, v0, at_u  # keeps the peak of a large load low
     if loops.size:
@@ -730,7 +723,7 @@ def _rotation_system(
     rot_first = np.full(n, -1, dtype=np.int32)
     rot_first[full] = dart.take(start[full])
     dart = dart.astype(np.int32)
-    return eu, ev, rot_next, rot_first, indptr, dart
+    return ends, rot_next, rot_first, indptr, dart
 
 
 def _first_defect(
@@ -817,16 +810,12 @@ def _incidence(
     """
     m2 = 2 * g.m
     lone = np.frombuffer(g.lone_walk_vertex, dtype=np.int32)
-    eu = np.frombuffer(g.eu, dtype=np.int32)
-    ev = np.frombuffer(g.ev, dtype=np.int32)
     face_of_walk = np.frombuffer(g.face_of_walk, dtype=np.int32)
     verts = np.empty(m2 + len(lone), dtype=np.int32)
-    verts[0:m2:2] = eu
-    verts[1:m2:2] = ev
+    verts[:m2] = np.frombuffer(g.ends, dtype=np.int32)
     verts[m2:] = lone
     heads = np.empty_like(verts)
-    heads[0:m2:2] = ev
-    heads[1:m2:2] = eu
+    _of_twin(g.ends, heads[:m2])
     heads[m2:] = lone
     faces = np.empty_like(verts)  # the walk of each entry, then its face
     faces[:m2] = np.frombuffer(g.walk_of_dart, dtype=np.int32)
@@ -1089,14 +1078,20 @@ def connect_components(g: PlaneGraph) -> PlaneGraph:
     other walk at the corner before its first dart.  Dart walks come before
     lone walks, so a lone base vertex shares its face with lone vertices
     only; two lone vertices get (base, other).  The result is connected, so
-    face f is walk f, as in every connected graph.  All edges are spliced
-    into one builder, so the cost is linear when faces hold O(1) walks (each
-    edge retraces the base vertex's growing walk).
+    face f is walk f, as in every connected graph.
+
+    That corner needs no trace.  The base vertex is the walk's first
+    vertex, so its first occurrence is the smallest dart ``at`` itself, and
+    ``at`` stays the smallest: the darts of the joined walks exceed it
+    (walks are numbered by their smallest dart), and new darts exceed every
+    old one.  A join with new edge e makes the walk ..., 2e, ..., 2e + 1,
+    at, so the corner is (the dart before ``at``, at), where that dart is
+    the last join's 2e + 1, else the walk's last dart.  All edges are
+    spliced into one builder, so the cost is linear.
     """
     if g.connected:
         return g
     b = _Builder.from_graph(g)
-    rn = b.rot_next
     flat, indptr, nd = g.walk_flat, g.walk_indptr, g.dart_walk_count
     parent = list(range(g.component_count))
 
@@ -1106,36 +1101,29 @@ def connect_components(g: PlaneGraph) -> PlaneGraph:
             c = parent[c]
         return c
 
-    def first_corner(d0: int, v: int) -> tuple[int, int]:
-        walk = [d0]
-        d = rn[d0 ^ 1]
-        while d != d0:
-            walk.append(d)
-            d = rn[d ^ 1]
-        s = walk.index(min(walk))
-        walk = walk[s:] + walk[:s]
-        i = next(i for i, d in enumerate(walk) if b.origin(d) == v)
-        return walk[i - 1], walk[i]
-
     def first_vertex(w: int) -> int:  # of walk w, read off its first dart
         return g.origin(flat[indptr[w]]) if w < nd else g.lone_walk_vertex[w - nd]
 
     for walks in _face_rows(g):
         base = first_vertex(walks[0])
-        rep = flat[indptr[walks[0]]] if walks[0] < nd else -1  # dart on base's walk
+        at = prev = -1  # the base vertex's corner, once it has a dart
+        if walks[0] < nd:
+            at, prev = flat[indptr[walks[0]]], flat[indptr[walks[0] + 1] - 1]
         for w in walks[1:]:
             other = first_vertex(w)
             cb, co = find(g.component_of[base]), find(g.component_of[other])
             if cb == co:
                 continue
             parent[co] = cb
-            if w < nd:
-                b.add_chord(*first_corner(rep, base), flat[indptr[w + 1] - 1], flat[indptr[w]])
-            elif rep < 0:
-                rep = 2 * b.add_isolated_pair(base, other)
+            if at < 0:  # two lone vertices: the walk 2e, 2e + 1
+                e = b.add_isolated_pair(base, other)
+                at = 2 * e
+            elif w < nd:
+                e = b.add_chord(prev, at, flat[indptr[w + 1] - 1], flat[indptr[w]])
             else:
-                b.add_edge_at_corner_to_isolated(*first_corner(rep, base), other)
-    if len(b.eu) - g.m != g.component_count - 1:
+                e = b.add_edge_at_corner_to_isolated(prev, at, other)
+            prev = 2 * e + 1
+    if len(b.ends) // 2 - g.m != g.component_count - 1:
         raise GraphFormatError("face structure did not span all components")
     return _finish_graph(b, meta=g.meta)
 
@@ -1162,10 +1150,8 @@ def triangulate_preserving_embedding(g: PlaneGraph) -> PlaneGraph:
         raise ValueError("triangulation requires at least 3 vertices")
 
     b = _Builder.from_graph(g)
-    adj: set[tuple[int, int]] = set()
-    for e in range(g.m):
-        u, v = g.eu[e], g.ev[e]
-        adj.add((u, v) if u < v else (v, u))
+    ends = g.ends
+    adj = {(u, v) if u < v else (v, u) for u, v in zip(ends[0::2], ends[1::2])}
 
     pending: list[list[int]] = [g.walk(w) for w in range(g.dart_walk_count)]
     while pending:

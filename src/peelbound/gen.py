@@ -431,9 +431,13 @@ def gen_random_triangulation(n: int, seed: int) -> PlaneGraph:
     face[:, 1], face[:, 2] = tail(np.arange(slots, dtype=np.int32), last)[:2]
     rot_next = np.empty(6 + 6 * steps, np.int32)
     rot_next[face ^ 1] = np.roll(face, -1, axis=1)
+    ends = np.empty((1 + steps, 3, 2), np.int32)  # K3's edges, then three per new vertex
+    ends[0] = (0, 1), (1, 2), (2, 0)
+    ends[1:, :2, 0] = corners
+    ends[1:, 2, 0] = corner
+    ends[1:, :, 1] = np.arange(3, n, dtype=np.int32)[:, None]
     b = _Builder(n)
-    b.eu = _int_array(np.concatenate(([0, 1, 2], np.column_stack((corners, corner)).ravel())))
-    b.ev = _int_array(np.concatenate(([1, 2, 0], np.repeat(np.arange(3, n, dtype=np.int32), 3))))
+    b.ends = _int_array(ends.ravel())
     b.rot_next = _int_array(rot_next)
     b.rot_first = _int_array(np.concatenate(([0, 2, 4], np.arange(7, 6 * steps + 7, 6))))
     out = _finish_graph(b, meta={"family": "random", "n": n, "seed": seed})

@@ -78,12 +78,10 @@ def _document(g: PlaneGraph, rows: Optional[tuple[list, list]]) -> dict:
 
 
 def _row_arrays(g: PlaneGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ends, rotation, degree) as int32: the ``edges`` rows flat, eu[e] then
-    ev[e] (the origin of dart 2e, then of 2e + 1), and each vertex's edge
+    """(ends, rotation, degree) as int32: the ``edges`` rows flat, which is
+    g's ``ends`` as it is (the origin of every dart), and each vertex's edge
     ids in slot order, flat, with the length of its row."""
-    ends = np.empty(2 * g.m, dtype=np.int32)
-    ends[0::2] = np.frombuffer(g.eu, dtype=np.int32)
-    ends[1::2] = np.frombuffer(g.ev, dtype=np.int32)
+    ends = np.frombuffer(g.ends, dtype=np.int32)
     indptr, darts = _rotation_order(g.rot_next, g.rot_first, ends)
     darts >>= 1
     return ends, darts, np.diff(indptr)

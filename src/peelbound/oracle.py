@@ -115,7 +115,7 @@ class _FaceBitTables(NamedTuple):
     face_count: int
     vf_indptr: np.ndarray  # vertex v's faces are vf_faces[vf_indptr[v]:vf_indptr[v + 1]]
     vf_faces: np.ndarray  # the face of each dart leaving v; a lone vertex: its host face
-    ends: np.ndarray  # (eu, ev): row k, column e is end k of edge e
+    ends: np.ndarray  # row k, column e is end k of edge e: g.ends[2e + k]
     sides: np.ndarray  # row k, column e is the face of dart 2e + k
 
 
@@ -127,12 +127,11 @@ def _face_bit_tables(g: PlaneGraph) -> _FaceBitTables:
     arrays; repeats stay in.  Nothing here reads g's incidence view, so the
     radial cross-check does not share it.
     """
-    eu = np.frombuffer(g.eu, dtype=np.int32)
-    ev = np.frombuffer(g.ev, dtype=np.int32)
+    ends = np.frombuffer(g.ends, dtype=np.int32)
     lone = np.frombuffer(g.lone_walk_vertex, dtype=np.int32)
     face_of_walk = np.frombuffer(g.face_of_walk, dtype=np.int32)
     face_of_dart = face_of_walk[np.frombuffer(g.walk_of_dart, dtype=np.int32)]
-    verts = np.concatenate([np.stack([eu, ev], axis=1).ravel(), lone])
+    verts = np.concatenate([ends, lone])
     faces = np.concatenate([face_of_dart, face_of_walk[g.dart_walk_count :]])
     vf_indptr = np.zeros(g.n + 1, dtype=np.intp)
     np.cumsum(np.bincount(verts, minlength=g.n), out=vf_indptr[1:])
@@ -140,7 +139,7 @@ def _face_bit_tables(g: PlaneGraph) -> _FaceBitTables:
         g.face_count,
         vf_indptr,
         faces[np.argsort(verts, kind="stable")],
-        np.stack([eu, ev]),
+        ends.reshape(-1, 2).T,
         face_of_dart.reshape(-1, 2).T,
     )
 
@@ -173,7 +172,7 @@ def _deletion_counts(t: _FaceBitTables) -> list[int]:
     while vertices are still live raises :class:`InvariantError`.  The tests
     hold it face by face to a union-find deletion in ``tests/helpers.py``.
     """
-    F, vf_indptr, vf_faces, (eu, ev), sides = t
+    F, vf_indptr, vf_faces, (u, v), sides = t
     vf_filled = np.flatnonzero(np.diff(vf_indptr))
     # the faces beside each edge, one entry per side: (edge, the face across)
     near = sides.ravel()
@@ -202,7 +201,7 @@ def _deletion_counts(t: _FaceBitTables) -> list[int]:
             deleted |= hit
             hit_any = np.bitwise_or.reduce(hit, axis=0)
             counts[first : first + count][_source_flags(hit_any, count)] = rnd
-            gone = (deleted.take(eu, axis=0) | deleted.take(ev, axis=0)).take(fe_edge, axis=0)
+            gone = (deleted.take(u, axis=0) | deleted.take(v, axis=0)).take(fe_edge, axis=0)
             fresh = np.zeros_like(outer)
             front = outer
             while True:
@@ -306,9 +305,8 @@ def _is_fence(
     off_edges = np.ones(g.m, dtype=bool)
     off_edges[[d >> 1 for d in cycle]] = False
     side = _label_components(g.face_count, sides[0, off_edges], sides[1, off_edges])
-    d0 = cycle[0]
-    left = side[sides[d0 & 1, d0 >> 1]]
-    right = side[sides[(d0 & 1) ^ 1, d0 >> 1]]
+    face_of_dart = sides.T.reshape(-1)
+    left, right = side[face_of_dart[cycle[0]]], side[face_of_dart[cycle[0] ^ 1]]
     if left == right:
         return False
     off_verts = np.ones(g.n, dtype=bool)

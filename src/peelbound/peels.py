@@ -33,10 +33,10 @@ from .embed import (
     _bit_bfs,
     _Builder,
     _cached_incidence,
-    _dart_ends,
     _finish_graph,
     _int_array,
     _label_components,
+    _of_twin,
     radial_bfs,
     vertex_bfs,
 )
@@ -74,13 +74,13 @@ def choose_root(g: PlaneGraph) -> int:
         raise ValueError("root selection requires a connected graph")
     if g.n <= 2:
         return 0
-    eu, ev = g.eu, g.ev
-    walk_of = g.walk_of_dart
-    loops = np.flatnonzero(np.frombuffer(eu, dtype=np.int32) == np.frombuffer(ev, dtype=np.int32))
+    ends, walk_of = g.ends, g.walk_of_dart
+    pairs = np.frombuffer(ends, dtype=np.int32).reshape(-1, 2)
+    loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
     loop_walks = np.frombuffer(walk_of, dtype=np.int32).reshape(-1, 2)[loops]
     face = _label_components(g.dart_walk_count, loop_walks[:, 0], loop_walks[:, 1])
     for v in range(g.n):
-        faces = [face[walk_of[d]] for d in g.rotation_darts(v) if eu[d >> 1] != ev[d >> 1]]
+        faces = [face[walk_of[d]] for d in g.rotation_darts(v) if ends[d] != ends[d ^ 1]]
         if len(set(faces)) == len(faces):
             return v
     raise InvariantError("every connected graph has a non-cutvertex")
@@ -206,10 +206,10 @@ def augment(ctx: PeelContext) -> Augmentation:
         if not h.connected:
             raise InvariantError("augmentation must stay connected")
 
-    orig, head = _dart_ends(h.eu, h.ev)
+    orig = np.frombuffer(h.ends, dtype=np.int32)
     m2 = len(orig)
     lay_np = ctx.layer
-    descend = lay_np[orig] == lay_np[head] + 1
+    descend = lay_np[orig] == lay_np[_of_twin(h.ends)] + 1
     out_dart = np.full(g.n, m2, dtype=np.int64)
     cand = np.nonzero(descend)[0]
     np.minimum.at(out_dart, orig[cand], cand)
@@ -244,9 +244,7 @@ def _splice_hub_chords(g: PlaneGraph, layer: np.ndarray) -> Optional[_Builder]:
         return None
     indptr = np.frombuffer(g.walk_indptr, dtype=np.int32)
     starts, size = indptr[:-1], np.diff(indptr)
-    eu = np.frombuffer(g.eu, dtype=np.int32)
-    ev = np.frombuffer(g.ev, dtype=np.int32)
-    vert = np.where(flat & 1, ev[flat >> 1], eu[flat >> 1])
+    vert = np.frombuffer(g.ends, dtype=np.int32)[flat]
     lay = layer.astype(np.int32)[vert]
 
     walk = np.repeat(np.arange(len(starts), dtype=np.int32), size)
@@ -280,8 +278,7 @@ def _splice_hub_chords(g: PlaneGraph, layer: np.ndarray) -> Optional[_Builder]:
     rn[anchor[cw[last]]] = 2 * e[last] + 1
 
     b = _Builder.from_graph(g)
-    b.eu.frombytes(chord_u.tobytes())
-    b.ev.frombytes(chord_w.tobytes())
+    b.ends.frombytes(np.stack((chord_u, chord_w), axis=1).tobytes())
     b.rot_next = array("i", rn.tobytes())
     return b
 
@@ -377,20 +374,14 @@ def build_tree_of_peels(aug: Augmentation) -> TreeOfPeels:
     h = aug.H
     n = h.n
     lay = aug.layer.astype(np.int32)
-    eu = np.frombuffer(h.eu, dtype=np.int32)
-    ev = np.frombuffer(h.ev, dtype=np.int32)
-    lu, lv = lay[eu], lay[ev]
-    same = lu == lv
-    lab = _label_components(n, eu[same], ev[same])
-    desc = np.empty((h.m, 2), dtype=bool)  # dart 2e runs eu -> ev, 2e + 1 back
-    desc[:, 0] = lu == lv + 1
-    desc[:, 1] = lv == lu + 1
-    dart = np.flatnonzero(desc).astype(np.int32)
-    del lu, lv, same, desc
-    back = (dart & 1).astype(bool)
-    tail = np.where(back, ev[dart >> 1], eu[dart >> 1])
-    tip = np.where(back, eu[dart >> 1], ev[dart >> 1])
-    del dart, back
+    ends = np.frombuffer(h.ends, dtype=np.int32)
+    lay_end = lay[ends]
+    same = lay_end[0::2] == lay_end[1::2]
+    lab = _label_components(n, ends[0::2][same], ends[1::2][same])
+    dart = np.flatnonzero(lay_end == _of_twin(lay_end) + 1)  # the descending darts
+    tail = ends[dart]
+    tip = ends[dart ^ 1]
+    del lay_end, same, dart
 
     # A label's darts all leave one layer, so its first in (origin layer,
     # dart id) order is its smallest; ``dart`` ascends, so positions do too.

@@ -21,8 +21,8 @@ from peelbound.embed import (
     RadialDistance,
     _Builder,
     _csr_gather,
-    _dart_ends,
     _distinct,
+    _face_rows,
     _finish_graph,
     _grouping,
     _int_array,
@@ -49,6 +49,18 @@ def graph_fingerprint(g: PlaneGraph) -> list:
         list(g.walk_indptr), list(g.lone_walk_vertex), g.meta,
         g.simple, g.connected, g.triangulated,
     ]
+
+
+def dart_ends(eu: array, ev: array) -> tuple[np.ndarray, np.ndarray]:
+    """(origin, head) of every dart as int64, built from the two edge columns
+    (dart 2e runs eu[e] -> ev[e]) rather than read off ``PlaneGraph.ends``."""
+    u = np.frombuffer(eu, dtype=np.int32)
+    v = np.frombuffer(ev, dtype=np.int32)
+    origin = np.empty(2 * len(u), dtype=np.int64)
+    head = np.empty_like(origin)
+    origin[0::2] = head[1::2] = u
+    origin[1::2] = head[0::2] = v
+    return origin, head
 
 
 def check_grouping_by_loops(faces, n_walks: int) -> None:
@@ -122,7 +134,7 @@ def incidence_by_sort(g: PlaneGraph) -> tuple[np.ndarray, ...]:
     alone; :func:`sorted_view` puts both in one order within each row.
     """
     lone = np.frombuffer(g.lone_walk_vertex, dtype=np.int32)
-    origin, head = _dart_ends(g.eu, g.ev)
+    origin, head = dart_ends(g.eu, g.ev)
     face_of_walk = np.frombuffer(g.face_of_walk, dtype=np.int32)
     verts = np.concatenate([origin, lone]).astype(np.int32)
     heads = np.concatenate([head, lone]).astype(np.int32)
@@ -170,7 +182,7 @@ def build_plane_graph_by_slots(n, edges, rotation, faces=None, flags=None, meta=
             raise GraphFormatError(f"edge {e} endpoint out of range")
         b._new_edge(u, v)
 
-    m = len(b.eu)
+    m = len(b.ends) // 2
     slot_used = array("i", [0] * m)  # occurrences consumed per edge
     for v in range(n):
         darts: list[int] = []
@@ -178,7 +190,7 @@ def build_plane_graph_by_slots(n, edges, rotation, faces=None, flags=None, meta=
             e = index(e)
             if not (0 <= e < m):
                 raise GraphFormatError(f"rotation of {v} references edge {e}")
-            u0, v0 = b.eu[e], b.ev[e]
+            u0, v0 = b.ends[2 * e], b.ends[2 * e + 1]
             if u0 == v0:
                 if v != u0:
                     raise GraphFormatError(f"loop {e} listed at wrong vertex {v}")
@@ -203,7 +215,7 @@ def build_plane_graph_by_slots(n, edges, rotation, faces=None, flags=None, meta=
         set_rotation(b, v, darts)
 
     for e in range(m):
-        u0, v0 = b.eu[e], b.ev[e]
+        u0, v0 = b.ends[2 * e], b.ends[2 * e + 1]
         ok = slot_used[e] == 2 if u0 == v0 else slot_used[e] == 3
         if not ok:
             raise GraphFormatError(f"edge {e} missing from some rotation")
@@ -279,7 +291,7 @@ def components_by_bfs(n: int, eu: array, ev: array) -> tuple[array, int]:
     """
     comp = array("i", [-1]) * n
     comp_np = np.frombuffer(comp, dtype=np.int32)
-    indptr, dest = csr_by_sort(*_dart_ends(eu, ev), n)
+    indptr, dest = csr_by_sort(*dart_ends(eu, ev), n)
     slot = np.empty(n, dtype=np.int64)
     label = 0
     for seed in range(n):
@@ -321,7 +333,7 @@ def radial_bfs_by_rounds(g: PlaneGraph, source_vertex=None, source_face=None) ->
     face_of_walk = np.frombuffer(g.face_of_walk, dtype=np.int32)
     walk_of_dart = np.frombuffer(g.walk_of_dart, dtype=np.int32)
     verts = np.concatenate(
-        [_dart_ends(g.eu, g.ev)[0], np.frombuffer(g.lone_walk_vertex, dtype=np.int32)]
+        [dart_ends(g.eu, g.ev)[0], np.frombuffer(g.lone_walk_vertex, dtype=np.int32)]
     )
     faces = np.concatenate(
         [face_of_walk[walk_of_dart], face_of_walk[g.dart_walk_count :]]
@@ -386,7 +398,7 @@ def random_plane_map(seed: int, steps: int, components: int = 1) -> PlaneGraph:
                     walk.append(rn[walk[-1] ^ 1])
                 at2 = at if kind > 0.9 else rng.choice(walk)
                 if at2 == at:  # a loop inside one corner bounds a face of one dart
-                    v = b.ev[prev >> 1] if prev & 1 == 0 else b.eu[prev >> 1]
+                    v = b.ends[prev ^ 1]
                     e = b._new_edge(v, v)
                     rn[prev ^ 1] = 2 * e
                     rn[2 * e] = 2 * e + 1
@@ -420,8 +432,9 @@ def random_plane_map(seed: int, steps: int, components: int = 1) -> PlaneGraph:
 
 def _adjacency(g: PlaneGraph) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(g.n)]
+    ends = g.ends
     for e in range(g.m):
-        u, v = g.eu[e], g.ev[e]
+        u, v = ends[2 * e], ends[2 * e + 1]
         adj[u].append(v)
         if u != v:
             adj[v].append(u)
@@ -572,7 +585,7 @@ def tree_of_peels_by_walks(aug: Augmentation) -> TreeOfPeels:
     def origin(d: int) -> int:
         return ev[d >> 1] if d & 1 else eu[d >> 1]
 
-    orig_np, head_np = _dart_ends(h.eu, h.ev)
+    orig_np, head_np = dart_ends(h.eu, h.ev)
     desc_mask = aug.layer[orig_np] == aug.layer[head_np] + 1
     desc_darts = np.nonzero(desc_mask)[0]
     # by origin layer, then dart id (the stable sort keeps id order)
@@ -659,6 +672,75 @@ def ring_chain(sizes: list[int], connected: bool = True) -> PlaneGraph:
     faces.append([2 * (k - 1), 2 * k + 1])
     g = build_plane_graph(n, edges, rotation, faces=faces)
     return connect_components(g) if connected else g
+
+
+def triangles_in_one_face(k: int) -> PlaneGraph:
+    """k disjoint triangles, one walk of each bounding one shared face.
+
+    Triangle i is vertices 3i, 3i + 1, 3i + 2 and edges 3i .. 3i + 2, so
+    its walks are 2i and 2i + 1: walk 2i goes into the shared face and walk
+    2i + 1 bounds a face of its own.  Every join of ``connect_components``
+    lands on the one base walk, which grows by three darts a join.
+    """
+    edges = [(3 * i + j, 3 * i + (j + 1) % 3) for i in range(k) for j in range(3)]
+    rotation = [[3 * i + (j - 1) % 3, 3 * i + j] for i in range(k) for j in range(3)]
+    faces = [list(range(0, 2 * k, 2))] + [[w] for w in range(1, 2 * k, 2)]
+    return build_plane_graph(3 * k, edges, rotation, faces=faces)
+
+
+def connect_by_retracing(g: PlaneGraph) -> PlaneGraph:
+    """Reference for ``connect_components``: the same joins, each corner retraced.
+
+    Before every join the base vertex's current walk is traced afresh from
+    its smallest dart, and the edge leaves the base vertex at its first
+    occurrence there.  Each join costs the length of the base walk, which
+    grows by every joined component, so k walks in one face cost O(k^2).
+    """
+    if g.connected:
+        return g
+    b = _Builder.from_graph(g)
+    rn = b.rot_next
+    flat, indptr, nd = g.walk_flat, g.walk_indptr, g.dart_walk_count
+    parent = list(range(g.component_count))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def first_corner(d0: int, v: int) -> tuple[int, int]:
+        walk = [d0]
+        d = rn[d0 ^ 1]
+        while d != d0:
+            walk.append(d)
+            d = rn[d ^ 1]
+        s = walk.index(min(walk))
+        walk = walk[s:] + walk[:s]
+        i = next(i for i, d in enumerate(walk) if b.origin(d) == v)
+        return walk[i - 1], walk[i]
+
+    def first_vertex(w: int) -> int:
+        return g.origin(flat[indptr[w]]) if w < nd else g.lone_walk_vertex[w - nd]
+
+    for walks in _face_rows(g):
+        base = first_vertex(walks[0])
+        rep = flat[indptr[walks[0]]] if walks[0] < nd else -1  # dart on base's walk
+        for w in walks[1:]:
+            other = first_vertex(w)
+            cb, co = find(g.component_of[base]), find(g.component_of[other])
+            if cb == co:
+                continue
+            parent[co] = cb
+            if w < nd:
+                b.add_chord(*first_corner(rep, base), flat[indptr[w + 1] - 1], flat[indptr[w]])
+            elif rep < 0:
+                rep = 2 * b.add_isolated_pair(base, other)
+            else:
+                b.add_edge_at_corner_to_isolated(*first_corner(rep, base), other)
+    if len(b.ends) // 2 - g.m != g.component_count - 1:
+        raise GraphFormatError("face structure did not span all components")
+    return _finish_graph(b, meta=g.meta)
 
 
 def connect_by_insertion(g: PlaneGraph) -> PlaneGraph:
@@ -1034,7 +1116,7 @@ def degree(g: PlaneGraph, v: int) -> int:
 
 
 def edge_endpoints(g: PlaneGraph, e: int) -> tuple[int, int]:
-    return (g.eu[e], g.ev[e])
+    return (g.ends[2 * e], g.ends[2 * e + 1])
 
 
 def face_walks(g: PlaneGraph) -> list[tuple[int, ...]]:
@@ -1512,7 +1594,7 @@ def document_by_rows(g: PlaneGraph) -> dict:
     doc: dict = {
         "format": "plane-graph/1",
         "n": g.n,
-        "edges": [[g.eu[e], g.ev[e]] for e in range(g.m)],
+        "edges": [[g.ends[2 * e], g.ends[2 * e + 1]] for e in range(g.m)],
         "rotation": [rotation_edges(g, v) for v in range(g.n)],
         "flags": {
             "simple": g.simple,

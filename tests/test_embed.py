@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import random
+import time
 from array import array
 from pathlib import Path
 from unittest import mock
@@ -17,6 +18,7 @@ from helpers import (
     bfs_distances,
     components_by_bfs,
     connect_by_insertion,
+    connect_by_retracing,
     degree,
     edge_endpoints,
     face_degree,
@@ -37,6 +39,7 @@ from helpers import (
     thin_random_triangulation,
     trace_faces,
     trace_walks_by_loop,
+    triangles_in_one_face,
     walk_count,
     walk_vertices,
 )
@@ -661,6 +664,44 @@ def test_connect_components_matches_insertion_chain():
     assert many_walks >= 100 and all_lone >= 2 and lone_joined >= 50
 
 
+def _connected_bytes(c):
+    modes = ("girth", "diameter") if c.simple and c.n >= 14 else ("girth",)
+    return dumps_plane_graph(c), [certify(c, method=m).to_dict() for m in modes]
+
+
+def test_connect_components_matches_retracing():
+    # the kept corner against a trace of the base walk before every join
+    corpus = [random_plane_map(seed, 40, 2 + seed % 6) for seed in range(300)]
+    corpus += [random_nesting(seed, 1 + seed % 16) for seed in range(150)]
+    # faces of three or more lone vertices, alone and beside dart walks
+    corpus += [build_plane_graph(k, [], [[]] * k, faces=[list(range(k))]) for k in (3, 4, 5)]
+    corpus.append(build_plane_graph(
+        6, [(0, 1), (1, 2), (2, 0)], [[2, 0], [0, 1], [1, 2], [], [], []],
+        faces=[[0, 2, 3], [1, 4]],
+    ))
+    lone_faces = 0
+    for g in corpus:
+        nd = g.dart_walk_count
+        lone_faces += any(len(walks) > 2 and walks[0] >= nd for walks in face_walks(g))
+        assert _connected_bytes(connect_components(g)) == _connected_bytes(connect_by_retracing(g))
+    assert lone_faces >= 3
+
+
+def test_connect_components_on_one_crowded_face():
+    g = triangles_in_one_face(1000)
+    assert g.component_count == 1000 and g.face_count == 1001
+    c = connect_components(g)
+    assert c.connected and c.m == g.m + 999
+    assert dumps_plane_graph(c) == dumps_plane_graph(connect_by_retracing(g))
+    # every join keeps its corner, so 8000 walks in one face connect in
+    # linear time (the retracing reference takes several seconds)
+    g = triangles_in_one_face(8000)
+    start = time.perf_counter()
+    c = connect_components(g)
+    assert time.perf_counter() - start < 1.0
+    assert c.connected and c.m == g.m + 7999
+
+
 def test_connect_components_single_pass(monkeypatch):
     g = gen_nested_cycles(4, 60)
     calls = {"finish": 0, "trace": 0}
@@ -749,6 +790,24 @@ def test_adjacency_csr_matches_rotations(n, seed):
         assert sorted(heads[indptr[v]:indptr[v + 1]].tolist()) == nbrs
 
 
+def test_dart_ends_contract():
+    # dart d runs ends[d] -> ends[d ^ 1]; eu and ev are copies of the two
+    # pair columns, read back through np.frombuffer as perfbench's worker does
+    for g in label_corpus():
+        ends = list(g.ends)
+        assert len(ends) == 2 * g.m
+        assert [g.origin(d) for d in range(2 * g.m)] == ends
+        assert [g.head(d) for d in range(2 * g.m)] == [ends[d ^ 1] for d in range(2 * g.m)]
+        eu, ev = g.eu, g.ev
+        assert isinstance(eu, array) and eu.typecode == ev.typecode == "i"
+        assert list(eu) == ends[0::2] and list(ev) == ends[1::2]
+        u, v = (np.frombuffer(col, dtype=np.int32) for col in (eu, ev))
+        assert u.tolist() == ends[0::2] and v.tolist() == ends[1::2]
+        if g.m:
+            eu[0] = -1  # a copy: the graph keeps its ends
+            assert g.ends[0] == ends[0] and g.eu[0] == ends[0]
+
+
 # ---------------------------------------------------------------------------
 # Component labels (hook-and-jump against the frontier-BFS reference)
 # ---------------------------------------------------------------------------
@@ -779,8 +838,7 @@ def test_components_match_bfs_on_relabelled_thinnings():
         assert_components_match_bfs(moved)
         # a random half of its edges leaves many components, lone vertices too
         keep = np.flatnonzero(np.random.default_rng(seed).random(moved.m) < 0.5)
-        eu = array("i", np.asarray(moved.eu)[keep].tobytes())
-        ev = array("i", np.asarray(moved.ev)[keep].tobytes())
+        eu, ev = np.asarray(moved.eu)[keep], np.asarray(moved.ev)[keep]
         labels, count = embed._components(moved.n, eu, ev)
         assert (labels, count) == components_by_bfs(moved.n, eu, ev)
         assert count > 1
@@ -809,8 +867,8 @@ def _permuted_walk(n, closed, seed):
     ids=["path", "cycle", "K1", "loops", "loop-multi", "isolated", "descending", "empty"],
 )
 def test_components_match_bfs_on_edge_lists(n, eu, ev):
-    eu, ev = array("i", eu), array("i", ev)
-    assert embed._components(n, eu, ev) == components_by_bfs(n, eu, ev)
+    u, v = np.array(eu, dtype=np.int32), np.array(ev, dtype=np.int32)
+    assert embed._components(n, u, v) == components_by_bfs(n, array("i", eu), array("i", ev))
 
 
 def test_finish_graph_labels_without_bfs_rounds(monkeypatch):
@@ -924,7 +982,7 @@ def test_walk_labels_match_pointer_doubling():
         walk_of, count = embed._label_walks(g.rot_next)
         ref_walk_of, ref_count = label_walks_by_doubling(g.rot_next)
         assert walk_of.tolist() == ref_walk_of.tolist() and count == ref_count
-        fn = embed._face_next(g.rot_next)
+        fn = embed._of_twin(g.rot_next)
         ident = np.arange(len(fn), dtype=np.int32)
         triangles = g.m > 0 and (sizes == 3).all()
         assert embed._triangle_orbits(fn, fn[fn], ident) == (triangles or g.m == 0)

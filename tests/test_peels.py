@@ -378,7 +378,7 @@ def assert_matches_face_loop(g, root=None):
     assert aug.out_dart.tolist() == out_dart
 
     def adjacent(x):
-        return {frozenset((x.eu[e], x.ev[e])) for e in range(x.m)}
+        return {frozenset((x.ends[2 * e], x.ends[2 * e + 1])) for e in range(x.m)}
 
     h_all, _ = augment_by_face_loop(ctx, skip_walk_neighbours=False)
     assert adjacent(aug.H) == adjacent(h_all)
