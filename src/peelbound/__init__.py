@@ -12,7 +12,6 @@ from .embed import (
     GraphFormatError,
     InvariantError,
     PlaneGraph,
-    RadialDistance,
     build_plane_graph,
     connect_components,
     radial_bfs,

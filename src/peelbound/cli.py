@@ -89,8 +89,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         _say(f"error: {exc}")
         return EXIT_INPUT
+    dump_plane_graph(g, args.out or sys.stdout)
     if args.out:
-        dump_plane_graph(g, args.out)
         _emit(
             {
                 "command": "generate",
@@ -100,9 +100,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 "out": args.out,
             }
         )
-    else:
-        text = dumps_plane_graph(g)
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
     _say(f"generate {args.family}: n={g.n} m={g.m} -> {args.out or 'stdout'}")
     return EXIT_OK
 
@@ -161,7 +158,7 @@ def cmd_center(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    report = full_oracle_report(g, fence_budget=args.budget)
+    report = full_oracle_report(g)
     record = {"command": "oracle", "input": args.graph}
     record.update(report.to_dict())
     _emit(record)
@@ -429,12 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="run the brute-force ground truth")
     p_oracle.add_argument("graph", help="graph file ('-' for stdin)")
-    p_oracle.add_argument(
-        "--budget",
-        type=int,
-        default=5_000_000,
-        help="step budget for cycle enumeration",
-    )
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_verify = sub.add_parser("verify", help="recheck a certificate against a graph")

@@ -14,13 +14,20 @@ walks into faces is genuinely geometric information, so it is part of the
 input.  Connected graphs have exactly one walk per face and the grouping is
 implied.  A graph holds its grouping once, as ``face_of_walk``: which walks
 bound a face is kept, the order in which a document listed them is not.
+
+Every graph is made by :func:`_finish_graph` from its three dart arrays
+(``ends``, ``rot_next``, ``rot_first``).  The loader, the random generator
+and the augmentation compute those arrays whole and pass them in; the edge
+insertions of :func:`connect_components`, :func:`triangulate_preserving_embedding`
+and the prism generator splice edges one by one into a :class:`_Builder`
+first.  What only one reader needs is derived there: a graph counts its
+components, and only :func:`connect_components` labels them.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain
 from operator import index
 from typing import NoReturn, Optional, Sequence
@@ -31,7 +38,6 @@ __all__ = [
     "GraphFormatError",
     "InvariantError",
     "PlaneGraph",
-    "RadialDistance",
     "build_plane_graph",
     "radial_bfs",
     "vertex_bfs",
@@ -56,9 +62,10 @@ class InvariantError(AssertionError):
 class PlaneGraph:
     """Immutable plane multigraph with traced faces.
 
-    Construct through :func:`build_plane_graph` (validating) or the internal
-    builder; do not mutate the arrays after construction -- operations that
-    change the graph return a new instance.
+    Construct through :func:`build_plane_graph` (validating) or, inside the
+    package, :func:`_finish_graph`; do not mutate the arrays after
+    construction -- operations that change the graph return a new instance,
+    which may share the arrays it did not change.
     """
 
     __slots__ = (
@@ -75,7 +82,6 @@ class PlaneGraph:
         "lone_walk_vertex",
         "face_of_walk",
         "face_count",
-        "component_of",
         "component_count",
         "simple",
         "connected",
@@ -161,7 +167,10 @@ class PlaneGraph:
 
 
 class _Builder:
-    """Mutable rotation system used by generators and edge-insertion ops."""
+    """Mutable rotation system for edges spliced in one at a time.
+
+    Its three arrays go to :func:`_finish_graph` as they are.
+    """
 
     origin = PlaneGraph.origin  # one definition of the dart layout for both classes
 
@@ -247,8 +256,9 @@ def _of_twin(per_dart: array, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def _label_walks(rot_next: array) -> tuple[np.ndarray, int]:
-    """Walk id of every dart (int32) and the number of dart walks.
+def _label_walks(rot_next: array) -> tuple[np.ndarray, int, bool]:
+    """Walk id of every dart (int32), the number of dart walks, and whether
+    every walk is a triangle.
 
     A walk is an orbit of face_next.  Pointer doubling labels every dart
     with the smallest dart of its orbit: after round k, ``lab[d]`` is the
@@ -259,15 +269,15 @@ def _label_walks(rot_next: array) -> tuple[np.ndarray, int]:
     in which a trace from dart 0 upward meets them.
 
     The first round reads face_next itself, since every label is still its
-    own dart.  When every walk is a triangle (:func:`_triangle_orbits`),
-    the least of d, face_next(d) and face_next^2(d), which that round's
+    own dart.  When every walk is a triangle (face_next^3 is the identity
+    and face_next fixes no dart), the least of d, face_next(d) and face_next^2(d), which that round's
     jump holds, is already the label.
     """
     fn = _of_twin(rot_next)
     ident = np.arange(len(fn), dtype=np.int32)
     lab = np.minimum(ident, fn)
     jump = fn[fn]
-    triangles = _triangle_orbits(fn, jump, ident)
+    triangles = bool((fn[jump] == ident).all() and (fn != ident).all())
     del fn  # keeps the peak of a large load low
     if triangles:
         np.minimum(lab, jump, out=lab)
@@ -284,15 +294,7 @@ def _label_walks(rot_next: array) -> tuple[np.ndarray, int]:
     least = np.flatnonzero(lab == ident)  # every label is one of these
     rank = ident  # read only where a label points
     rank[least] = np.arange(len(least), dtype=np.int32)
-    return rank[lab], len(least)
-
-
-def _triangle_orbits(fn: np.ndarray, fn2: np.ndarray, ident: np.ndarray) -> bool:
-    """Whether every orbit of fn has exactly three darts: fn^3 = id and fn != id.
-
-    ``fn2`` is fn applied twice and ``ident`` the identity, both as arrays.
-    """
-    return bool((fn[fn2] == ident).all() and (fn != ident).all())
+    return rank[lab], len(least), triangles
 
 
 def _walk_order(rot_next: array, walk_of_dart: array, count: int) -> tuple[array, array]:
@@ -401,17 +403,6 @@ def _label_components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             lab = up
 
 
-def _components(n: int, u: np.ndarray, v: np.ndarray) -> tuple[array, int]:
-    """Connected-component labels (edge i joins u[i] and v[i]) and their count.
-
-    Components are numbered in the order of their smallest vertex.
-    """
-    lab = _label_components(n, u, v)
-    least = lab == np.arange(n, dtype=np.int32)
-    rank = np.cumsum(least, dtype=np.int32) - 1
-    return _int_array(rank[lab]), int(np.count_nonzero(least))
-
-
 def _distinct(ids: np.ndarray, slot: np.ndarray) -> np.ndarray:
     """ids with repeats dropped, without sorting; slot is a work array indexed by id.
 
@@ -442,61 +433,61 @@ def _csr_gather(indptr: np.ndarray, flat: np.ndarray, idx: np.ndarray) -> np.nda
 
 
 def _finish_graph(
-    b: _Builder,
+    n: int,
+    ends: array,
+    rot_next: array,
+    rot_first: array,
     face_grouping: Optional[Sequence[Sequence[int]]] = None,
     meta: Optional[dict] = None,
 ) -> PlaneGraph:
-    """Label walks, resolve faces, validate Euler count, freeze the graph.
+    """The graph of a rotation system on n vertices: the one way a graph is made.
 
-    Walk order waits until something reads it.
+    ``ends``, ``rot_next`` and ``rot_first`` are int32 arrays that the graph
+    keeps as they are.  Labels walks, resolves faces, validates the Euler
+    count and derives the flags.  Components are labelled and counted, but
+    their labels are not kept.  Walk order waits until something reads it.
     """
     g = PlaneGraph()
-    g.n = b.n
-    g.m = len(b.ends) >> 1
-    g.ends = b.ends
-    g.rot_next = b.rot_next
-    g.rot_first = b.rot_first
+    g.n = n
+    g.m = len(ends) >> 1
+    g.ends, g.rot_next, g.rot_first = ends, rot_next, rot_first
     g.meta = dict(meta) if meta else {}
 
-    walk_of, n_dart_walks = _label_walks(b.rot_next)
+    walk_of, n_dart_walks, triangles = _label_walks(rot_next)
     g.walk_of_dart = _int_array(walk_of)
-    triangles = (np.bincount(walk_of, minlength=n_dart_walks) == 3).all()
     del walk_of  # keeps the peak of a large load low
     g.dart_walk_count = n_dart_walks
     g._walk_order = None
     g._incidence = None
     g._slot_darts = None
-    g.lone_walk_vertex = _int_array(
-        np.flatnonzero(np.frombuffer(b.rot_first, dtype=np.int32) < 0)
-    )
+    g.lone_walk_vertex = _int_array(np.flatnonzero(np.frombuffer(rot_first, dtype=np.int32) < 0))
 
     # the component and simplicity passes read the two edge columns whole
-    ends = np.frombuffer(b.ends, dtype=np.int32)
-    u, v = ends[0::2].copy(), ends[1::2].copy()
-    comp, ncomp = _components(g.n, u, v)
-    g.component_of = comp
+    pairs = np.frombuffer(ends, dtype=np.int32)
+    u, v = pairs[0::2].copy(), pairs[1::2].copy()
+    ncomp = int(np.count_nonzero(_label_components(n, u, v) == np.arange(n, dtype=np.int32)))
     g.component_count = ncomp
     g.connected = ncomp <= 1
 
     n_walks = n_dart_walks + len(g.lone_walk_vertex)
     if face_grouping is not None:
         face_of_walk, g.face_count = _face_of_walk(face_grouping, n_walks)
-    elif g.connected or g.n == 0:
+    elif g.connected or n == 0:
         face_of_walk, g.face_count = np.arange(n_walks, dtype=np.int32), n_walks
     else:
         raise GraphFormatError("disconnected graph requires an explicit face grouping")
     g.face_of_walk = _int_array(face_of_walk)
 
     # Sphere check: n - m + f = 1 + c covers every component at once.
-    if g.n > 0 and g.n - g.m + g.face_count != 1 + ncomp:
+    if n > 0 and n - g.m + g.face_count != 1 + ncomp:
         raise GraphFormatError(
             "rotation system / face grouping is not spherical: "
-            f"n={g.n} m={g.m} f={g.face_count} components={ncomp}"
+            f"n={n} m={g.m} f={g.face_count} components={ncomp}"
         )
 
     # Simplicity: no loops, no parallel edges.
     pair = np.minimum(u, v).astype(np.int64)
-    pair *= g.n
+    pair *= n
     pair += np.maximum(u, v)
     pair.sort()
     g.simple = bool(not (u == v).any() and (pair[1:] != pair[:-1]).all())
@@ -594,11 +585,10 @@ def build_plane_graph(
     system = _rotation_system(n, _flat(edges), _flat(rotation))
     if system is None:
         _first_defect(n, edges, rotation)
-    b = _Builder(n)
-    b.ends, b.rot_next, b.rot_first = map(_int_array, system[:3])
+    ends, rot_next, rot_first = map(_int_array, system[:3])
     slots = system[3:]
     del system
-    g = _finish_graph(b, face_grouping=faces, meta=meta)
+    g = _finish_graph(n, ends, rot_next, rot_first, face_grouping=faces, meta=meta)
     g._slot_darts = slots
 
     if flags:
@@ -768,26 +758,6 @@ def _first_defect(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RadialDistance:
-    """BFS distances in the vertex/face incidence graph of a plane graph.
-
-    Distances alternate parity: from a vertex source, vertices sit at even
-    distance (layer = dist/2); from a face source, vertices sit at odd
-    distance (peel = (dist+1)/2).
-    """
-
-    source_kind: str  # "vertex" | "face"
-    source: int
-    vertex_dist: np.ndarray
-    face_dist: np.ndarray
-
-    def vertex_peels(self) -> np.ndarray:
-        if self.source_kind != "face":
-            raise ValueError("peel numbers need a face source")
-        return (self.vertex_dist + 1) // 2
-
-
 def _incidence(
     g: PlaneGraph,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -933,13 +903,17 @@ def radial_bfs(
     g: PlaneGraph,
     source_vertex: Optional[int] = None,
     source_face: Optional[int] = None,
-) -> RadialDistance:
-    """BFS over the vertex/face incidence structure from one source.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(vertex_dist, face_dist), int64: BFS over the vertex/face incidence
+    structure from one source.
 
     Every dart links its origin to its face, and every isolated vertex links
-    to its host face.  Works for disconnected graphs too (the incidence graph
-    of a spherical embedding is always connected); raises if some vertex or
-    face is left unreached, which indicates a corrupt face grouping.
+    to its host face.  Distances alternate parity: from a vertex source,
+    vertices sit at even distance (layer = dist / 2); from a face source, at
+    odd distance (peel = (dist + 1) / 2).  Works for disconnected graphs too
+    (the incidence graph of a spherical embedding is always connected);
+    raises if some vertex or face is left unreached, which indicates a
+    corrupt face grouping.
 
     Levels alternate between the vertex-to-face and the face-to-vertex CSR
     of g's cached view, in the level loop :func:`_bfs_levels`.
@@ -969,7 +943,7 @@ def radial_bfs(
         raise GraphFormatError("radial BFS did not reach every vertex")
     if (fdist < 0).any():
         raise GraphFormatError("radial BFS did not reach every face")
-    return RadialDistance(kind, src, vdist.astype(np.int64), fdist.astype(np.int64))
+    return vdist.astype(np.int64), fdist.astype(np.int64)
 
 
 def vertex_bfs(g: PlaneGraph, source: int) -> np.ndarray:
@@ -1088,18 +1062,24 @@ def connect_components(g: PlaneGraph) -> PlaneGraph:
     at, so the corner is (the dart before ``at``, at), where that dart is
     the last join's 2e + 1, else the walk's last dart.  All edges are
     spliced into one builder, so the cost is linear.
+
+    A union-find over vertices decides which walks to join.  It starts with
+    every vertex pointing at the smallest vertex of its component
+    (:func:`_label_components`), which points at itself, so each component
+    starts as one root.
     """
     if g.connected:
         return g
     b = _Builder.from_graph(g)
     flat, indptr, nd = g.walk_flat, g.walk_indptr, g.dart_walk_count
-    parent = list(range(g.component_count))
+    pairs = np.frombuffer(g.ends, dtype=np.int32)
+    parent = _label_components(g.n, pairs[0::2], pairs[1::2]).tolist()
 
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
 
     def first_vertex(w: int) -> int:  # of walk w, read off its first dart
         return g.origin(flat[indptr[w]]) if w < nd else g.lone_walk_vertex[w - nd]
@@ -1111,7 +1091,7 @@ def connect_components(g: PlaneGraph) -> PlaneGraph:
             at, prev = flat[indptr[walks[0]]], flat[indptr[walks[0] + 1] - 1]
         for w in walks[1:]:
             other = first_vertex(w)
-            cb, co = find(g.component_of[base]), find(g.component_of[other])
+            cb, co = find(base), find(other)
             if cb == co:
                 continue
             parent[co] = cb
@@ -1125,7 +1105,7 @@ def connect_components(g: PlaneGraph) -> PlaneGraph:
             prev = 2 * e + 1
     if len(b.ends) // 2 - g.m != g.component_count - 1:
         raise GraphFormatError("face structure did not span all components")
-    return _finish_graph(b, meta=g.meta)
+    return _finish_graph(b.n, b.ends, b.rot_next, b.rot_first, meta=g.meta)
 
 
 # ---------------------------------------------------------------------------
@@ -1204,7 +1184,7 @@ def triangulate_preserving_embedding(g: PlaneGraph) -> PlaneGraph:
         pending.append([2 * e + 1] + walk[p:q])
         pending.append([2 * e] + walk[q:] + walk[:p])
 
-    out = _finish_graph(b, meta=g.meta)
+    out = _finish_graph(b.n, b.ends, b.rot_next, b.rot_first, meta=g.meta)
     if not (out.simple and out.triangulated and out.m == 3 * out.n - 6):
         raise InvariantError("triangulation postcondition failed")
     return out

@@ -254,7 +254,7 @@ def gen_prism_grid(k: int) -> PlaneGraph:
         d = band.walk(w)
         if len(d) == 4:  # diagonal from the walk's first vertex to its third
             b.add_chord(d[3], d[0], d[1], d[2])
-    g = _finish_graph(b, meta=band.meta)
+    g = _finish_graph(b.n, b.ends, b.rot_next, b.rot_first, meta=band.meta)
     if not (g.triangulated and g.simple):
         raise InvariantError("prism grid is not a simple triangulation")
     return g
@@ -436,11 +436,13 @@ def gen_random_triangulation(n: int, seed: int) -> PlaneGraph:
     ends[1:, :2, 0] = corners
     ends[1:, 2, 0] = corner
     ends[1:, :, 1] = np.arange(3, n, dtype=np.int32)[:, None]
-    b = _Builder(n)
-    b.ends = _int_array(ends.ravel())
-    b.rot_next = _int_array(rot_next)
-    b.rot_first = _int_array(np.concatenate(([0, 2, 4], np.arange(7, 6 * steps + 7, 6))))
-    out = _finish_graph(b, meta={"family": "random", "n": n, "seed": seed})
+    out = _finish_graph(
+        n,
+        _int_array(ends.ravel()),
+        _int_array(rot_next),
+        _int_array(np.concatenate(([0, 2, 4], np.arange(7, 6 * steps + 7, 6)))),
+        meta={"family": "random", "n": n, "seed": seed},
+    )
     if not (out.triangulated and out.simple):
         raise InvariantError("random triangulation is not a simple triangulation")
     return out

@@ -101,6 +101,9 @@ def from_document(doc: dict) -> PlaneGraph:
         rows = doc.get(key)
         if isinstance(rows, dict) or (isinstance(rows, list) and dict in map(type, rows)):
             raise GraphFormatError(f"malformed document: JSON object in {key!r}")
+    for key in ("flags", "meta"):
+        if doc.get(key) is not None and not isinstance(doc[key], dict):
+            raise GraphFormatError(f"malformed document: {key!r} is not a JSON object")
     try:
         return build_plane_graph(
             index(doc["n"]),
@@ -114,7 +117,7 @@ def from_document(doc: dict) -> PlaneGraph:
         raise
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         # a value of the wrong JSON type (null or 2.5 as a count, "1" as an id,
-        # scalar row, list flags) fails inside the builder; report it as such
+        # scalar row) fails inside the builder; report it as such
         raise GraphFormatError(f"malformed document: {exc}") from exc
 
 

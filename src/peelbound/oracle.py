@@ -466,7 +466,7 @@ class OracleReport:
         }
 
 
-def full_oracle_report(g: PlaneGraph, fence_budget: int = 5_000_000) -> OracleReport:
+def full_oracle_report(g: PlaneGraph) -> OracleReport:
     connected_copy = not g.connected
     gc_ = g if g.connected else connect_components(g)
 
@@ -484,7 +484,7 @@ def full_oracle_report(g: PlaneGraph, fence_budget: int = 5_000_000) -> OracleRe
     skipped = True
     if gc_.n <= 60:
         try:
-            fence = fence_girth_bruteforce(gc_, budget=fence_budget)
+            fence = fence_girth_bruteforce(gc_)
             skipped = False
         except OracleBudgetError:
             fence = None

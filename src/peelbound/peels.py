@@ -31,7 +31,6 @@ from .embed import (
     InvariantError,
     PlaneGraph,
     _bit_bfs,
-    _Builder,
     _cached_incidence,
     _finish_graph,
     _int_array,
@@ -120,8 +119,8 @@ def compute_layers(g: PlaneGraph, root: int) -> PeelContext:
     if not (0 <= root < g.n):
         raise ValueError("root out of range")
     if not g.triangulated:
-        rd = radial_bfs(g, source_vertex=root)
-        return PeelContext(G=g, root=root, layer=rd.vertex_dist // 2)
+        vertex_dist, _ = radial_bfs(g, source_vertex=root)
+        return PeelContext(G=g, root=root, layer=vertex_dist // 2)
     layer = vertex_bfs(g, root)
     if (layer < 0).any():
         raise GraphFormatError("layer BFS did not reach every vertex")
@@ -136,8 +135,8 @@ def peel_count_for_outerface(g: PlaneGraph, face: int) -> int:
     """
     if not g.connected:
         raise ValueError("peel counting requires a connected graph")
-    rd = radial_bfs(g, source_face=face)
-    return int(rd.vertex_peels().max()) if g.n else 0
+    vertex_dist, _ = radial_bfs(g, source_face=face)
+    return int((vertex_dist.max() + 1) // 2) if g.n else 0
 
 
 def face_peel_counts(g: PlaneGraph) -> list[int]:
@@ -198,11 +197,11 @@ def augment(ctx: PeelContext) -> Augmentation:
     """
     g = ctx.G
     # every walk of a triangulation has 3 darts, so k = 2 .. t-2 is empty
-    b = None if g.triangulated else _splice_hub_chords(g, ctx.layer)
-    if b is None:
+    spliced = None if g.triangulated else _splice_hub_chords(g, ctx.layer)
+    if spliced is None:
         h = g
-    else:
-        h = _finish_graph(b, meta=g.meta)
+    else:  # no splice moves a vertex's first dart, so H shares G's rot_first
+        h = _finish_graph(g.n, *spliced, g.rot_first, meta=g.meta)
         if not h.connected:
             raise InvariantError("augmentation must stay connected")
 
@@ -230,14 +229,16 @@ def augment(ctx: PeelContext) -> Augmentation:
     )
 
 
-def _splice_hub_chords(g: PlaneGraph, layer: np.ndarray) -> Optional[_Builder]:
-    """Builder holding g plus the hub chords of :func:`augment`, or None if none.
+def _splice_hub_chords(g: PlaneGraph, layer: np.ndarray) -> Optional[tuple[array, array]]:
+    """(ends, rot_next) of g plus the hub chords of :func:`augment`, or None
+    if there are none.
 
     Walks are read hub first, so chords come out ordered by (walk, k) and get
     consecutive edge ids.  Every chord corner owns a distinct ``rot_next``
     slot.  At a hub corner the chords' twins chain in reverse id order: each
     chord cuts the face in two, and only the side holding the hub corner
-    keeps the occurrences still to come.
+    keeps the occurrences still to come.  Every chord dart goes in after a
+    dart already at its vertex, so g's ``rot_first`` is the result's too.
     """
     flat = np.frombuffer(g.walk_flat, dtype=np.int32)
     if not flat.size:  # an edgeless graph has no walks to reduce over
@@ -277,10 +278,9 @@ def _splice_hub_chords(g: PlaneGraph, layer: np.ndarray) -> Optional[_Builder]:
     rn[2 * e + 1] = np.where(first, hub_dart[cw], 2 * e - 1)
     rn[anchor[cw[last]]] = 2 * e[last] + 1
 
-    b = _Builder.from_graph(g)
-    b.ends.frombytes(np.stack((chord_u, chord_w), axis=1).tobytes())
-    b.rot_next = array("i", rn.tobytes())
-    return b
+    ends = array("i", g.ends)
+    ends.frombytes(np.stack((chord_u, chord_w), axis=1).tobytes())
+    return ends, _int_array(rn)
 
 
 # ---------------------------------------------------------------------------

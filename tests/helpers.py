@@ -18,7 +18,6 @@ from peelbound.embed import (
     GraphFormatError,
     InvariantError,
     PlaneGraph,
-    RadialDistance,
     _Builder,
     _csr_gather,
     _distinct,
@@ -223,7 +222,7 @@ def build_plane_graph_by_slots(n, edges, rotation, faces=None, flags=None, meta=
     if faces is not None:
         lone = sum(1 for v in range(n) if b.rot_first[v] < 0)
         check_grouping_by_loops(faces, _label_walks(b.rot_next)[1] + lone)
-    g = _finish_graph(b, face_grouping=faces, meta=meta)
+    g = _finish_graph(b.n, b.ends, b.rot_next, b.rot_first, face_grouping=faces, meta=meta)
     computed = {"simple": g.simple, "connected": g.connected, "triangulated": g.triangulated}
     for key, val in (flags or {}).items():
         if key in computed and bool(val) != computed[key]:
@@ -307,8 +306,11 @@ def components_by_bfs(n: int, eu: array, ev: array) -> tuple[array, int]:
     return comp, label
 
 
-def radial_bfs_by_rounds(g: PlaneGraph, source_vertex=None, source_face=None) -> RadialDistance:
-    """Reference radial BFS: both incidence CSRs sorted afresh, one numpy round per level.
+def radial_bfs_by_rounds(
+    g: PlaneGraph, source_vertex=None, source_face=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference radial BFS, (vertex_dist, face_dist): both incidence CSRs
+    sorted afresh, one numpy round per level.
 
     Every dart links its origin to its face and every isolated vertex its
     host face; raises like ``radial_bfs`` on bad sources and unreached
@@ -357,7 +359,7 @@ def radial_bfs_by_rounds(g: PlaneGraph, source_vertex=None, source_face=None) ->
         raise GraphFormatError("radial BFS did not reach every vertex")
     if (fdist < 0).any():
         raise GraphFormatError("radial BFS did not reach every face")
-    return RadialDistance(kind, src, vdist, fdist)
+    return vdist, fdist
 
 
 def random_plane_map(seed: int, steps: int, components: int = 1) -> PlaneGraph:
@@ -421,7 +423,8 @@ def random_plane_map(seed: int, steps: int, components: int = 1) -> PlaneGraph:
         rng.choice(faces).append(outer)
         faces += [[w] for w in walks if w != outer]
     rng.shuffle(faces)
-    return _finish_graph(b, face_grouping=faces if components > 1 else None)
+    grouping = faces if components > 1 else None
+    return _finish_graph(b.n, b.ends, b.rot_next, b.rot_first, face_grouping=grouping)
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +705,7 @@ def connect_by_retracing(g: PlaneGraph) -> PlaneGraph:
     rn = b.rot_next
     flat, indptr, nd = g.walk_flat, g.walk_indptr, g.dart_walk_count
     parent = list(range(g.component_count))
+    component_of = components_by_bfs(g.n, g.eu, g.ev)[0]
 
     def find(c: int) -> int:
         while parent[c] != c:
@@ -728,7 +732,7 @@ def connect_by_retracing(g: PlaneGraph) -> PlaneGraph:
         rep = flat[indptr[walks[0]]] if walks[0] < nd else -1  # dart on base's walk
         for w in walks[1:]:
             other = first_vertex(w)
-            cb, co = find(g.component_of[base]), find(g.component_of[other])
+            cb, co = find(component_of[base]), find(component_of[other])
             if cb == co:
                 continue
             parent[co] = cb
@@ -740,7 +744,7 @@ def connect_by_retracing(g: PlaneGraph) -> PlaneGraph:
                 b.add_edge_at_corner_to_isolated(*first_corner(rep, base), other)
     if len(b.ends) // 2 - g.m != g.component_count - 1:
         raise GraphFormatError("face structure did not span all components")
-    return _finish_graph(b, meta=g.meta)
+    return _finish_graph(b.n, b.ends, b.rot_next, b.rot_first, meta=g.meta)
 
 
 def connect_by_insertion(g: PlaneGraph) -> PlaneGraph:
@@ -760,7 +764,7 @@ def connect_by_insertion(g: PlaneGraph) -> PlaneGraph:
         anchors.extend((base, walk_vertices(g, w)[0]) for w in walks[1:])
     out = g
     for base, other in anchors:
-        if out.component_of[base] != out.component_of[other]:
+        if bfs_distances(out, base)[other] < 0:
             out = insert_edge_in_face(out, base, other, _shared_face(out, base, other))
     if not out.connected:
         raise GraphFormatError("face structure did not span all components")
@@ -825,7 +829,7 @@ def augment_by_face_loop(
             rn[2 * e] = darts[p]
             rn[2 * e + 1] = rn[anchor]
             rn[anchor] = 2 * e + 1
-    h = _finish_graph(b, meta=g.meta)
+    h = _finish_graph(b.n, b.ends, b.rot_next, b.rot_first, meta=g.meta)
     out_dart = [-1] * g.n
     for d in range(2 * h.m):
         v = h.origin(d)
@@ -1254,12 +1258,14 @@ def _finish_splice(
         cut = [walk_of[2 * e + 1] for e in edges if walk_of[2 * e] != walk_of[2 * e + 1]]
         grouping.append(sorted(group.difference(cut)))
         grouping.extend([w] for w in cut)
-    return _finish_graph(b, face_grouping=grouping, meta=g.meta)
+    return _finish_graph(
+        b.n, b.ends, b.rot_next, b.rot_first, face_grouping=grouping, meta=g.meta
+    )
 
 
 def faces_by_walk(g: PlaneGraph) -> PlaneGraph:
     """g finished again without a grouping: face f is walk f (g connected)."""
-    return _finish_graph(_Builder.from_graph(g), meta=g.meta)
+    return _finish_graph(g.n, g.ends, g.rot_next, g.rot_first, meta=g.meta)
 
 
 # ---------------------------------------------------------------------------
@@ -1583,7 +1589,8 @@ def random_triangulation_by_insertion(n: int, seed: int) -> PlaneGraph:
         faces.extend((tri[1], spokes[2], q1))
         faces.extend((tri[2], spokes[0], q2))
         nfaces += 2
-    out = _finish_graph(b, meta={"family": "random", "n": n, "seed": seed})
+    meta = {"family": "random", "n": n, "seed": seed}
+    out = _finish_graph(b.n, b.ends, b.rot_next, b.rot_first, meta=meta)
     if not (out.triangulated and out.simple):
         raise InvariantError("random triangulation is not a simple triangulation")
     return out

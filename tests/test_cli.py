@@ -73,6 +73,24 @@ def test_generate_round_trips_through_cli(capsys, tmp_path):
     assert dumps_plane_graph(g) + "\n" == text
 
 
+GENERATE_ARGS = {
+    "nested": ("--g", "3", "--k", "4"),
+    "lowerbound-h": ("--g", "5", "--k", "3"),
+    "prism": ("--k", "2"),
+    "random": ("--n", "40", "--seed", "5"),
+}
+
+
+@pytest.mark.parametrize("family", cli.FAMILIES)
+def test_generate_stdout_matches_out_file(capsys, tmp_path, family):
+    code, out, _ = run(capsys, "generate", family, *GENERATE_ARGS[family])
+    assert code == 0
+    path = tmp_path / "g.json"
+    code, _, _ = run(capsys, "generate", family, *GENERATE_ARGS[family], "--out", str(path))
+    assert code == 0
+    assert out.encode() == path.read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -194,8 +212,13 @@ def test_center_rejects_garbage_stdin(capsys, monkeypatch):
         {"rotation": [3]},
         {"faces": [[None]]},
         {"flags": [1]},
+        {"flags": 0},
+        {"meta": [["fse_at_least", 99]]},
     ],
-    ids=["null-n", "scalar-edges", "scalar-rotation-row", "null-walk", "list-flags"],
+    ids=[
+        "null-n", "scalar-edges", "scalar-rotation-row", "null-walk", "list-flags", "zero-flags",
+        "list-meta",
+    ],
 )
 def test_center_rejects_mistyped_documents(capsys, tmp_path, patch):
     doc = {"format": "plane-graph/1", "n": 1, "edges": [], "rotation": [[]]}

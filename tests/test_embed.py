@@ -245,11 +245,11 @@ def test_first_face_of_vertex_on_maps_with_lone_vertices():
 
 def test_radial_bfs_octahedron():
     g = octahedron()
-    rd = radial_bfs(g, source_vertex=0)
-    assert rd.vertex_dist.tolist() == [0, 2, 2, 2, 2, 4]
-    assert sorted(rd.face_dist.tolist()) == [1, 1, 1, 1, 3, 3, 3, 3]
-    rd2 = radial_bfs(g, source_face=0)
-    assert rd2.vertex_dist.tolist() == [1, 1, 1, 3, 3, 3]
+    vertex_dist, face_dist = radial_bfs(g, source_vertex=0)
+    assert vertex_dist.tolist() == [0, 2, 2, 2, 2, 4]
+    assert sorted(face_dist.tolist()) == [1, 1, 1, 1, 3, 3, 3, 3]
+    vertex_dist, _ = radial_bfs(g, source_face=0)
+    assert vertex_dist.tolist() == [1, 1, 1, 3, 3, 3]
 
 
 def test_radial_bfs_argument_check():
@@ -269,15 +269,10 @@ def test_radial_bfs_crosses_components():
         for k in (1, 2, 3, 4):
             g = gen_nested_cycles(girth, k)
             for f in range(g.face_count):
-                rd = radial_bfs(g, source_face=f)
-                assert rd.vertex_peels().tolist() == peel_numbers_by_union_find(g, f)
+                vertex_dist, _ = radial_bfs(g, source_face=f)
+                assert ((vertex_dist + 1) // 2).tolist() == peel_numbers_by_union_find(g, f)
             faces += g.face_count
     assert faces == 56
-
-
-def test_vertex_peels_needs_a_face_source():
-    with pytest.raises(ValueError, match="face source"):
-        radial_bfs(octahedron(), source_vertex=0).vertex_peels()
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +285,10 @@ def assert_radial_matches_rounds(g, vertices=None, faces=None):
     sources = [dict(source_vertex=v) for v in (range(g.n) if vertices is None else vertices)]
     sources += [dict(source_face=f) for f in (range(g.face_count) if faces is None else faces)]
     for src in sources:
-        got, ref = radial_bfs(g, **src), radial_bfs_by_rounds(g, **src)
-        assert got.vertex_dist.dtype == got.face_dist.dtype == np.int64
-        assert np.array_equal(got.vertex_dist, ref.vertex_dist), src
-        assert np.array_equal(got.face_dist, ref.face_dist), src
-        assert (got.source_kind, got.source) == (ref.source_kind, ref.source)
+        (vertex_dist, face_dist), ref = radial_bfs(g, **src), radial_bfs_by_rounds(g, **src)
+        assert vertex_dist.dtype == face_dist.dtype == np.int64
+        assert np.array_equal(vertex_dist, ref[0]), src
+        assert np.array_equal(face_dist, ref[1]), src
 
 
 @settings(max_examples=120, deadline=None)
@@ -329,8 +323,8 @@ def test_radial_bfs_matches_rounds_across_threshold(shape):
     t = embed._PYTHON_FRONTIER
     for k in (t - 1, t, t + 1, 2 * t + 1, 4 * t):
         g = shape(k)
-        rd = radial_bfs(g, source_vertex=0)
-        level = rd.face_dist == 1 if shape is _wheel else rd.vertex_dist == 2
+        vertex_dist, face_dist = radial_bfs(g, source_vertex=0)
+        level = face_dist == 1 if shape is _wheel else vertex_dist == 2
         assert np.count_nonzero(level) == k
         assert_radial_matches_rounds(g, vertices=[0, 1, k])
 
@@ -813,8 +807,20 @@ def test_dart_ends_contract():
 # ---------------------------------------------------------------------------
 
 
+def checked_component_count(n, eu, ev):
+    """The component count of components_by_bfs, once _label_components is
+    seen to give every vertex the smallest vertex of its component."""
+    comp, count = components_by_bfs(n, array("i", eu), array("i", ev))
+    smallest = {}
+    for v, c in enumerate(comp):
+        smallest.setdefault(c, v)
+    u, v = np.asarray(eu, dtype=np.int32), np.asarray(ev, dtype=np.int32)
+    assert embed._label_components(n, u, v).tolist() == [smallest[c] for c in comp]
+    return count
+
+
 def assert_components_match_bfs(g):
-    assert (g.component_of, g.component_count) == components_by_bfs(g.n, g.eu, g.ev)
+    assert g.component_count == checked_component_count(g.n, g.eu, g.ev)
 
 
 def test_components_match_bfs_on_nestings():
@@ -839,9 +845,7 @@ def test_components_match_bfs_on_relabelled_thinnings():
         # a random half of its edges leaves many components, lone vertices too
         keep = np.flatnonzero(np.random.default_rng(seed).random(moved.m) < 0.5)
         eu, ev = np.asarray(moved.eu)[keep], np.asarray(moved.ev)[keep]
-        labels, count = embed._components(moved.n, eu, ev)
-        assert (labels, count) == components_by_bfs(moved.n, eu, ev)
-        assert count > 1
+        assert checked_component_count(moved.n, eu, ev) > 1
 
 
 def _permuted_walk(n, closed, seed):
@@ -867,8 +871,7 @@ def _permuted_walk(n, closed, seed):
     ids=["path", "cycle", "K1", "loops", "loop-multi", "isolated", "descending", "empty"],
 )
 def test_components_match_bfs_on_edge_lists(n, eu, ev):
-    u, v = np.array(eu, dtype=np.int32), np.array(ev, dtype=np.int32)
-    assert embed._components(n, u, v) == components_by_bfs(n, array("i", eu), array("i", ev))
+    checked_component_count(n, eu, ev)
 
 
 def test_finish_graph_labels_without_bfs_rounds(monkeypatch):
@@ -881,7 +884,7 @@ def test_finish_graph_labels_without_bfs_rounds(monkeypatch):
         return gather(*args, **kwargs)
 
     monkeypatch.setattr(embed, "_csr_gather", counted_gather)
-    h = embed._finish_graph(embed._Builder.from_graph(g))
+    h = embed._finish_graph(g.n, g.ends, g.rot_next, g.rot_first)
     assert h.connected
     assert calls["gather"] == 0
 
@@ -893,7 +896,7 @@ def test_finish_graph_labels_without_bfs_rounds(monkeypatch):
 
 def walk_triple(rot_next):
     """(walk_indptr, walk_flat, walk_of_dart) as lists, from the numpy path."""
-    walk_of, count = embed._label_walks(rot_next)
+    walk_of, count, _ = embed._label_walks(rot_next)
     walk_of = embed._int_array(walk_of)
     indptr, flat = embed._walk_order(rot_next, walk_of, count)
     return [list(indptr), list(flat), list(walk_of)]
@@ -979,17 +982,35 @@ def test_walk_labels_match_pointer_doubling():
     routes = {"triangles": 0, "one dart": 0, "two darts": 0}
     for g in label_corpus():
         sizes = np.diff(trace_walks_by_loop(g.rot_next, 2 * g.m)[0])
-        walk_of, count = embed._label_walks(g.rot_next)
+        walk_of, count, all_triangles = embed._label_walks(g.rot_next)
         ref_walk_of, ref_count = label_walks_by_doubling(g.rot_next)
         assert walk_of.tolist() == ref_walk_of.tolist() and count == ref_count
-        fn = embed._of_twin(g.rot_next)
-        ident = np.arange(len(fn), dtype=np.int32)
         triangles = g.m > 0 and (sizes == 3).all()
-        assert embed._triangle_orbits(fn, fn[fn], ident) == (triangles or g.m == 0)
+        assert all_triangles == (triangles or g.m == 0)
         routes["triangles"] += bool(triangles)
         routes["one dart"] += bool((sizes == 1).any())
         routes["two darts"] += bool((sizes == 2).any())
     assert min(routes.values()) >= 5, routes
+
+
+def test_triangulated_matches_its_definition():
+    # the flag _label_walks returns, against walk sizes counted afresh
+    seen = set()
+    for g in label_corpus():
+        sizes = np.bincount(np.frombuffer(g.walk_of_dart, dtype=np.int32), minlength=g.dart_walk_count)
+        one_walk_per_face = g.face_count == g.dart_walk_count + len(g.lone_walk_vertex)
+        expected = g.m > 0 and not g.lone_walk_vertex and one_walk_per_face and (sizes == 3).all()
+        assert g.triangulated == expected
+        seen.add(g.triangulated)
+    assert seen == {True, False}
+
+
+def test_component_count_matches_bfs_on_label_corpus():
+    counts = set()
+    for g in label_corpus():
+        assert g.component_count == components_by_bfs(g.n, g.eu, g.ev)[1]
+        counts.add(g.component_count)
+    assert {1, 2, 3} <= counts
 
 
 def view_corpus():

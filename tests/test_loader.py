@@ -516,6 +516,32 @@ def test_grouping_defects_read_the_same_on_every_route(faces, message):
 
 
 # ---------------------------------------------------------------------------
+# flags and meta: a JSON object, null or absent, on every route
+# ---------------------------------------------------------------------------
+
+
+# Each of these was coerced: a list of pairs read as meta (and as a family
+# annotation that verify then checked), "ab" as {"a": "b"}, and a falsy
+# value as no meta or no flags at all.
+@pytest.mark.parametrize("key", ["flags", "meta"])
+@pytest.mark.parametrize(
+    "value",
+    [[["fse_at_least", 99]], ["ab"], 0, "", False, [], 1, "x"],
+    ids=["pairs", "string-pair", "zero", "empty-string", "false", "empty-list", "one", "string"],
+)
+def test_flags_and_meta_must_be_objects(key, value):
+    for text in loader_routes({**K3_DOCUMENT, key: value}):
+        assert loaded(text) == ("GraphFormatError", f"malformed document: {key!r} is not a JSON object")
+
+
+@pytest.mark.parametrize("value", [None, {}])
+def test_null_or_empty_flags_and_meta_load(value):
+    expected = graph_fingerprint(from_document(K3_DOCUMENT))
+    for text in loader_routes({**K3_DOCUMENT, "flags": value, "meta": value}):
+        assert loaded(text) == ("ok", expected)
+
+
+# ---------------------------------------------------------------------------
 # Bytes in: str and bytes alike, files read as bytes, values scanned in blocks
 # ---------------------------------------------------------------------------
 

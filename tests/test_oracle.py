@@ -457,16 +457,16 @@ def test_peel_routes_agree(n, seed):
     g = thin_random_triangulation(n, seed)
     counts = all_faces_counts(g)
     for f in range(min(g.face_count, 6)):
-        rd = radial_bfs(g, source_face=f)
-        assert int(max((rd.vertex_dist + 1) // 2)) == counts[f]
+        vertex_dist, _ = radial_bfs(g, source_face=f)
+        assert int(max((vertex_dist + 1) // 2)) == counts[f]
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=4, max_value=60), st.integers(min_value=0, max_value=10**6))
 def test_layer_routes_agree(n, seed):
     g = gen_random_triangulation(n, seed)
-    rd = radial_bfs(g, source_vertex=0)
-    assert (rd.vertex_dist // 2).tolist() == layer_numbers_by_union_find(g, 0)
+    vertex_dist, _ = radial_bfs(g, source_vertex=0)
+    assert (vertex_dist // 2).tolist() == layer_numbers_by_union_find(g, 0)
 
 
 def test_oracle_checks_raise_invariant_error(monkeypatch):

@@ -230,7 +230,7 @@ def test_hop_layers_match_radial_layers_from_every_root(monkeypatch):
     graphs = [gen_random_triangulation(n, seed) for n, seed in ((4, 0), (5, 1), (12, 2), (60, 3))]
     graphs += [gen_prism_grid(1), random_plane_map(50, 2), random_plane_map(38, 4)]
     assert all(g.triangulated for g in graphs) and sum(not g.simple for g in graphs) == 2
-    radial = {g: [radial_bfs(g, source_vertex=r).vertex_dist // 2 for r in range(g.n)] for g in graphs}
+    radial = {g: [radial_bfs(g, source_vertex=r)[0] // 2 for r in range(g.n)] for g in graphs}
     # on a triangulation the layers step through no face
     monkeypatch.setattr(peels, "radial_bfs", None)
     for g in graphs:
@@ -330,8 +330,8 @@ def test_augmentation_invariants(g):
         assert edge_endpoints(h, e) == edge_endpoints(g, e)
 
     # layer numbers survive augmentation
-    rd = radial_bfs(h, source_vertex=root)
-    assert (rd.vertex_dist // 2).tolist() == aug.layer.tolist()
+    vertex_dist, _ = radial_bfs(h, source_vertex=root)
+    assert (vertex_dist // 2).tolist() == aug.layer.tolist()
 
     # every added edge descends exactly one layer
     for e in range(aug.original_edge_count, h.m):
