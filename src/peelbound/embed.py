@@ -169,16 +169,11 @@ class PlaneGraph:
 class _Builder:
     """Mutable rotation system for edges spliced in one at a time.
 
-    Its three arrays go to :func:`_finish_graph` as they are.
+    Start one from a graph with :meth:`from_graph`; its three arrays go to
+    :func:`_finish_graph` as they are.
     """
 
     origin = PlaneGraph.origin  # one definition of the dart layout for both classes
-
-    def __init__(self, n: int):
-        self.n = n
-        self.ends = array("i")
-        self.rot_next = array("i")
-        self.rot_first = array("i", [-1] * n)
 
     @classmethod
     def from_graph(cls, g: PlaneGraph) -> "_Builder":

@@ -12,10 +12,15 @@ The literal deletion has one route, :func:`_deletion_counts`: it runs the
 rounds for every outerface at once, one bit per face in uint64 rows, and
 a block of ``embed._BIT_BLOCK`` faces costs one O(n + m) numpy step per
 flood pass, with as many passes per round as the flood needs.  Its arrays
-(:func:`_face_bit_tables`, which the fence side test reads too) come from
-g's dart arrays, not from the incidence view the radial cross-check
-reads.  The tests hold it face by face to a union-find deletion that
-rescans every face each round (``tests/helpers.py``).
+(:func:`_face_bit_tables`) come from g's dart arrays, not from the
+incidence view the radial cross-check reads.  The tests hold it face by
+face to a union-find deletion that rescans every face each round
+(``tests/helpers.py``).
+
+The fence search reads no face: :func:`fence_girth_bruteforce` walks the
+rotations at each candidate cycle's own vertices in plain Python
+(:func:`_is_fence`), and the tests hold that side test to a union-find
+over the faces joined across the edges off the cycle.
 
 Three exceptions read the pipeline's numpy searches on g's cached
 incidence view, and the tests hold each to a pure-Python route; the
@@ -48,7 +53,6 @@ from .embed import (
     PlaneGraph,
     _bit_bfs,
     _cached_incidence,
-    _label_components,
     _source_flags,
     connect_components,
     vertex_bfs,
@@ -110,7 +114,7 @@ def diameter_exact(g: PlaneGraph) -> int:
 
 
 class _FaceBitTables(NamedTuple):
-    """The one per-graph table of the oracle's deletion and fence searches."""
+    """The one per-graph table of the oracle's deletion search."""
 
     face_count: int
     vf_indptr: np.ndarray  # vertex v's faces are vf_faces[vf_indptr[v]:vf_indptr[v + 1]]
@@ -120,7 +124,7 @@ class _FaceBitTables(NamedTuple):
 
 
 def _face_bit_tables(g: PlaneGraph) -> _FaceBitTables:
-    """Read g into the arrays of :func:`_deletion_counts` and :func:`_is_fence`.
+    """Read g into the arrays of :func:`_deletion_counts`.
 
     The faces beside the two darts of each edge, and each vertex's faces
     with a lone vertex on its host face, taken straight from g's dart
@@ -251,26 +255,45 @@ def fse_outerplanarity_bruteforce(g: PlaneGraph, threads: int = 1) -> FseBruteRe
 # ---------------------------------------------------------------------------
 
 
-def _simple_cycles_of_length(g: PlaneGraph, L: int, budget: list[int]) -> Iterator[list[int]]:
+def _dart_lists(g: PlaneGraph) -> tuple[list[list[int]], list[int], list[int]]:
+    """(darts_at, head, rot_next) of g as lists, read by the fence search.
+
+    ``darts_at[v]`` holds the darts leaving v in slot order and ``head[d]``
+    the head of dart d, ``ends[d ^ 1]``.
+    """
+    head = g.ends.tolist()
+    head[0::2], head[1::2] = head[1::2], head[0::2]
+    return [g.rotation_darts(v) for v in range(g.n)], head, g.rot_next.tolist()
+
+
+def _simple_cycles_of_length(
+    darts_at: Sequence[Sequence[int]], head: Sequence[int], L: int, budget: list[int]
+) -> Iterator[list[int]]:
     """Yield each simple cycle of exactly L edges once, as a dart sequence.
 
-    Cycles are rooted at their smallest vertex and emitted in one canonical
-    orientation (first dart id < twin of last dart).  Loops are length-1
-    cycles; a pair of parallel edges is a length-2 cycle.
-    """
-    darts_at = [g.rotation_darts(v) for v in range(g.n)]
-    on_path = [False] * g.n
+    ``darts_at`` and ``head`` come from :func:`_dart_lists`, built once per
+    search by :func:`fence_girth_bruteforce`.  Cycles are rooted at their
+    smallest vertex and emitted in one canonical orientation (first dart
+    id < twin of last dart).  Loops are length-1 cycles; a pair of
+    parallel edges is a length-2 cycle.  Every ``extend`` step takes one
+    unit of ``budget[0]``.
 
-    def extend(s: int, v: int, path: list[int], used_edges: set[int]) -> Iterator[list[int]]:
+    A path never reuses an edge: a step goes only to a vertex above the
+    root and off the path, and the one closing dart that could retrace a
+    path edge, the twin of a length-2 cycle's first dart, fails the
+    orientation test.  The tests hold the cycles, their order and the
+    budget spent to ``tests/helpers.simple_cycles_of_length``.
+    """
+    on_path = [False] * len(darts_at)
+
+    def extend(s: int, v: int, path: list[int]) -> Iterator[list[int]]:
         budget[0] -= 1
         if budget[0] < 0:
             raise OracleBudgetError("cycle enumeration budget exhausted")
+        closing = len(path) + 1 == L
         for d in darts_at[v]:
-            e = d >> 1
-            if e in used_edges:
-                continue
-            w = g.head(d)
-            if len(path) + 1 == L:
+            w = head[d]
+            if closing:
                 if w == s:
                     if L == 1:
                         if d % 2 == 0:  # one orientation per loop
@@ -281,53 +304,71 @@ def _simple_cycles_of_length(g: PlaneGraph, L: int, budget: list[int]) -> Iterat
             if w <= s or on_path[w]:
                 continue
             on_path[w] = True
-            used_edges.add(e)
             path.append(d)
-            yield from extend(s, w, path, used_edges)
+            yield from extend(s, w, path)
             path.pop()
-            used_edges.discard(e)
             on_path[w] = False
 
-    for s in range(g.n):
-        yield from extend(s, s, [], set())
+    for s in range(len(darts_at)):
+        yield from extend(s, s, [])
 
 
 def _is_fence(
-    g: PlaneGraph, sides: np.ndarray, first_face: np.ndarray, cycle: Sequence[int]
+    rot_next: Sequence[int], head: Sequence[int], n: int, cycle: Sequence[int]
 ) -> bool:
-    """True when vertices exist strictly on both sides of the cycle.
+    """True when vertices exist strictly on both sides of the cycle; g connected.
 
-    ``sides[k, e]`` is the face of dart 2e + k and ``first_face[v]`` is one
-    face of v.  The edges off the cycle join the faces beside them
-    (:func:`embed._label_components`), and the faces of a vertex off the
-    cycle all join across its edges, so any one of them tells its side.
+    At a cycle vertex entered by dart a and left by dart d, the darts
+    strictly between ``a ^ 1`` and d in ``rot_next`` order form one side's
+    wedge and those strictly between d and ``a ^ 1`` the other's.  A side
+    holds a vertex off the cycle exactly when some dart of its wedges, at
+    some cycle vertex, has its head off the cycle: such an edge cannot
+    cross the cycle, and in a connected graph a path from a vertex inside
+    the side reaches the cycle through one.  The darts of loops and
+    parallel edges have their heads on the cycle, so they need no case.
+    The cost is at most the sum of the cycle vertices' degrees.
     """
-    off_edges = np.ones(g.m, dtype=bool)
-    off_edges[[d >> 1 for d in cycle]] = False
-    side = _label_components(g.face_count, sides[0, off_edges], sides[1, off_edges])
-    face_of_dart = sides.T.reshape(-1)
-    left, right = side[face_of_dart[cycle[0]]], side[face_of_dart[cycle[0] ^ 1]]
-    if left == right:
-        return False
-    off_verts = np.ones(g.n, dtype=bool)
-    off_verts[[g.origin(d) for d in cycle]] = False
-    found = side[first_face[off_verts]]
-    return bool((found == left).any() and (found == right).any())
+    on_cycle = bytearray(n)
+    for d in cycle:
+        on_cycle[head[d]] = 1
+    seen = [False, False]
+    back = cycle[-1] ^ 1
+    for d in cycle:
+        side, x = 0, rot_next[back]
+        while x != back:
+            if x == d:
+                side = 1
+            elif not seen[side] and not on_cycle[head[x]]:
+                seen[side] = True
+                if seen[1 - side]:
+                    return True
+            x = rot_next[x]
+        back = d ^ 1
+    return False
 
 
 def fence_girth_bruteforce(g: PlaneGraph, budget: int = 5_000_000) -> Union[int, float]:
     """Shortest length of a separating cycle, or math.inf if none exists.
 
-    Exponential in the worst case; guarded to n <= 60.
+    A separating cycle (a fence) has vertices strictly on both of its
+    sides.  A disconnected g is connected first, inside its shared faces,
+    as in :func:`fse_outerplanarity_bruteforce`: the added forest closes no
+    cycle and moves no vertex to the other side of one.  Cycles come by
+    length from :func:`_simple_cycles_of_length` and :func:`_is_fence`
+    tests each, both in plain Python over the lists of :func:`_dart_lists`.
+    Exponential in the worst case: guarded to n <= 60, and
+    :class:`OracleBudgetError` once the enumeration spends ``budget``
+    steps.
     """
     if g.n > 60:
         raise ValueError(f"fence-girth brute force guarded to n <= 60 (n={g.n})")
+    if not g.connected:
+        g = connect_components(g)
+    darts_at, head, rot_next = _dart_lists(g)
     remaining = [budget]
-    t = _face_bit_tables(g)
-    first_face = t.vf_faces[t.vf_indptr[:-1]]
     for L in range(1, g.n + 1):  # a simple cycle repeats no vertex
-        for cycle in _simple_cycles_of_length(g, L, remaining):
-            if _is_fence(g, t.sides, first_face, cycle):
+        for cycle in _simple_cycles_of_length(darts_at, head, L, remaining):
+            if _is_fence(rot_next, head, g.n, cycle):
                 return L
     return math.inf
 

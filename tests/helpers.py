@@ -9,7 +9,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from operator import index
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,12 +31,7 @@ from peelbound.embed import (
     triangulate_preserving_embedding,
 )
 from peelbound.gen import _prism_band, gen_random_triangulation
-from peelbound.oracle import (
-    _deletion_counts,
-    _face_bit_tables,
-    _simple_cycles_of_length,
-    radius_exact,
-)
+from peelbound.oracle import OracleBudgetError, _deletion_counts, _face_bit_tables, radius_exact
 from peelbound.peels import Augmentation, PeelContext, TreeOfPeels
 
 
@@ -172,7 +167,7 @@ def build_plane_graph_by_slots(n, edges, rotation, faces=None, flags=None, meta=
     if len(rotation) != n:
         raise GraphFormatError(f"rotation has {len(rotation)} rows, expected {n}")
 
-    b = _Builder(n)
+    b = empty_builder(n)
     for e, pair in enumerate(edges):
         if len(pair) != 2:
             raise GraphFormatError(f"edge {e} is not a pair")
@@ -374,7 +369,7 @@ def random_plane_map(seed: int, steps: int, components: int = 1) -> PlaneGraph:
     walks (picked at random) joining that face.  Faces are shuffled.
     """
     rng = random.Random(seed)
-    b = _Builder(0)
+    b = empty_builder(0)
     rn = b.rot_next
     comp_darts: list[list[int]] = []
     first_vertex: list[int] = []
@@ -522,6 +517,57 @@ def is_fence_by_union_find(g: PlaneGraph, cycle: Sequence[int]) -> bool:
     cycle_verts = {g.origin(d) for d in cycle}
     sides = {uf.find(faces_of_vertex(g, v)[0]) for v in range(g.n) if v not in cycle_verts}
     return left in sides and right in sides
+
+
+def simple_cycles_of_length(g: PlaneGraph, L: int, budget: list[int]) -> Iterator[list[int]]:
+    """Reference for ``oracle._simple_cycles_of_length``: the same cycles in
+    the same order for the same budget, with the rotations rebuilt for
+    every length, ``g.head`` read on every step and a set of the path's
+    edges."""
+    darts_at = [g.rotation_darts(v) for v in range(g.n)]
+    on_path = [False] * g.n
+
+    def extend(s: int, v: int, path: list[int], used_edges: set[int]) -> Iterator[list[int]]:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise OracleBudgetError("cycle enumeration budget exhausted")
+        for d in darts_at[v]:
+            e = d >> 1
+            if e in used_edges:
+                continue
+            w = g.head(d)
+            if len(path) + 1 == L:
+                if w == s:
+                    if L == 1:
+                        if d % 2 == 0:  # one orientation per loop
+                            yield [d]
+                    elif path[0] < (d ^ 1):  # one orientation per cycle
+                        yield path + [d]
+                continue
+            if w <= s or on_path[w]:
+                continue
+            on_path[w] = True
+            used_edges.add(e)
+            path.append(d)
+            yield from extend(s, w, path, used_edges)
+            path.pop()
+            used_edges.discard(e)
+            on_path[w] = False
+
+    for s in range(g.n):
+        yield from extend(s, s, [], set())
+
+
+def fence_girth_by_union_find(g: PlaneGraph, budget: int = 5_000_000) -> Union[int, float]:
+    """Reference for ``oracle.fence_girth_bruteforce``: every cycle of
+    :func:`simple_cycles_of_length` by length through
+    :func:`is_fence_by_union_find`, on g as given (not connected first)."""
+    remaining = [budget]
+    for L in range(1, g.n + 1):
+        for cycle in simple_cycles_of_length(g, L, remaining):
+            if is_fence_by_union_find(g, cycle):
+                return L
+    return math.inf
 
 
 def _union_find_rounds(g: PlaneGraph, peel: list[int], uf: UnionFind, outer_face: int) -> None:
@@ -1020,7 +1066,7 @@ def girth_bruteforce(
         max_len = g.n
     remaining = [budget]
     for L in range(1, max_len + 1):
-        for _cycle in _simple_cycles_of_length(g, L, remaining):
+        for _cycle in simple_cycles_of_length(g, L, remaining):
             return L
     return math.inf
 
@@ -1096,6 +1142,16 @@ def faces_of_vertex(g: PlaneGraph, v: int) -> list[int]:
             seen.add(f)
             out.append(f)
     return out
+
+
+def empty_builder(n: int) -> _Builder:
+    """A builder with n isolated vertices and no edge."""
+    b = _Builder.__new__(_Builder)
+    b.n = n
+    b.ends = array("i")
+    b.rot_next = array("i")
+    b.rot_first = array("i", [-1] * n)
+    return b
 
 
 def new_vertex(b: _Builder) -> int:

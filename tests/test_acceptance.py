@@ -33,6 +33,7 @@ from helpers import (
     radial_bfs_by_rounds,
     ring_chain,
     simple_bound_check,
+    simple_cycles_of_length,
     spanning_tree_center_by_dicts,
     thin_random_triangulation,
     tree_distance,
@@ -55,8 +56,10 @@ from peelbound.gen import (
     gen_random_triangulation,
 )
 from peelbound.oracle import (
+    _dart_lists,
     _deletion_counts,
     _face_bit_tables,
+    _simple_cycles_of_length,
     all_eccentricities,
     diameter_exact,
     fence_girth_bruteforce,
@@ -560,6 +563,19 @@ def test_first_face_of_vertex_on_corpus(corpus):
         g = e.graph
         got = [g.first_face_of_vertex(v) for v in range(g.n)]
         assert got == [faces_of_vertex(g, v)[0] for v in range(g.n)], e.name
+
+
+def test_cycle_enumerator_matches_reference_on_corpus(corpus):
+    for e in corpus:
+        g = e.graph
+        if g.n > 60:
+            continue
+        darts_at, head, _ = _dart_lists(g)
+        for L in range(1, 8):
+            want_budget, got_budget = [10**7], [10**7]
+            want = list(simple_cycles_of_length(g, L, want_budget))
+            got = list(_simple_cycles_of_length(darts_at, head, L, got_budget))
+            assert got == want and got_budget == want_budget, (e.name, L)
 
 
 def test_fence_girth_frozen_on_corpus(corpus):

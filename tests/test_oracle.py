@@ -326,17 +326,44 @@ def test_fence_side_test_matches_union_find():
     graphs = [octahedron(), gen_prism_grid(1), gen_lowerbound_H(4, 3)]
     graphs += [connect_components(gen_nested_cycles(g, 3)) for g in (1, 2, 5)]
     graphs += [random_plane_map(seed, 8 + seed % 9) for seed in range(20)]
+    maps = [random_plane_map(seed, 6 + seed % 30, 1 + seed % 3) for seed in range(1000, 1300)]
+    assert sum(not g.simple for g in maps) >= 250
     answers = []
-    for g in graphs:
+    for g in graphs + maps:
         g = g if g.connected else connect_components(g)
-        t = oracle._face_bit_tables(g)
-        first_face = t.vf_faces[t.vf_indptr[:-1]]
-        for length in range(1, 6):
-            for cycle in oracle._simple_cycles_of_length(g, length, [10**6]):
-                fence = oracle._is_fence(g, t.sides, first_face, cycle)
+        darts_at, head, rot_next = oracle._dart_lists(g)
+        for length in range(1, 7):
+            for cycle in oracle._simple_cycles_of_length(darts_at, head, length, [10**6]):
+                fence = oracle._is_fence(rot_next, head, g.n, cycle)
                 assert fence == is_fence_by_union_find(g, cycle), (g, cycle)
-                answers.append(fence)
-    assert answers.count(True) >= 50 and answers.count(False) >= 50
+                answers.append((length, fence))
+    assert {length for length, fence in answers if fence} >= {1, 2, 3, 4, 5, 6}
+    assert sum(fence for _, fence in answers) >= 500
+    assert sum(not fence for _, fence in answers) >= 500
+
+
+def test_fence_girth_of_disconnected_maps_matches_union_find():
+    maps = [random_plane_map(seed, 6 + seed % 20, 2 + seed % 3) for seed in range(300)]
+    got, want = [], []
+    for g in maps:
+        assert not g.connected and g.n <= 60
+        got.append(fence_girth_bruteforce(g))
+        want.append(helpers.fence_girth_by_union_find(g))
+    assert got == want
+    assert {1, 2, math.inf} <= set(got)
+
+
+def test_fence_girth_labels_no_faces(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the fence search reads no face labels")
+
+    prism, h = gen_prism_grid(2), gen_lowerbound_H(9, 5)
+    monkeypatch.setattr(embed, "_label_components", forbidden)
+    monkeypatch.setattr(oracle, "_face_bit_tables", forbidden)
+    # oracle imports no _label_components; set it so that a new import trips too
+    monkeypatch.setattr(oracle, "_label_components", forbidden, raising=False)
+    assert fence_girth_bruteforce(prism) == 4
+    assert fence_girth_bruteforce(h) == 9
 
 
 @pytest.mark.parametrize("g", [3, 4, 5, 6])
