@@ -22,6 +22,7 @@ from .gen import (
     gen_lowerbound_H,
     gen_nested_cycles,
     gen_prism_grid,
+    gen_radial_graph,
     gen_random_triangulation,
 )
 from .graphio import dump_plane_graph, dumps_plane_graph, load_plane_graph, loads_plane_graph

@@ -1,6 +1,6 @@
 """Generators for the graph families used in experiments and tests.
 
-Four constructions:
+Five constructions:
 
 * ``gen_nested_cycles`` -- two singleton vertices separated by k nested
   g-cycles; disconnected, with the face grouping spelling out the nesting.
@@ -8,16 +8,25 @@ Four constructions:
   how far peel counts can exceed the girth-based upper bound.
 * ``gen_lowerbound_H`` -- connected, simple relatives of the nested-cycle
   family with girth and fence-girth exactly g.
+* ``gen_radial_graph`` -- the vertex-face incidence graph of a connected
+  plane graph: a bipartite quadrangulation.
 * ``gen_prism_grid`` -- two mirrored triangular grids glued along the rim,
   the band between them closed in one linear pass; small diameter, large
   peel depth from every outerface.
 * ``gen_random_triangulation`` -- seeded incremental triangulation used as
   a stress corpus.
+
+The nested, lowerbound-H (g >= 4) and radial generators write their edge
+and rotation rows as flat int32 arrays (:class:`embed.FlatRows`) with
+array expressions, so :func:`build_plane_graph` validates them without a
+Python row per vertex; the random triangulation hands its three dart
+arrays to the graph directly.
 """
 
 from __future__ import annotations
 
 import random
+from operator import index
 from typing import Optional
 
 import numpy as np
@@ -27,7 +36,9 @@ from .embed import (
     PlaneGraph,
     _Builder,
     _finish_graph,
+    FlatRows,
     _int_array,
+    _rotation_order,
     build_plane_graph,
     connect_components,
     triangulate_preserving_embedding,
@@ -38,6 +49,7 @@ __all__ = [
     "gen_lowerbound_H",
     "gen_prism_grid",
     "gen_random_triangulation",
+    "gen_radial_graph",
 ]
 
 
@@ -55,35 +67,44 @@ def gen_nested_cycles(g: int, k: int) -> PlaneGraph:
     annuli nest: face 0 is the disc inside ring 1 (holding the inner
     singleton), face i lies between rings i and i+1, and face k is the outer
     disc (holding the outer singleton).
+
+    Edge e joins ring vertex 1 + e to its successor on the ring, and the
+    rows are written as arrays: vertex 1 + e lists the edge arriving from
+    its ring predecessor, then e (for g = 1 the loop id twice, as the
+    builder requires); the singletons' rows are empty.
     """
+    g, k = index(g), index(k)
     if g < 1:
         raise ValueError("cycle length must be at least 1")
     if k < 1:
         raise ValueError("need at least one ring")
     n = g * k + 2
-    edges: list[tuple[int, int]] = []
-    rotation: list[list[int]] = [[] for _ in range(n)]
-    for i in range(k):
-        base = 1 + i * g
-        first = len(edges)
-        for j in range(g):
-            edges.append((base + j, base + (j + 1) % g))
-        for j in range(g):
-            # Degree-2 slots: edge arriving from the ring predecessor, then
-            # the edge leaving towards the successor.  (For g=1 the loop id
-            # is listed twice, as the builder requires.)
-            rotation[base + j] = [first + (j - 1) % g, first + j]
+    e = np.arange(g * k, dtype=np.int32)
+    j = e % g  # position on the ring
+    ring = e - j  # the ring's first edge
+    edges = np.stack((1 + e, 1 + ring + (j + 1) % g), axis=1)
+    slots = np.stack((ring + (j - 1) % g, e), axis=1)
+    lens = np.full(n, 2, dtype=np.int32)
+    lens[[0, -1]] = 0
     # Ring i owns dart walks 2(i-1) (forward orbit, discovered first) and
     # 2(i-1)+1 (backward); the lone-vertex walks come last: inner singleton
-    # is walk 2k, outer singleton walk 2k+1.
-    faces: list[list[int]] = [[1, 2 * k]]
-    for i in range(1, k):
-        faces.append([2 * (i - 1), 2 * i + 1])
-    faces.append([2 * (k - 1), 2 * k + 1])
+    # is walk 2k, outer singleton walk 2k+1.  Face i pairs ring i's forward
+    # walk with ring i+1's backward one.
+    faces = np.empty((k + 1, 2), dtype=np.int32)
+    faces[0] = 1, 2 * k
+    faces[1:, 0] = 2 * np.arange(k)
+    faces[1:, 1] = 2 * np.arange(1, k + 1) + 1
+    faces[k, 1] = 2 * k + 1
     meta: dict = {"family": "nested", "g": g, "k": k}
     if k % 2 == 1:
         meta["fse_at_least"] = (k + 3) // 2
-    return build_plane_graph(n, edges, rotation, faces=faces, meta=meta)
+    return build_plane_graph(
+        n,
+        _pair_rows(edges),
+        FlatRows(slots.ravel(), lens),
+        faces=_pair_rows(faces),
+        meta=meta,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +122,17 @@ def gen_lowerbound_H(g: int, k: int) -> PlaneGraph:
     g = 4 graph is subdivided: each ring gains ceil((g-4)/2) vertices on its
     (u, v) edge and floor((g-4)/2) on its (w, x) edge, and the two singletons
     grow into paths of floor((g-1)/2) vertices.
+
+    The g = 4 skeleton: ring i (1-based) has u, v, w, x = 4i-3 .. 4i and
+    owns edges 4i-4 .. 4i-1 as (u,v), (v,w), (w,x), (x,u); connector level
+    i (0-based) owns a = 4k+2i as (u_i, v_{i+1}) and a+1 as (w_i, x_{i+1});
+    the inner singleton 0 is u_0 = w_0 and the outer one 4k+1 is
+    v_{k+1} = x_{k+1}.  Subdividing edge e = (a, b) by c vertices, in
+    sorted edge order, appends c new vertices and c new edges: segment 0
+    keeps id e, new vertex t lies between segments t and t+1, and b's slot
+    of e names the last segment.  All rows are written as arrays.
     """
+    g, k = index(g), index(k)
     if g < 3:
         raise ValueError("girth parameter must be at least 3")
     if k < 3 or k % 2 == 0:
@@ -116,113 +147,90 @@ def gen_lowerbound_H(g: int, k: int) -> PlaneGraph:
         h.meta.update(meta)
         return h
 
-    n, edges, rotation = _quad_ring_skeleton(k)
-    alpha = (g - 3) // 2  # extra vertices on each ring's (u, v) edge
-    beta = (g - 4) // 2  # extra vertices on each ring's (w, x) edge
-    ends = (g - 3) // 2  # growth of each singleton into a path
-    counts: dict[int, int] = {}
-    for i in range(k):
-        if alpha:
-            counts[4 * i] = alpha
-        if beta:
-            counts[4 * i + 2] = beta
-    if ends:
-        counts[4 * k + 1] = ends  # (inner singleton, x_1) connector
-        counts[6 * k + 1] = ends  # (w_k, outer singleton) connector
-    n, edges, rotation = _subdivide(n, edges, rotation, counts)
-    return build_plane_graph(n, edges, rotation, meta=meta)
+    n0, m0 = 4 * k + 2, 6 * k + 2
+    i = np.arange(1, k + 1, dtype=np.int32)[:, None]  # ring, as a column
+    ends = np.empty((m0, 2), dtype=np.int32)
+    corners = 4 * i - 3 + np.arange(4, dtype=np.int32)  # u, v, w, x
+    ends[: 4 * k, 0] = corners.ravel()
+    ends[: 4 * k, 1] = np.roll(corners, -1, axis=1).ravel()
+    links = ends[4 * k :].reshape(k + 1, 2, 2)
+    level = 4 * np.arange(k + 1, dtype=np.int32)[:, None]
+    links[:, :, 0] = level + [-3, -1]  # u_i, w_i
+    links[:, :, 1] = level + [2, 4]  # v_{i+1}, x_{i+1}
+    links[0, :, 0] = 0
+    links[k, :, 1] = 4 * k + 1
+    e, a = 4 * i - 4, 4 * k + 2 * i  # ring i's (u, v) edge, level i's first link
+    rows = np.hstack((e, e + 3, a, e + 1, a - 2, e, e + 1, a + 1, e + 2, a - 1, e + 2, e + 3))
+    slots = np.concatenate(
+        ([4 * k, 4 * k + 1], rows.ravel(), [6 * k, 6 * k + 1]), dtype=np.int32
+    )
+    lens = np.full(n0, 3, dtype=np.int32)
+    lens[[0, -1]] = 2
+
+    counts = np.zeros(m0, dtype=np.int32)  # interior vertices each edge gains
+    counts[0 : 4 * k : 4] = (g - 3) // 2  # each ring's (u, v) edge
+    counts[2 : 4 * k : 4] = (g - 4) // 2  # each ring's (w, x) edge
+    counts[[4 * k + 1, 6 * k + 1]] = (g - 3) // 2  # (0, x_1) and (w_k, 4k+1)
+    sub = np.flatnonzero(counts)
+    stop = np.cumsum(counts[sub])  # past each subdivided edge's new vertices
+    start = stop - counts[sub]
+    q = np.arange(counts.sum(), dtype=np.int32)  # new vertices and edges, in order
+    # at its far end b, edge e's slot names e's last segment
+    last = np.arange(m0, dtype=np.int32)
+    last[sub] = m0 + stop - 1
+    far = np.repeat(np.arange(n0, dtype=np.int32), lens) == ends[slots, 1]
+    slots[far] = last[slots[far]]
+    # segment t + 1 of e runs from new vertex t to the next, or to b
+    segments = np.stack((n0 + q, n0 + q + 1), axis=1)
+    segments[stop - 1, 1] = ends[sub, 1]
+    ends[sub, 1] = n0 + start
+    new_rows = np.stack((m0 + q - 1, m0 + q), axis=1)
+    new_rows[start, 0] = sub
+    return build_plane_graph(
+        n0 + len(q),
+        _pair_rows(np.concatenate((ends, segments))),
+        FlatRows(np.concatenate((slots, new_rows.ravel())), np.append(lens, np.full_like(q, 2))),
+        meta=meta,
+    )
 
 
-def _quad_ring_skeleton(
-    k: int,
-) -> tuple[int, list[tuple[int, int]], list[list[int]]]:
-    """k nested 4-cycles <u,v,w,x> plus two singletons, wired by connectors.
+def _pair_rows(pairs: np.ndarray) -> FlatRows:
+    """The rows of an (r, 2) array, two ids each."""
+    return FlatRows(pairs.ravel(), np.full(len(pairs), 2, dtype=np.int32))
 
-    Ring i (1-based) occupies vertices 4i-3..4i; the inner singleton 0 acts
-    as u_0 = w_0, the outer singleton 4k+1 as v_{k+1} = x_{k+1}.  Edge ids:
-    ring i owns 4(i-1)..4(i-1)+3 as (u,v), (v,w), (w,x), (x,u); connector
-    level i (0-based) owns 4k+2i as (u_i, v_{i+1}) and 4k+2i+1 as
-    (w_i, x_{i+1}).
+
+# ---------------------------------------------------------------------------
+# Radial graphs
+# ---------------------------------------------------------------------------
+
+
+def gen_radial_graph(g: PlaneGraph) -> PlaneGraph:
+    """The vertex-face incidence graph of a connected plane graph with edges.
+
+    Vertices 0..n-1 are g's vertices and n + w is walk w, which is a face
+    of g since g is connected.  Edge d joins dart d's origin to the walk
+    that holds d, so there are 2m edges and every face of the result is a
+    quadrangle around one edge of g: a bipartite quadrangulation.  Vertex
+    v lists its darts in slot order, and walk w lists its darts in reverse
+    trace order.
     """
-    inner, outer = 0, 4 * k + 1
-    n = 4 * k + 2
-
-    def u(i: int) -> int:
-        return inner if i == 0 else 4 * i - 3
-
-    def v(i: int) -> int:
-        return outer if i == k + 1 else 4 * i - 2
-
-    def w(i: int) -> int:
-        return inner if i == 0 else 4 * i - 1
-
-    def x(i: int) -> int:
-        return outer if i == k + 1 else 4 * i
-
-    edges: list[tuple[int, int]] = []
-    for i in range(1, k + 1):
-        edges += [(u(i), v(i)), (v(i), w(i)), (w(i), x(i)), (x(i), u(i))]
-    for i in range(k + 1):
-        edges += [(u(i), v(i + 1)), (w(i), x(i + 1))]
-
-    def e_uv(i: int) -> int:
-        return 4 * (i - 1)
-
-    def e_vw(i: int) -> int:
-        return 4 * (i - 1) + 1
-
-    def e_wx(i: int) -> int:
-        return 4 * (i - 1) + 2
-
-    def e_xu(i: int) -> int:
-        return 4 * (i - 1) + 3
-
-    def e_a(i: int) -> int:
-        return 4 * k + 2 * i
-
-    def e_b(i: int) -> int:
-        return 4 * k + 2 * i + 1
-
-    rotation: list[list[int]] = [[] for _ in range(n)]
-    rotation[inner] = [e_a(0), e_b(0)]
-    rotation[outer] = [e_a(k), e_b(k)]
-    for i in range(1, k + 1):
-        rotation[u(i)] = [e_uv(i), e_xu(i), e_a(i)]
-        rotation[v(i)] = [e_vw(i), e_a(i - 1), e_uv(i)]
-        rotation[w(i)] = [e_vw(i), e_b(i), e_wx(i)]
-        rotation[x(i)] = [e_b(i - 1), e_wx(i), e_xu(i)]
-    return n, edges, rotation
-
-
-def _subdivide(
-    n: int,
-    edges: list[tuple[int, int]],
-    rotation: list[list[int]],
-    counts: dict[int, int],
-) -> tuple[int, list[tuple[int, int]], list[list[int]]]:
-    """Replace each edge e by a path with counts[e] fresh interior vertices.
-
-    The first path segment keeps id e, so the rotation at the first endpoint
-    stays untouched; only the far endpoint's rotation entry is rewritten to
-    the last segment's id.
-    """
-    edges = list(edges)
-    rotation = [list(r) for r in rotation]
-    for e, extra in sorted(counts.items()):
-        if extra <= 0:
-            continue
-        a, b = edges[e]
-        path = [a] + list(range(n, n + extra)) + [b]
-        n += extra
-        edges[e] = (path[0], path[1])
-        seg_ids = [e]
-        for p, q in zip(path[1:-1], path[2:]):
-            seg_ids.append(len(edges))
-            edges.append((p, q))
-        for t in range(extra):
-            rotation.append([seg_ids[t], seg_ids[t + 1]])
-        rotation[b] = [seg_ids[-1] if eid == e else eid for eid in rotation[b]]
-    return n, edges, rotation
+    if not g.connected or g.m == 0:
+        raise ValueError("radial graph needs a connected graph with an edge")
+    n, m2 = g.n, 2 * g.m
+    origin = np.frombuffer(g.ends, dtype=np.int32)
+    edges = np.stack((origin, n + np.frombuffer(g.walk_of_dart, dtype=np.int32)), axis=1)
+    by_vertex, darts = _rotation_order(g.rot_next, g.rot_first, origin)
+    indptr = np.frombuffer(g.walk_indptr, dtype=np.int32)
+    lens = np.diff(indptr)
+    # position p of walk w holds its mirror, indptr[w] + indptr[w + 1] - 1 - p
+    mirror = np.repeat(indptr[:-1] + indptr[1:] - 1, lens) - np.arange(m2, dtype=np.int32)
+    walks = np.frombuffer(g.walk_flat, dtype=np.int32)[mirror]
+    return build_plane_graph(
+        n + g.dart_walk_count,
+        _pair_rows(edges),
+        FlatRows(np.concatenate((darts, walks)), np.concatenate((np.diff(by_vertex), lens))),
+        meta={"family": "radial"},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1718,3 +1718,167 @@ def spanning_tree_center_by_dicts(h: PlaneGraph, vertices: Sequence[int]) -> int
         if heavy < 0:
             return cur
         cur = heavy
+
+
+# ---------------------------------------------------------------------------
+# List-built nested and lowerbound-H families: the Python-row references the
+# numpy generators in gen.py must reproduce document for document.
+# ---------------------------------------------------------------------------
+
+
+def nested_cycles_by_lists(g: int, k: int) -> PlaneGraph:
+    """gen_nested_cycles(g, k), one Python row at a time."""
+    if g < 1:
+        raise ValueError("cycle length must be at least 1")
+    if k < 1:
+        raise ValueError("need at least one ring")
+    n = g * k + 2
+    edges: list[tuple[int, int]] = []
+    rotation: list[list[int]] = [[] for _ in range(n)]
+    for i in range(k):
+        base = 1 + i * g
+        first = len(edges)
+        for j in range(g):
+            edges.append((base + j, base + (j + 1) % g))
+        for j in range(g):
+            # Degree-2 slots: edge arriving from the ring predecessor, then
+            # the edge leaving towards the successor.  (For g=1 the loop id
+            # is listed twice, as the builder requires.)
+            rotation[base + j] = [first + (j - 1) % g, first + j]
+    # Ring i owns dart walks 2(i-1) (forward orbit, discovered first) and
+    # 2(i-1)+1 (backward); the lone-vertex walks come last: inner singleton
+    # is walk 2k, outer singleton walk 2k+1.
+    faces: list[list[int]] = [[1, 2 * k]]
+    for i in range(1, k):
+        faces.append([2 * (i - 1), 2 * i + 1])
+    faces.append([2 * (k - 1), 2 * k + 1])
+    meta: dict = {"family": "nested", "g": g, "k": k}
+    if k % 2 == 1:
+        meta["fse_at_least"] = (k + 3) // 2
+    return build_plane_graph(n, edges, rotation, faces=faces, meta=meta)
+
+
+def lowerbound_h_by_lists(g: int, k: int) -> PlaneGraph:
+    """gen_lowerbound_H(g, k) from a list-built ring skeleton, subdivided
+    one edge at a time."""
+    if g < 3:
+        raise ValueError("girth parameter must be at least 3")
+    if k < 3 or k % 2 == 0:
+        raise ValueError("ring count must be odd and at least 3")
+    meta: dict = {"family": "lowerbound-h", "g": g, "k": k}
+    meta["fse_at_least"] = (k + 3) // 2
+    if g == 3:
+        h = triangulate_preserving_embedding(
+            connect_components(nested_cycles_by_lists(3, k))
+        )
+        h.meta.clear()
+        h.meta.update(meta)
+        return h
+
+    n, edges, rotation = _quad_ring_skeleton(k)
+    alpha = (g - 3) // 2  # extra vertices on each ring's (u, v) edge
+    beta = (g - 4) // 2  # extra vertices on each ring's (w, x) edge
+    ends = (g - 3) // 2  # growth of each singleton into a path
+    counts: dict[int, int] = {}
+    for i in range(k):
+        if alpha:
+            counts[4 * i] = alpha
+        if beta:
+            counts[4 * i + 2] = beta
+    if ends:
+        counts[4 * k + 1] = ends  # (inner singleton, x_1) connector
+        counts[6 * k + 1] = ends  # (w_k, outer singleton) connector
+    n, edges, rotation = _subdivide(n, edges, rotation, counts)
+    return build_plane_graph(n, edges, rotation, meta=meta)
+
+
+def _quad_ring_skeleton(
+    k: int,
+) -> tuple[int, list[tuple[int, int]], list[list[int]]]:
+    """k nested 4-cycles <u,v,w,x> plus two singletons, wired by connectors.
+
+    Ring i (1-based) occupies vertices 4i-3..4i; the inner singleton 0 acts
+    as u_0 = w_0, the outer singleton 4k+1 as v_{k+1} = x_{k+1}.  Edge ids:
+    ring i owns 4(i-1)..4(i-1)+3 as (u,v), (v,w), (w,x), (x,u); connector
+    level i (0-based) owns 4k+2i as (u_i, v_{i+1}) and 4k+2i+1 as
+    (w_i, x_{i+1}).
+    """
+    inner, outer = 0, 4 * k + 1
+    n = 4 * k + 2
+
+    def u(i: int) -> int:
+        return inner if i == 0 else 4 * i - 3
+
+    def v(i: int) -> int:
+        return outer if i == k + 1 else 4 * i - 2
+
+    def w(i: int) -> int:
+        return inner if i == 0 else 4 * i - 1
+
+    def x(i: int) -> int:
+        return outer if i == k + 1 else 4 * i
+
+    edges: list[tuple[int, int]] = []
+    for i in range(1, k + 1):
+        edges += [(u(i), v(i)), (v(i), w(i)), (w(i), x(i)), (x(i), u(i))]
+    for i in range(k + 1):
+        edges += [(u(i), v(i + 1)), (w(i), x(i + 1))]
+
+    def e_uv(i: int) -> int:
+        return 4 * (i - 1)
+
+    def e_vw(i: int) -> int:
+        return 4 * (i - 1) + 1
+
+    def e_wx(i: int) -> int:
+        return 4 * (i - 1) + 2
+
+    def e_xu(i: int) -> int:
+        return 4 * (i - 1) + 3
+
+    def e_a(i: int) -> int:
+        return 4 * k + 2 * i
+
+    def e_b(i: int) -> int:
+        return 4 * k + 2 * i + 1
+
+    rotation: list[list[int]] = [[] for _ in range(n)]
+    rotation[inner] = [e_a(0), e_b(0)]
+    rotation[outer] = [e_a(k), e_b(k)]
+    for i in range(1, k + 1):
+        rotation[u(i)] = [e_uv(i), e_xu(i), e_a(i)]
+        rotation[v(i)] = [e_vw(i), e_a(i - 1), e_uv(i)]
+        rotation[w(i)] = [e_vw(i), e_b(i), e_wx(i)]
+        rotation[x(i)] = [e_b(i - 1), e_wx(i), e_xu(i)]
+    return n, edges, rotation
+
+
+def _subdivide(
+    n: int,
+    edges: list[tuple[int, int]],
+    rotation: list[list[int]],
+    counts: dict[int, int],
+) -> tuple[int, list[tuple[int, int]], list[list[int]]]:
+    """Replace each edge e by a path with counts[e] fresh interior vertices.
+
+    The first path segment keeps id e, so the rotation at the first endpoint
+    stays untouched; only the far endpoint's rotation entry is rewritten to
+    the last segment's id.
+    """
+    edges = list(edges)
+    rotation = [list(r) for r in rotation]
+    for e, extra in sorted(counts.items()):
+        if extra <= 0:
+            continue
+        a, b = edges[e]
+        path = [a] + list(range(n, n + extra)) + [b]
+        n += extra
+        edges[e] = (path[0], path[1])
+        seg_ids = [e]
+        for p, q in zip(path[1:-1], path[2:]):
+            seg_ids.append(len(edges))
+            edges.append((p, q))
+        for t in range(extra):
+            rotation.append([seg_ids[t], seg_ids[t + 1]])
+        rotation[b] = [seg_ids[-1] if eid == e else eid for eid in rotation[b]]
+    return n, edges, rotation

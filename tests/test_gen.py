@@ -1,5 +1,6 @@
 """Family generators: structure, metadata, determinism, domain errors."""
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -9,16 +10,19 @@ from helpers import (
     faces_of_vertex,
     graph_fingerprint,
     is_bipartite,
+    lowerbound_h_by_lists,
+    nested_cycles_by_lists,
     prism_by_insertion,
     random_triangulation_by_insertion,
 )
 from peelbound import embed, gen
-from peelbound.embed import connect_components
+from peelbound.embed import connect_components, vertex_bfs
 from peelbound.gen import (
     _prism_band,
     gen_lowerbound_H,
     gen_nested_cycles,
     gen_prism_grid,
+    gen_radial_graph,
     gen_random_triangulation,
 )
 from peelbound.graphio import dumps_plane_graph
@@ -106,11 +110,89 @@ def test_lowerbound_h_domain(g, k):
         gen_lowerbound_H(g, k)
 
 
+@pytest.mark.parametrize("make", [gen_lowerbound_H, gen_nested_cycles])
+@pytest.mark.parametrize("g,k", [(4.0, 5), (5.0, 5), (4, 5.0), (3, 3.0)])
+def test_float_parameters_raise_type_error(make, g, k):
+    with pytest.raises(TypeError):
+        make(g, k)
+
+
+@pytest.mark.parametrize("make", [gen_lowerbound_H, gen_nested_cycles])
+def test_numpy_integer_parameters_give_int_meta(make):
+    g = make(np.int64(5), np.int32(3))
+    assert type(g.meta["g"]) is int and type(g.meta["k"]) is int
+    assert dumps_plane_graph(g) == dumps_plane_graph(make(5, 3))
+
+
 def test_lowerbound_h_subdivision_degrees():
     # subdivision vertices keep degree 2; original corners keep degree 3
     h = gen_lowerbound_H(7, 3)
     degs = sorted(degree(h, v) for v in range(h.n))
     assert set(degs) <= {2, 3}
+
+
+# The array-built families against their list-built references, document
+# for document.
+BY_LISTS = {
+    "lowerbound-h": (gen_lowerbound_H, lowerbound_h_by_lists),
+    "nested": (gen_nested_cycles, nested_cycles_by_lists),
+}
+
+
+@pytest.mark.parametrize(
+    "family,g,k",
+    [("lowerbound-h", g, k) for g in range(3, 13) for k in (3, 5, 7, 9, 51)]
+    + [("nested", g, k) for g in (1, 2, 3, 4, 16) for k in (1, 2, 3, 4, 99)]
+    + [("lowerbound-h", 4, 25001), ("nested", 64, 1600)],
+)
+def test_family_matches_list_reference(family, g, k):
+    make, reference = BY_LISTS[family]
+    assert dumps_plane_graph(make(g, k)) == dumps_plane_graph(reference(g, k))
+
+
+# ---------------------------------------------------------------------------
+# Radial graphs
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        lambda: gen_random_triangulation(20, 1),
+        lambda: gen_random_triangulation(200, 2),
+        lambda: gen_prism_grid(2),
+        lambda: gen_lowerbound_H(4, 7),
+    ],
+    ids=["random-20", "random-200", "prism-2", "lowerbound-h-4-7"],
+)
+def test_radial_graph_is_simple_bipartite_quadrangulation(source):
+    g = source()
+    r = gen_radial_graph(g)
+    assert r.n == g.n + g.face_count and r.m == 2 * g.m
+    assert r.connected and r.simple and r.face_count == g.m
+    assert set(np.diff(r.walk_indptr).tolist()) == {4}
+    assert r.meta == {"family": "radial"}
+    dist = vertex_bfs(r, 0)
+    ends = np.frombuffer(r.ends, dtype=np.int32)
+    assert ((dist[ends[0::2]] - dist[ends[1::2]]) % 2 == 1).all()
+    # vertices lie on the even side, faces on the odd one
+    assert (dist[: g.n] % 2 == 0).all() and (dist[g.n :] % 2 == 1).all()
+
+
+def test_radial_graph_of_a_cutvertex_graph_has_parallel_edges():
+    r = gen_radial_graph(connect_components(gen_nested_cycles(5, 3)))
+    assert r.connected and not r.simple
+    assert set(np.diff(r.walk_indptr).tolist()) == {4}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [lambda: gen_nested_cycles(4, 3), lambda: embed.build_plane_graph(1, [], [[]])],
+    ids=["disconnected", "edgeless"],
+)
+def test_radial_graph_domain(source):
+    with pytest.raises(ValueError):
+        gen_radial_graph(source())
 
 
 # ---------------------------------------------------------------------------
